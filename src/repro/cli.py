@@ -80,14 +80,36 @@ def _config_from(args) -> SimConfig:
         migration_enomem_policy=getattr(args, "mig_enomem", "demote-first"),
         check_invariants=getattr(args, "check_invariants", False),
         engine=getattr(args, "engine", "batched"),
-        serve=getattr(args, "serve", False),
-        serve_port=getattr(args, "serve_port", 0),
         record_series=getattr(args, "record_series", None) or "",
         record_epochs=getattr(args, "record_epochs", 4096),
         slo_rules=getattr(args, "slo_rules", None) or "",
         checkpoint_every=getattr(args, "checkpoint_every", 0),
         checkpoint_path=getattr(args, "checkpoint", None) or "",
     )
+
+
+def _port(text: str) -> int:
+    """argparse type for a live-endpoint port; :class:`ObsServer` owns
+    the range check, so a bad port is a usage error before any work."""
+    try:
+        return ObsServer(dict, port=int(text)).port
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+@contextlib.contextmanager
+def _serving(source, port: int, linger: float = 0.0,
+             note: str = "also /healthz, /snapshot.json"):
+    """Serve ``source`` live while the block runs and print the URL.
+    If the block succeeds, keep serving the final snapshot ``linger``
+    seconds before shutting the server down."""
+    with ObsServer(source, port=port) as server:
+        print(f"live metrics  : {server.url}/metrics  ({note})", flush=True)
+        yield
+        if linger > 0:
+            print(f"finished; serving the final snapshot for {linger:g}s",
+                  flush=True)
+            time.sleep(linger)
 
 
 def cmd_list(args) -> int:
@@ -211,18 +233,12 @@ def cmd_run(args) -> int:
         if telemetry is not None:
             stack.enter_context(telemetry)
         if args.serve and obs is not None:
-            server = stack.enter_context(
-                ObsServer(obs.registry, port=args.serve_port)
+            stack.enter_context(
+                _serving(obs.registry, args.serve_port, args.serve_linger)
             )
-            print(f"live metrics  : {server.url}/metrics  "
-                  "(also /healthz, /snapshot.json)", flush=True)
         result = sim.run()
         if resume and sim.telemetry.active:
             sim.telemetry.close()  # flush the reopened JSONL sink
-        if args.serve and obs is not None and args.serve_linger > 0:
-            print(f"run finished; serving final snapshot for "
-                  f"{args.serve_linger:g}s", flush=True)
-            time.sleep(args.serve_linger)
     if telemetry is not None:
         print(f"epoch timeline written to {args.timeline} "
               f"({len(result.timeline)} events)")
@@ -374,14 +390,8 @@ def cmd_serve(args) -> int:
                   f"(policy {stream.spec.policy}, "
                   f"budget {stream.spec.budget}/round)")
     service.install_signal_handlers()
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(service)
-        if not args.no_http:
-            server = stack.enter_context(
-                ObsServer(service.snapshot, port=args.port)
-            )
-            print(f"live metrics  : {server.url}/metrics  "
-                  "(also /healthz, /snapshot.json)", flush=True)
+    with service, (contextlib.nullcontext() if args.no_http
+                   else _serving(service.snapshot, args.port)):
         results = service.run()
     if service._stop_requested:
         where = (f"; state checkpointed to {service.config.checkpoint_dir}"
@@ -471,53 +481,33 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         print(f"--jobs must be >= 1 (got {args.jobs})")
         return 2
-    # ``functools.partial`` over SimConfig keeps the factory picklable
-    # for the worker processes (a closure over ``args`` would not be).
-    factory = functools.partial(
-        SimConfig,
-        total_accesses=args.accesses,
-        chunk_size=args.chunk,
-        trace_subsample=args.subsample,
-        migrate=not getattr(args, "no_migrate", False),
-        checkpoints=getattr(args, "checkpoints", 1) or 1,
-        migration_mode=getattr(args, "migration_mode", "instant"),
-        migration_inflight_budget=getattr(args, "mig_budget", 128),
-        migration_queue_capacity=getattr(args, "mig_queue_cap", 4096),
-        migration_abort_rate=getattr(args, "mig_abort_rate", 0.0),
-        migration_max_retries=getattr(args, "mig_max_retries", 3),
-        migration_copy_gbps=getattr(args, "mig_copy_gbps", 0.0),
-        migration_enomem_policy=getattr(args, "mig_enomem", "demote-first"),
-    )
+    # ``functools.partial`` keeps the factory picklable for the worker
+    # processes (a closure over ``args`` would not be).
+    factory = functools.partial(_config_from, args)
     serve = bool(getattr(args, "serve", False))
     if getattr(args, "metrics", None) or serve:
-        with contextlib.ExitStack() as stack:
-            on_result = None
-            if serve:
-                # One live endpoint over the whole matrix: each cell's
-                # snapshot lands in the aggregate registry (labelled by
-                # bench/policy) the moment the worker returns it.
-                aggregate = MetricsRegistry(enabled=True)
+        on_result = None
+        live = contextlib.nullcontext()
+        if serve:
+            # One live endpoint over the whole matrix: each cell's
+            # snapshot lands in the aggregate registry (labelled by
+            # bench/policy) the moment the worker returns it.
+            aggregate = MetricsRegistry(enabled=True)
 
-                def on_result(bench: str, policy: str, result) -> None:
-                    if result.metrics:
-                        aggregate.merge(
-                            result.metrics,
-                            extra_labels={"bench": bench, "policy": policy},
-                        )
+            def on_result(bench: str, policy: str, result) -> None:
+                if result.metrics:
+                    aggregate.merge(
+                        result.metrics,
+                        extra_labels={"bench": bench, "policy": policy},
+                    )
 
-                server = stack.enter_context(
-                    ObsServer(aggregate, port=args.serve_port)
-                )
-                print(f"live metrics  : {server.url}/metrics  "
-                      "(cells appear as they finish)", flush=True)
+            live = _serving(aggregate, args.serve_port, args.serve_linger,
+                            "cells appear as they finish")
+        with live:
             results = collect_matrix(
                 benches, policies, factory, seed=args.seed, jobs=args.jobs,
                 with_metrics=True, on_result=on_result,
             )
-            if serve and args.serve_linger > 0:
-                print(f"sweep finished; serving final aggregate for "
-                      f"{args.serve_linger:g}s", flush=True)
-                time.sleep(args.serve_linger)
         matrix = {
             bench: {
                 p: normalized(results[bench]["none"], results[bench][p])
@@ -602,18 +592,10 @@ def cmd_fleet(args) -> int:
             tenant_tracing=bool(args.trace),
         )
         watchdog = fsim.watchdog
-        with contextlib.ExitStack() as stack:
-            if args.serve:
-                server = stack.enter_context(
-                    ObsServer(fsim.merged_snapshot, port=args.serve_port)
-                )
-                print(f"live metrics  : {server.url}/metrics  "
-                      "(per-tenant labelled series)", flush=True)
+        with (_serving(fsim.merged_snapshot, args.serve_port,
+                       args.serve_linger, "per-tenant labelled series")
+              if args.serve else contextlib.nullcontext()):
             result = fsim.run()
-            if args.serve and args.serve_linger > 0:
-                print(f"fleet finished; serving final snapshot for "
-                      f"{args.serve_linger:g}s", flush=True)
-                time.sleep(args.serve_linger)
         if args.trace:
             trace = merged_chrome_trace(fsim.tenant_spans())
             with open(args.trace, "w") as fh:
@@ -877,7 +859,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--serve", action="store_true",
                        help=f"serve /metrics, /healthz and /snapshot.json "
                             f"over HTTP while {what} is in flight")
-        p.add_argument("--serve-port", type=int, default=0, metavar="PORT",
+        p.add_argument("--serve-port", type=_port, default=0, metavar="PORT",
                        help="live-endpoint port (0 = ephemeral; the bound "
                             "URL is printed at startup)")
         p.add_argument("--serve-linger", type=float, default=0.0,
@@ -969,7 +951,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SECONDS",
                        help="idle sleep when every in-flight source has "
                             "nothing new on disk")
-    serve.add_argument("--port", type=int, default=0, metavar="PORT",
+    serve.add_argument("--port", type=_port, default=0, metavar="PORT",
                        help="HTTP port for /metrics, /healthz, "
                             "/snapshot.json (0 = ephemeral)")
     serve.add_argument("--no-http", action="store_true",

@@ -24,6 +24,7 @@ after ``migrate``; it never touches DRAM, so the heavily-tested
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -74,6 +75,10 @@ class DemotionChain:
         # for choosing cold CXL victims.
         self._last_access = np.zeros(memory.num_logical_pages, dtype=np.int64)
         self.stats = ChainStats()
+
+    def stage(self, policy: object, st: Any) -> None:
+        """The pipeline stage spliced in right after ``migrate``."""
+        self.run_epoch(st.epoch, st.lpages)
 
     def run_epoch(self, epoch: int, lpages: np.ndarray) -> int:
         """Run one epoch of chain maintenance; returns pages moved.

@@ -44,16 +44,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs import (
-    NULL_OBS,
-    Observability,
-    SloWatchdog,
-    TimeSeriesRecorder,
-    load_rules,
-    parse_series_spec,
-)
+from repro.obs import NULL_OBS, Observability, live_stack
 from repro.obs.metrics import Counter, Gauge, MetricsRegistry
-from repro.obs.tracing import SimClock, SpanRecord
+from repro.obs.tracing import SpanRecord
 from repro.sim.config import FleetConfig, SimConfig
 from repro.sim.engine import M5Options, RunResult, Simulation
 from repro.sim.perf import bandwidth_shares, contention_factors
@@ -227,17 +220,13 @@ def arbitrate_epoch(
     return factors
 
 
-def _splice_chain_stage(sim: Simulation, chain: DemotionChain) -> None:
-    """Insert the chain stage right after the migrate stage, so chain
-    time lands in the same epoch's migration accounting."""
-
-    def stage_chain(policy: object, st: object) -> None:
-        chain.run_epoch(st.epoch, st.lpages)  # type: ignore[attr-defined]
-
-    idx = sim.stages.index(sim._stage_migrate)
-    sim.stages = (
-        sim.stages[: idx + 1] + (stage_chain,) + sim.stages[idx + 1 :]
-    )
+#: The fleet recorder's ``"default"`` series: the cross-tenant signals
+#: that only exist at fleet scope.
+FLEET_RECORD_SERIES = (
+    "fleet_tenant_slowdown",
+    "fleet_tenant_bandwidth_share",
+    "slo_breaches_total",
+)
 
 
 def _build_tenant(
@@ -273,7 +262,9 @@ def _build_tenant(
             headroom_frac=fleet.chain_headroom_frac,
             pull_budget=fleet.chain_pull_budget,
         )
-        _splice_chain_stage(sim, chain)
+        # Right after migrate, so chain time lands in the same epoch's
+        # migration accounting.
+        sim.insert_stage("chain", chain.stage, after="migrate")
     return bench, seed, sim, chain
 
 
@@ -337,9 +328,9 @@ class FleetSimulation:
         tenant_metrics: give every tenant its own metrics registry;
             tenant snapshots are merged into ``FleetResult.metrics``
             (and :meth:`merged_snapshot`) under a ``tenant`` label.
-        tenant_tracing: give every tenant a tracer; the lockstep loop
-            wraps each tenant-epoch in an ``epoch`` span (with the
-            async migration tick nested), collected by
+        tenant_tracing: give every tenant a tracer; each tenant's
+            stages record ``stage.*`` spans (with the async migration
+            tick nested under ``stage.migrate``), collected by
             :meth:`tenant_spans` for the per-tenant Chrome trace.
     """
 
@@ -385,34 +376,11 @@ class FleetSimulation:
         ]
         self._share_epochs = 0
         self._mx = _register_fleet_metrics(self.obs)
-        # Fleet-level recorder + watchdog over the fleet gauges.  The
-        # tenant engines own their own recorders (wired by SimConfig);
-        # this one watches the cross-tenant signals — slowdown and
-        # bandwidth share — that only exist at fleet scope.
-        self.recorder: Optional[TimeSeriesRecorder] = None
-        self.watchdog: Optional[SloWatchdog] = None
-        record_spec = self.config.record_series
-        if self.config.slo_rules and not record_spec:
-            record_spec = "default"
-        if record_spec and self.obs.metrics_on:
-            if record_spec == "default":
-                series = (
-                    "fleet_tenant_slowdown",
-                    "fleet_tenant_bandwidth_share",
-                    "slo_breaches_total",
-                )
-            else:
-                series = parse_series_spec(record_spec)
-            self.recorder = TimeSeriesRecorder(
-                self.obs.registry,
-                series=series,
-                capacity=self.config.record_epochs,
-            )
-            if self.config.slo_rules:
-                self.watchdog = SloWatchdog(
-                    load_rules(self.config.slo_rules, self.config),
-                    self.recorder,
-                )
+        # Fleet-level recorder + watchdog over the fleet gauges; the
+        # tenant engines own their own (wired by SimConfig).
+        self.recorder, self.watchdog = live_stack(
+            self.obs.registry, self.config, FLEET_RECORD_SERIES
+        )
         self.result: Optional[FleetResult] = None
 
     def _arbitrate(self, demands: List[List[float]]) -> List[List[float]]:
@@ -454,12 +422,6 @@ class FleetSimulation:
         sims = self.sims
         states = [sim._initial_state() for sim in sims]
         policies = [sim.epoch_policy for sim in sims]
-        tracers = []
-        for sim, st in zip(sims, states):
-            tracer = sim.obs.tracer if sim.obs.tracing_on else None
-            if tracer is not None:
-                tracer.sim_clock = SimClock(st)
-            tracers.append(tracer)
         multi = self.fleet.tenants > 1
         demands: Optional[List[List[float]]] = None
         epoch = 0
@@ -477,13 +439,7 @@ class FleetSimulation:
                     continue
                 if factors is not None:
                     sim.perf.contention = factors[t]
-                tracer = tracers[t]
-                if tracer is not None:
-                    tracer.current_epoch = epoch
-                    with tracer.span("epoch"):
-                        sim.step_epoch(st, policies[t])
-                else:
-                    sim.step_epoch(st, policies[t])
+                sim.step_epoch(st, policies[t])
                 new_demands.append(
                     epoch_demands_gbps(sim, st.perf.total_s)
                     if multi

@@ -133,7 +133,7 @@ class WallClockInSimLayer(Rule):
     title = "wall-clock read outside the observability layer"
     fix_hint = (
         "use the simulated clock (st.now_s), or route real-time reads "
-        "through repro.obs (e.g. repro.obs.tracing.wall_clock)"
+        "through repro.obs (e.g. a Tracer span or a TimedStage)"
     )
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:

@@ -3,7 +3,7 @@
 A suppression silences one or more rules on one line.  Trailing, on
 the flagged line itself::
 
-    self._t0 = wall_clock()  # lint: disable=DET002
+    self._t0 = time.perf_counter()  # lint: disable=DET002
 
 or on a comment-only line directly above the flagged line (chains of
 consecutive comment lines attach to the first code line below them;

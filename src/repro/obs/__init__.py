@@ -26,7 +26,7 @@ per-epoch ring recorder
 (:class:`~repro.obs.timeseries.TimeSeriesRecorder`), and the SLO
 watchdog (:class:`~repro.obs.slo.SloWatchdog`) — rides on top of the
 same registry and is wired by ``--serve`` / ``--record-series`` /
-``--slo-rules``.
+``--slo-rules`` (:func:`~repro.obs.slo.live_stack` builds both).
 """
 
 from __future__ import annotations
@@ -55,13 +55,13 @@ from repro.obs.metrics import (
     NULL_METRIC,
     log2_buckets,
 )
-from repro.obs.slo import SloRule, SloWatchdog, default_rules, load_rules
+from repro.obs.slo import SloRule, SloWatchdog, default_rules, live_stack, load_rules
 from repro.obs.timeseries import (
     DEFAULT_RECORD_SERIES,
     TimeSeriesRecorder,
     parse_series_spec,
 )
-from repro.obs.tracing import NULL_SPAN, Span, SpanRecord, Tracer, wall_clock
+from repro.obs.tracing import NULL_SPAN, Span, SpanRecord, Tracer
 
 
 class Observability:
@@ -118,7 +118,6 @@ __all__ = [
     "Span",
     "SpanRecord",
     "NULL_SPAN",
-    "wall_clock",
     "to_prometheus",
     "parse_prometheus",
     "flatten_snapshot",
@@ -136,4 +135,5 @@ __all__ = [
     "SloWatchdog",
     "default_rules",
     "load_rules",
+    "live_stack",
 ]

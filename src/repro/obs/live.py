@@ -114,9 +114,9 @@ class ObsServer:
             fleet passes its merged-registry builder here).
         host: bind address; loopback by default — the service is an
             inspection port, not a public listener.
-        port: TCP port; 0 (the default) binds an ephemeral port,
-            published as :attr:`port` / :attr:`url` after
-            :meth:`start`.
+        port: TCP port, 0-65535 (``ValueError`` otherwise); 0 (the
+            default) binds an ephemeral port, published as
+            :attr:`port` / :attr:`url` after :meth:`start`.
         snapshot_tries: retries when a snapshot races a series
             registration on the engine thread.
     """
@@ -132,6 +132,8 @@ class ObsServer:
             self._snapshot_fn: SnapshotFn = source.snapshot
         else:
             self._snapshot_fn = source
+        if not 0 <= int(port) <= 65535:
+            raise ValueError(f"port must be a TCP port (0-65535), got {port}")
         self.host = host
         self._requested_port = int(port)
         self.snapshot_tries = int(snapshot_tries)

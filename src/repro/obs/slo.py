@@ -37,11 +37,12 @@ import json
 import math
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.obs.timeseries import TimeSeriesRecorder
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.timeseries import DEFAULT_RECORD_SERIES, TimeSeriesRecorder, parse_series_spec
 
 if TYPE_CHECKING:
     # Import cycle: repro.sim imports the engine, which imports
@@ -298,3 +299,31 @@ class SloWatchdog:
         for alert in self.alerts:
             totals[str(alert["rule"])] += 1.0
         return totals
+
+
+def live_stack(
+    registry: MetricsRegistry,
+    config: "SimConfig",
+    default_series: Tuple[str, ...] = DEFAULT_RECORD_SERIES,
+    bus: Optional["TelemetryBus"] = None,
+) -> Tuple[Optional[TimeSeriesRecorder], Optional[SloWatchdog]]:
+    """The per-epoch recorder and SLO watchdog that ``config`` asks for.
+
+    ``record_series = "default"`` records ``default_series``.  Rules
+    read recorder columns, so ``slo_rules`` without ``record_series``
+    records the default set too.  Both need a live registry: with
+    metrics off, or neither knob set, this returns ``(None, None)``.
+    """
+    spec = config.record_series or ("default" if config.slo_rules else "")
+    if not spec or not registry.enabled:
+        return None, None
+    series = default_series if spec == "default" else parse_series_spec(spec)
+    recorder = TimeSeriesRecorder(
+        registry, series=series, capacity=config.record_epochs
+    )
+    watchdog = None
+    if config.slo_rules:
+        watchdog = SloWatchdog(
+            load_rules(config.slo_rules, config), recorder, bus=bus
+        )
+    return recorder, watchdog

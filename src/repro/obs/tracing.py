@@ -13,8 +13,10 @@ Completed spans can optionally be published to the run's
 and the whole span list exports to a Chrome ``trace_event`` JSON via
 :mod:`repro.obs.exporters` for chrome://tracing / Perfetto.
 
-A disabled tracer hands out one shared no-op span, so the
-instrumented loop costs nothing when observability is off.
+The engine times its stages by wrapping each one in a
+:class:`TimedStage` when the stage tuple is built, and only when
+observability is on; with it off the stages run unwrapped, so no span
+is opened and no clock is read.
 """
 
 from __future__ import annotations
@@ -22,17 +24,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
-
-
-def wall_clock() -> float:
-    """Monotonic wall-clock read (``time.perf_counter``).
-
-    The observability layer owns real-time reads: simulation layers
-    (``sim``/``cxl``/``core``/…) call this helper instead of
-    :mod:`time` directly so lint rule DET002 can prove no hot path
-    reads the host clock outside instrumentation.
-    """
-    return time.perf_counter()
 
 
 @dataclass
@@ -155,6 +146,29 @@ class SimClock:
 
     def __call__(self) -> float:
         return float(self._state.now_s)
+
+
+class TimedStage:
+    """A pipeline stage wrapped in its ``stage.<name>`` span and its
+    ``pipeline_stage_seconds{stage=<name>}`` observation.
+
+    A class rather than a closure for the same reason as
+    :class:`SimClock`: the stage tuple rides inside checkpoint pickles.
+    """
+
+    __slots__ = ("fn", "span_name", "tracer", "hist")
+
+    def __init__(self, fn: Callable, name: str, tracer: "Tracer", hist) -> None:
+        self.fn = fn
+        self.span_name = f"stage.{name}"
+        self.tracer = tracer
+        self.hist = hist
+
+    def __call__(self, *args) -> None:
+        t0 = time.perf_counter()
+        with self.tracer.span(self.span_name):
+            self.fn(*args)
+        self.hist.observe(time.perf_counter() - t0)
 
 
 class Tracer:

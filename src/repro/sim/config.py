@@ -120,13 +120,6 @@ class SimConfig:
     #: :mod:`repro.verify`); the reference path exists for goldens,
     #: debugging, and the ``tools/bench_engine.py`` speedup baseline.
     engine: str = "batched"
-    #: Serve ``/metrics`` + ``/healthz`` + ``/snapshot.json`` from an
-    #: in-process HTTP daemon thread while the run executes (see
-    #: :mod:`repro.obs.live`).  Off by default: no thread, no socket.
-    serve: bool = False
-    #: TCP port for ``serve`` (0 binds an ephemeral port, printed at
-    #: startup).
-    serve_port: int = 0
     #: Metric families the per-epoch ring recorder samples: empty
     #: disables the recorder stage entirely (the seed pipeline),
     #: ``"default"`` selects the curated low-cost set, ``"all"`` every
@@ -184,8 +177,6 @@ class SimConfig:
             raise ValueError("write_fraction must be in [0, 1]")
         if not 0.0 <= self.dirty_window_frac <= 1.0:
             raise ValueError("dirty_window_frac must be in [0, 1]")
-        if not 0 <= self.serve_port <= 65535:
-            raise ValueError("serve_port must be a TCP port (0-65535)")
         if self.record_epochs < 1:
             raise ValueError("record_epochs must be positive")
         if self.checkpoint_every < 0:

@@ -36,12 +36,16 @@ attached by default and surfaces as ``RunResult.timeline``.
 Passing an :class:`~repro.obs.Observability` bundle turns on the
 observability layer: the engine, manager, async migration engine, and
 CXL controller register counters/gauges/histograms into its metrics
-registry (snapshotted onto ``RunResult.metrics``), and the run loop
-wraps every stage in a tracing span (wall + simulated time, with the
-async migration tick nested underneath ``stage.migrate``) for the
-per-run flame table and Chrome-trace export.  Without it, the shared
-disabled instance makes every instrument a no-op and the loop runs
-the uninstrumented seed path.
+registry (snapshotted onto ``RunResult.metrics``), and every stage is
+wrapped once, when the stage tuple is built, in a
+:class:`~repro.obs.tracing.TimedStage` that opens its tracing span
+(wall + simulated time, with the async migration tick nested
+underneath ``stage.migrate``) and observes ``pipeline_stage_seconds``.
+Every epoch loop (``run``, fleet tenants, service streams) advances
+through :meth:`Simulation.step_epoch`, so all of them get the same
+stage timing.  Without the bundle, the shared disabled instance makes
+every instrument a no-op and the stage tuple holds the bare bound
+stage methods: the seed pipeline, with no wrapper and no clock read.
 
 ``config.migrate = False`` selects the identification-only mode
 (§4.1 S1): policies build their hot-page lists but nothing moves, so
@@ -66,7 +70,7 @@ import contextlib
 import os
 import pickle
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -101,16 +105,8 @@ from repro.memory.migration import MigrationCostModel, MigrationEngine
 from repro.memory.mglru import MultiGenLru
 from repro.memory.tiers import NodeKind, NodeSpec, TieredMemory
 from repro.migration import AsyncMigrationConfig, AsyncMigrationEngine, TickReport
-from repro.obs import (
-    NULL_OBS,
-    Observability,
-    SloWatchdog,
-    TimeSeriesRecorder,
-    load_rules,
-    parse_series_spec,
-    wall_clock,
-)
-from repro.obs.tracing import SimClock
+from repro.obs import NULL_OBS, Observability, live_stack
+from repro.obs.tracing import SimClock, TimedStage
 from repro.sim.config import SimConfig
 from repro.sim.perf import EpochPerf, PerformanceModel
 from repro.sim.telemetry import RingBufferSink, TelemetryBus
@@ -120,6 +116,10 @@ from repro.workloads.base import SyntheticWorkload
 BASELINE_POLICIES = ("none", "anb", "damon", "tpp", "pte-scan", "pebs")
 M5_POLICIES = ("m5-hpt", "m5-hwt", "m5-hpt+hwt")
 ALL_POLICIES = BASELINE_POLICIES + M5_POLICIES
+
+#: A pipeline stage: called once per epoch with the active policy and
+#: the epoch state.
+Stage = Callable[[EpochPolicy, "_EpochState"], None]
 
 #: On-disk checkpoint format.  Bumped whenever the pickled state's
 #: shape changes incompatibly; ``load_state`` refuses other versions
@@ -387,67 +387,72 @@ class Simulation:
                 for s in self.memory.node_specs
             ]
         self.perf = PerformanceModel(self.config, spec, node_params=node_params)
-        #: The pipeline's stage sequence; each stage is a callable
-        #: ``stage(policy, state)`` run once per epoch, in order.
-        self.stages = (
-            self._stage_trace,
-            self._stage_translate,
-            self._stage_snoop,
-            self._stage_policy,
-            self._stage_migrate,
-            self._stage_perf,
-            self._stage_checkpoint,
-        )
-        self._stage_names = ("trace", "translate", "snoop", "policy",
-                             "migrate", "perf", "checkpoint")
-        #: Per-epoch invariant checking (see :mod:`repro.verify`); the
-        #: checker rides the pipeline as an extra stage so the default
-        #: (unchecked) loop stays exactly the frozen-golden sequence.
+        table: List[Tuple[str, Stage]] = [
+            ("trace", self._stage_trace),
+            ("translate", self._stage_translate),
+            ("snoop", self._stage_snoop),
+            ("policy", self._stage_policy),
+            ("migrate", self._stage_migrate),
+            ("perf", self._stage_perf),
+            ("checkpoint", self._stage_checkpoint),
+        ]
+        # The optional stages below are appended only when enabled, so
+        # the default pipeline stays exactly the frozen-golden sequence.
+        #: Per-epoch invariant checking (see :mod:`repro.verify`).
         self.checker = None
         if self.config.check_invariants:
             from repro.verify import InvariantChecker
 
             self.checker = InvariantChecker(self)
-            self.stages += (self._stage_verify,)
-            self._stage_names += ("verify",)
-        #: The live-observability stack (see :mod:`repro.obs.live`):
-        #: a per-epoch ring recorder and an optional SLO watchdog,
-        #: riding the pipeline as one appended ``record`` stage — like
-        #: the checker, so the disabled path stays exactly the frozen
-        #: golden sequence.  Both need the metrics registry; with
-        #: metrics off they stay None and no stage is appended.
-        self.recorder: Optional[TimeSeriesRecorder] = None
-        self.watchdog: Optional[SloWatchdog] = None
-        record_spec = self.config.record_series
-        if self.config.slo_rules and not record_spec:
-            # Watchdog rules read recorder columns, so rules imply
-            # recording (the curated default set).
-            record_spec = "default"
-        if record_spec and self.obs.metrics_on:
-            self.recorder = TimeSeriesRecorder(
-                self.obs.registry,
-                series=parse_series_spec(record_spec),
-                capacity=self.config.record_epochs,
-            )
-            if self.config.slo_rules:
-                self.watchdog = SloWatchdog(
-                    load_rules(self.config.slo_rules, self.config),
-                    self.recorder,
-                    bus=self.telemetry,
-                )
-            self.stages += (self._stage_record,)
-            self._stage_names += ("record",)
+            table.append(("verify", self._stage_verify))
+        #: The live-observability stack (see :mod:`repro.obs.live`): a
+        #: per-epoch ring recorder and an optional SLO watchdog, riding
+        #: the pipeline as one ``record`` stage.  Both need the metrics
+        #: registry; with metrics off they stay None.
+        self.recorder, self.watchdog = live_stack(
+            self.obs.registry, self.config, bus=self.telemetry
+        )
+        if self.recorder is not None:
+            table.append(("record", self._stage_record))
         #: Periodic state persistence (checkpoint/resume): every
         #: ``checkpoint_every`` epochs the full simulation state is
         #: pickled atomically to ``checkpoint_path``.  Appended last so
-        #: a checkpoint always captures a fully-finished epoch — and,
-        #: like the other optional stages, the disabled path stays
-        #: exactly the frozen golden sequence.
+        #: a checkpoint always captures a fully-finished epoch.
         if self.config.checkpoint_every > 0 and self.config.checkpoint_path:
-            self.stages += (self._stage_persist,)
-            self._stage_names += ("persist",)
+            table.append(("persist", self._stage_persist))
         self._register_engine_metrics()
+        self._bind_stages(table)
         self.result: Optional[RunResult] = None
+
+    def _bind_stages(self, table: Sequence[Tuple[str, Stage]]) -> None:
+        """Install the ``(name, stage)`` table and the stage tuple that
+        :meth:`step_epoch` runs.
+
+        With observability off the tuple holds the bound stage methods
+        themselves; with it on, each is wrapped in a
+        :class:`~repro.obs.tracing.TimedStage`.  Stages are bound
+        methods, so they look up their collaborators (controller,
+        MGLRU, ...) at call time.
+        """
+        #: The pipeline as ``(name, stage)`` pairs, in execution order.
+        self.stage_table = tuple(table)
+        if self.obs.enabled:
+            tracer = self.obs.tracer
+            self.stages: Tuple[Stage, ...] = tuple(
+                TimedStage(fn, name, tracer,
+                           self._m_stage_seconds.labels(stage=name))
+                for name, fn in self.stage_table
+            )
+        else:
+            self.stages = tuple(fn for _, fn in self.stage_table)
+
+    def insert_stage(self, name: str, stage: Stage, after: str) -> None:
+        """Splice ``stage`` into the pipeline right after the stage
+        named ``after``; it is timed like every other stage."""
+        i = [n for n, _ in self.stage_table].index(after) + 1
+        self._bind_stages(
+            self.stage_table[:i] + ((name, stage),) + self.stage_table[i:]
+        )
 
     def _register_engine_metrics(self) -> None:
         """Declare the engine's instruments (no-ops when obs is off).
@@ -490,13 +495,9 @@ class Simulation:
             "telemetry_ring_dropped_total",
             "Timeline events evicted from the ring-buffer sink",
         )
-        stage_seconds = reg.histogram(
+        self._m_stage_seconds = reg.histogram(
             "pipeline_stage_seconds", "Wall-clock spent per pipeline stage",
             labels=("stage",),
-        )
-        self._stage_obs = tuple(
-            (f"stage.{name}", stage_seconds.labels(stage=name))
-            for name in self._stage_names
         )
 
     # ------------------------------------------------------------------
@@ -950,25 +951,30 @@ class Simulation:
     # ------------------------------------------------------------------
 
     def run(self) -> RunResult:
+        """Step epochs until the trace budget is spent, then
+        :meth:`finalize`.  Resumes a loaded checkpoint if there is one.
+
+        The ``run`` span is the root of the trace; the stage spans
+        nest under it.
+        """
         policy = self.epoch_policy
         if self._resume_state is not None:
             st, self._resume_state = self._resume_state, None
         else:
             st = self._initial_state()
-        if self.obs.enabled:
-            self._run_instrumented(policy, st)
-        else:
+        with self.obs.tracer.span("run"):
             while st.remaining > 0:
                 self.step_epoch(st, policy)
         return self.finalize(st)
 
     def _initial_state(self) -> _EpochState:
-        """Fresh run-scoped pipeline state (one per run)."""
+        """Fresh run-scoped pipeline state (one per run); a live
+        tracer's simulated clock and span bus are bound to it."""
         cfg = self.config
         self._checkpoint_epochs = set(
             np.linspace(1, cfg.num_epochs, cfg.checkpoints, dtype=int).tolist()
         )
-        return _EpochState(
+        st = _EpochState(
             remaining=cfg.total_accesses,
             # Nominal epoch duration estimate for the first epoch;
             # later epochs use the previous epoch's measured duration.
@@ -979,23 +985,27 @@ class Simulation:
                 / self.perf.cores
             ),
         )
+        tracer = self.obs.tracer
+        if tracer.enabled:
+            tracer.sim_clock = SimClock(st)
+            if tracer.bus is None:
+                tracer.bus = self.telemetry
+        return st
 
     def step_epoch(
         self, st: _EpochState, policy: Optional[EpochPolicy] = None
     ) -> None:
         """Advance the pipeline by exactly one epoch.
 
-        The fleet drives tenants in lockstep through this entry point;
-        ``run`` is precisely ``step_epoch`` until the trace budget is
-        spent, then :meth:`finalize`.
+        The only code that runs :attr:`stages`.  Every epoch loop goes
+        through it: ``run`` (until the trace budget is spent, then
+        :meth:`finalize`), the fleet's lockstep and sharded tenants,
+        and the service's streams.
         """
         if policy is None:
             policy = self.epoch_policy
         st.epoch += 1
-        # No-op with observability off; with it on, externally driven
-        # runs (fleet tenants, service streams) must count epochs the
-        # same way the instrumented run loop does, or a checkpoint
-        # taken under one driver diverges from the other.
+        self.obs.tracer.current_epoch = st.epoch
         self._m_epochs.inc()
         for stage in self.stages:
             stage(policy, st)
@@ -1052,31 +1062,6 @@ class Simulation:
         if self.obs.metrics_on:
             self.result.metrics = self.obs.snapshot()
         return self.result
-
-    def _run_instrumented(self, policy: EpochPolicy, st: _EpochState) -> None:
-        """The epoch loop with stage spans and stage-latency metrics.
-
-        Kept as a separate loop so the observability-off path stays
-        exactly the seed loop (no per-stage clock reads at all).  The
-        ``run`` root span wraps the whole loop; per-stage spans are its
-        children, so the flame table's stage rows account for ≥95% of
-        the measured run wall-clock.
-        """
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            tracer.sim_clock = SimClock(st)
-            if tracer.bus is None:
-                tracer.bus = self.telemetry
-        with tracer.span("run"):
-            while st.remaining > 0:
-                st.epoch += 1
-                tracer.current_epoch = st.epoch
-                self._m_epochs.inc()
-                for (name, hist), stage in zip(self._stage_obs, self.stages):
-                    t0 = wall_clock()
-                    with tracer.span(name):
-                        stage(policy, st)
-                    hist.observe(wall_clock() - t0)
 
 
 def run_policy(

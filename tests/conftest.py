@@ -1,7 +1,20 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures for the test suite, and the Hypothesis profiles.
+
+Tier-1 runs the derandomized ``tier1`` profile: every property test
+replays the same examples on every run, with no example database and
+no wall-clock deadline, so a green suite stays green.  Set
+``HYPOTHESIS_PROFILE=explore`` to search randomly instead.
+"""
+
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.register_profile("explore", deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 from repro.memory.address import PAGE_SIZE, AddressRegion
 from repro.memory.tiers import TieredMemory, NodeKind

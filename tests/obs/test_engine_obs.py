@@ -1,6 +1,10 @@
 """Engine integration: observability must measure, never perturb."""
 
+import pickle
+import types
+
 from repro.obs import Observability
+from repro.obs.tracing import TimedStage
 from repro.obs.exporters import parse_prometheus, to_prometheus
 from repro.sim import SimConfig, Simulation
 from repro.sim.sweep import run_one
@@ -49,6 +53,49 @@ class TestEquivalence:
         )
         assert instrumented.execution_time_s == plain.execution_time_s
         assert instrumented.extra == plain.extra
+
+
+class TestStageTable:
+    @staticmethod
+    def sim(obs=None, **cfg):
+        return Simulation(
+            uniform_workload(footprint_pages=1024, seed=0),
+            small_config(**cfg),
+            policy="m5-hpt",
+            obs=obs,
+        )
+
+    def test_observability_off_runs_the_bare_bound_methods(self):
+        sim = self.sim(check_invariants=True)
+        assert len(sim.stages) == len(sim.stage_table) == 8
+        for (name, fn), stage in zip(sim.stage_table, sim.stages):
+            assert stage is fn, name
+            assert isinstance(stage, types.MethodType) and stage.__self__ is sim
+            assert stage.__func__ is getattr(Simulation, f"_stage_{name}")
+
+    def test_observability_on_wraps_every_stage_once(self):
+        sim = self.sim(obs=Observability(metrics=True, tracing=False))
+        for (name, fn), stage in zip(sim.stage_table, sim.stages):
+            assert isinstance(stage, TimedStage)
+            assert stage.fn == fn and stage.span_name == f"stage.{name}"
+        # The wrappers ride inside checkpoint pickles.
+        revived = pickle.loads(pickle.dumps(sim))
+        assert [s.span_name for s in revived.stages] == [
+            s.span_name for s in sim.stages
+        ]
+
+    def test_inserted_stage_is_timed_like_the_others(self):
+        calls = []
+        sim = self.sim(obs=Observability(metrics=True, tracing=False))
+        sim.insert_stage("extra", lambda policy, st: calls.append(st.epoch),
+                         after="migrate")
+        names = [name for name, _ in sim.stage_table]
+        assert names[names.index("migrate") + 1] == "extra"
+        sim.run()
+        epochs = small_config().num_epochs
+        assert calls == list(range(1, epochs + 1))
+        hist = sim.obs.registry.get("pipeline_stage_seconds")
+        assert hist.labels(stage="extra").count == epochs
 
 
 class TestEngineMetrics:

@@ -194,6 +194,11 @@ class TestLifecycle:
         with second:
             assert second.port == port
 
+    @pytest.mark.parametrize("port", [-1, 65536, 70000])
+    def test_rejects_out_of_range_port(self, port):
+        with pytest.raises(ValueError, match="0-65535"):
+            ObsServer(make_registry(), port=port)
+
     def test_context_manager_closes_on_exception(self):
         server = ObsServer(make_registry())
         with pytest.raises(RuntimeError):

@@ -211,7 +211,7 @@ class TestEngineIntegration:
     def test_no_recorder_without_spec(self):
         sim, _ = run_sim()
         assert sim.recorder is None
-        assert "record" not in sim._stage_names
+        assert "record" not in dict(sim.stage_table)
 
     def test_ring_capacity_honoured(self):
         sim, _ = run_sim(record_series="default", record_epochs=2)

@@ -217,6 +217,21 @@ class TestServiceRun:
         epoch_series = families["sim_epochs_total"]["series"]
         assert {s["labels"]["stream"] for s in epoch_series} == {"one", "two"}
 
+    def test_streams_time_every_stage_of_every_epoch(self, tmp_path):
+        with Service(self.specs(tmp_path), sim_cfg()) as service:
+            service.run()
+            snap = service.snapshot()
+        families = {m["name"]: m for m in snap["metrics"]}
+        epochs = {
+            s["labels"]["stream"]: s["value"]
+            for s in families["sim_epochs_total"]["series"]
+        }
+        assert epochs == {"one": 12, "two": 8}
+        stage_series = families["pipeline_stage_seconds"]["series"]
+        assert len(stage_series) == 2 * 7
+        for s in stage_series:
+            assert s["count"] == epochs[s["labels"]["stream"]], s["labels"]
+
     def test_max_rounds_caps_the_run(self, tmp_path):
         cfg = ServiceConfig(max_rounds=2)
         with Service(self.specs(tmp_path), sim_cfg(), cfg) as service:

@@ -141,6 +141,28 @@ class TestSweepMetrics:
         names = {m["name"] for m in cells["mcf"]["m5-hpt"]["metrics"]}
         assert "sim_epochs_total" in names
 
+    def test_cells_use_the_run_config_flags(self, monkeypatch, capsys):
+        from repro import cli
+
+        seen = {}
+
+        def fake_run_matrix(benches, policies, factory, seed, jobs):
+            seen["config"] = factory()
+            return {b: {p: 1.0 for p in policies} for b in benches}
+
+        monkeypatch.setattr(cli, "run_matrix", fake_run_matrix)
+        rc = main([
+            "sweep", "--benches", "mcf", "--policies", "anb",
+            "--accesses", "100000", "--engine", "reference",
+            "--migration-mode", "async", "--mig-budget", "7",
+        ])
+        assert rc == 0
+        config = seen["config"]
+        assert config.engine == "reference"
+        assert config.migration_mode == "async"
+        assert config.migration_inflight_budget == 7
+        assert config.total_accesses == 100_000
+
 
 class TestCompare:
     def test_compare_policies(self, capsys):
@@ -281,6 +303,36 @@ class TestServeCommand:
         assert "NAME=TRACE" in capsys.readouterr().out
         assert self.serve("--stream", "a=t.rtrace,policy=bogus") == 2
         assert "unknown policy" in capsys.readouterr().out
+
+
+class TestLiveEndpoint:
+    @pytest.mark.parametrize("argv", [
+        ["run", "--bench", "mcf", "--serve", "--serve-port", "70000"],
+        ["sweep", "--serve", "--serve-port", "70000"],
+        ["fleet", "--serve", "--serve-port", "65536"],
+        ["serve", "--port", "70000"],
+    ])
+    def test_out_of_range_port_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "0-65535" in err
+
+    def test_serving_lingers_only_after_success(self, monkeypatch, capsys):
+        from repro import cli
+        from repro.obs import MetricsRegistry
+
+        slept = []
+        monkeypatch.setattr(cli.time, "sleep", slept.append)
+        with cli._serving(MetricsRegistry(), 0, linger=5.0):
+            pass
+        assert slept == [5.0]
+        with pytest.raises(RuntimeError):
+            with cli._serving(MetricsRegistry(), 0, linger=5.0):
+                raise RuntimeError("run failed")
+        assert slept == [5.0]
+        assert capsys.readouterr().out.count("live metrics  : http://") == 2
 
 
 class TestParser:

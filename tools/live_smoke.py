@@ -118,7 +118,7 @@ def check_single_run(out: str, accesses: int) -> None:
         kinds = counter_families(mid_text)
         health = json.loads(get(url.replace("/metrics", "/healthz")))
         assert health["status"] == "ok", health
-        wait_for_line(proc, "run finished", seen)
+        wait_for_line(proc, "finished; serving", seen)
         # -- final scrape during linger == the --metrics artifact
         snap = json.loads(get(url.replace("/metrics", "/snapshot.json")))
     finally:
@@ -163,7 +163,7 @@ def check_fleet(out: str, accesses: int) -> None:
         url = line.split()[3]
         mid_text = get(url).decode()
         assert parse_prometheus(mid_text), "fleet mid-run scrape empty"
-        wait_for_line(proc, "fleet finished", seen)
+        wait_for_line(proc, "finished; serving", seen)
         snap = json.loads(get(url.replace("/metrics", "/snapshot.json")))
     finally:
         proc.wait(timeout=120)
