@@ -74,9 +74,8 @@ class AutoNumaBalancing(MigrationPolicy):
         shootdown_model: Optional[TlbShootdownModel] = None,
         adaptive: bool = True,
         seed: int = 7,
-        batched: bool = True,
     ):
-        super().__init__(memory, page_table, batched=batched)
+        super().__init__(memory, page_table)
         n = memory.num_logical_pages
         self.scan_window_pages = (
             int(scan_window_pages) if scan_window_pages else max(16, n // 256)

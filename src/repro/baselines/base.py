@@ -158,7 +158,6 @@ class MigrationPolicy(abc.ABC):
         self,
         memory: TieredMemory,
         page_table: Optional[PageTable] = None,
-        batched: bool = True,
     ):
         self.memory = memory
         self.page_table = (
@@ -170,15 +169,11 @@ class MigrationPolicy(abc.ABC):
             )
         )
         self.costs = PolicyCosts()
-        #: Engine selector for the hot-page bookkeeping: vectorized
-        #: first-occurrence filtering vs the per-page reference loop.
-        self.batched = bool(batched)
         # Hot-page list: logical page ids in identification order, plus
         # the PFN each page had when identified (for PAC lookups).
         self.hot_pages: List[int] = []
         self.hot_pfns: List[int] = []
-        self._hot_seen = set()
-        # Boolean mirror of _hot_seen for vectorized filtering.
+        # Membership of the hot-page list, for vectorized filtering.
         self._hot_mask = np.zeros(memory.num_logical_pages, dtype=bool)
         self._pending_candidates: List[int] = []
 
@@ -188,13 +183,10 @@ class MigrationPolicy(abc.ABC):
     def record_hot(self, logical_pages) -> None:
         """Append newly identified hot pages to the hot-page list."""
         pages = np.atleast_1d(np.asarray(logical_pages, dtype=np.int64))
-        if not self.batched:
-            self._record_hot_reference(pages)
-            return
         if pages.size == 0:
             return
         # First occurrence of each unseen page, in stream order — the
-        # order the reference loop appends in.
+        # order a page-at-a-time loop appends in.
         uniq, first_pos = np.unique(pages, return_index=True)
         uniq = uniq[np.argsort(first_pos, kind="stable")]
         fresh = uniq[~self._hot_mask[uniq]]
@@ -202,22 +194,9 @@ class MigrationPolicy(abc.ABC):
             return
         self._hot_mask[fresh] = True
         fresh_list = fresh.tolist()
-        self._hot_seen.update(fresh_list)
         self.hot_pages.extend(fresh_list)
         self.hot_pfns.extend(self.memory.frame_map[fresh].tolist())
         self._pending_candidates.extend(fresh_list)
-
-    def _record_hot_reference(self, pages: np.ndarray) -> None:
-        """One membership test and append per page — the reference
-        engine."""
-        for lpage in pages.tolist():
-            if lpage in self._hot_seen:
-                continue
-            self._hot_seen.add(lpage)
-            self._hot_mask[lpage] = True
-            self.hot_pages.append(lpage)
-            self.hot_pfns.append(int(self.memory.frame_map[lpage]))
-            self._pending_candidates.append(lpage)
 
     def observe(self, pages: np.ndarray, now_s: float, epoch_s: float = 1.0) -> None:
         """Feed one epoch of page accesses through the detector.

@@ -97,9 +97,8 @@ class Damon(MigrationPolicy):
         merge_threshold: int = 2,
         access_scale: float = 1.0,
         seed: int = 42,
-        batched: bool = True,
     ):
-        super().__init__(memory, page_table, batched=batched)
+        super().__init__(memory, page_table)
         if sampling_interval_s <= 0 or aggregation_interval_s <= 0:
             raise ValueError("intervals must be positive")
         if not 2 <= min_nr_regions <= max_nr_regions:
@@ -120,10 +119,9 @@ class Damon(MigrationPolicy):
         self.regions: List[Region] = [
             Region(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a
         ]
-        # Batched engine: per-region sample counts live in this array
-        # (index-aligned with self.regions, which only mutates inside
-        # _aggregate) and are materialised into Region.nr_accesses at
-        # aggregation time.
+        # Per-region sample counts live in this array (index-aligned
+        # with self.regions, which only mutates inside _aggregate) and
+        # are materialised into Region.nr_accesses at aggregation time.
         self._nr_accesses = np.zeros(len(self.regions), dtype=np.int64)
         self._sample_debt_s = 0.0
         self._next_aggregate_s = self.aggregation_interval_s
@@ -158,12 +156,7 @@ class Damon(MigrationPolicy):
             / max(epoch_s, 1e-12)
         )
         p_bit = 1.0 - np.exp(-rate * self.sampling_interval_s)
-        hits = (self._rng.random(picks.shape) < p_bit).sum(axis=0)
-        if self.batched:
-            self._nr_accesses += hits
-        else:
-            for region, h in zip(self.regions, hits.tolist()):
-                region.nr_accesses += int(h)
+        self._nr_accesses += (self._rng.random(picks.shape) < p_bit).sum(axis=0)
         total = num_passes * len(self.regions)
         self.samples_taken += total
         self._samples_this_window += num_passes
@@ -211,11 +204,10 @@ class Damon(MigrationPolicy):
         merge + split (the DAMOS hot-page scheme with a size quota)."""
         self.aggregations += 1
         self.costs.charge(AGGREGATE_COST_US, "aggregate")
-        if self.batched:
-            # Materialise the array counts so scoring and merge/split
-            # read the same values the reference loop maintains live.
-            for region, n in zip(self.regions, self._nr_accesses.tolist()):
-                region.nr_accesses = int(n)
+        # Materialise the array counts: scoring and merge/split read
+        # Region.nr_accesses.
+        for region, n in zip(self.regions, self._nr_accesses.tolist()):
+            region.nr_accesses = int(n)
         max_samples = max(1, self._samples_this_window)
         threshold = max(1.0, self.hot_threshold * max_samples)
         # Highest scoring regions first (quota prioritisation).

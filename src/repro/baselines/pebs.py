@@ -54,9 +54,8 @@ class PebsSampler(MigrationPolicy):
         hot_threshold: int = 4,
         cooling_interval_s: float = 1.0,
         seed: int = 21,
-        batched: bool = True,
     ):
-        super().__init__(memory, page_table, batched=batched)
+        super().__init__(memory, page_table)
         if sample_period <= 0 or buffer_records <= 0 or hot_threshold <= 0:
             raise ValueError("sampling parameters must be positive")
         self.sample_period = int(sample_period)

@@ -49,9 +49,8 @@ class PteScanner(MigrationPolicy):
         scan_period_s: float = DEFAULT_SCAN_PERIOD_S,
         hot_epochs: int = 3,
         window_epochs: int = 8,
-        batched: bool = True,
     ):
-        super().__init__(memory, page_table, batched=batched)
+        super().__init__(memory, page_table)
         if hot_epochs <= 0 or window_epochs < hot_epochs:
             raise ValueError("need 0 < hot_epochs <= window_epochs")
         self.scan_period_s = float(scan_period_s)

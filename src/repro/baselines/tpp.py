@@ -63,9 +63,8 @@ class Tpp(MigrationPolicy):
         promotion_rate_pages_s: float = DEFAULT_PROMOTION_RATE,
         shootdown_model: Optional[TlbShootdownModel] = None,
         seed: int = 11,
-        batched: bool = True,
     ):
-        super().__init__(memory, page_table, batched=batched)
+        super().__init__(memory, page_table)
         if not 0 <= demotion_watermark < 1:
             raise ValueError("demotion_watermark must be in [0, 1)")
         if refault_window_s <= 0 or promotion_rate_pages_s <= 0:

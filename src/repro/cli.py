@@ -17,8 +17,9 @@ Commands:
   tenants sharded across worker processes with ``--jobs``;
 * ``metrics`` — pretty-print one metrics snapshot, or diff two;
 * ``profile`` — PAC/WAC offline profile (page heat + word sparsity);
-* ``verify`` — the differential oracle pairs (exact vs batched sketch,
-  PAC cache vs direct mode, instant vs async-unlimited migration) with
+* ``verify`` — the differential oracle pairs (per-access vs chunked
+  sketch, PAC cache vs direct mode, instant vs async-unlimited
+  migration, reference model vs production pipeline, ...) with
   per-field drift tolerances; non-zero exit on any drift;
 * ``hwcost`` — the Table 4 tracker cost model.
 """
@@ -79,7 +80,6 @@ def _config_from(args) -> SimConfig:
         migration_copy_gbps=getattr(args, "mig_copy_gbps", 0.0),
         migration_enomem_policy=getattr(args, "mig_enomem", "demote-first"),
         check_invariants=getattr(args, "check_invariants", False),
-        engine=getattr(args, "engine", "batched"),
         record_series=getattr(args, "record_series", None) or "",
         record_epochs=getattr(args, "record_epochs", 4096),
         slo_rules=getattr(args, "slo_rules", None) or "",
@@ -370,7 +370,6 @@ def cmd_serve(args) -> int:
         sim_config = SimConfig(
             chunk_size=args.chunk,
             seed=args.seed,
-            engine=args.engine,
         )
         svc_config = ServiceConfig(
             buffer_capacity=args.buffer_cap,
@@ -828,11 +827,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--chunk", type=int, default=16_384)
         p.add_argument("--subsample", type=float, default=64.0)
         p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--engine", default="batched",
-                       choices=("reference", "batched"),
-                       help="epoch hot-path implementation: vectorized "
-                            "array kernels (batched) or the per-access "
-                            "reference loops; results are bit-identical")
 
     def add_migration_args(p):
         p.add_argument("--migration-mode", default="instant",
@@ -927,9 +921,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--chunk", type=int, default=16_384,
                        help="engine epoch size in accesses")
     serve.add_argument("--seed", type=int, default=1)
-    serve.add_argument("--engine", default="batched",
-                       choices=("reference", "batched"),
-                       help="epoch hot-path implementation")
     serve.add_argument("--buffer-cap", type=int, default=1 << 20,
                        metavar="N",
                        help="per-stream ingest buffer bound in addresses "
@@ -974,10 +965,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--chunk", type=int, default=16_384)
     sweep.add_argument("--subsample", type=float, default=64.0)
     sweep.add_argument("--seed", type=int, default=1)
-    sweep.add_argument("--engine", default="batched",
-                       choices=("reference", "batched"),
-                       help="epoch hot-path implementation (bit-identical "
-                            "results; reference is the per-access baseline)")
     sweep.add_argument("--jobs", type=int, default=1,
                        help="worker processes for the matrix cells")
     sweep.add_argument("--no-migrate", action="store_true",
@@ -1021,10 +1008,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--chunk", type=int, default=16_384)
     fleet.add_argument("--subsample", type=float, default=64.0)
     fleet.add_argument("--seed", type=int, default=1)
-    fleet.add_argument("--engine", default="batched",
-                       choices=("reference", "batched"),
-                       help="epoch hot-path implementation every tenant "
-                            "uses (bit-identical results)")
     fleet.add_argument("--jobs", type=int, default=1,
                        help="worker processes to shard tenants across "
                             "(bandwidth-coupled fleets run in lockstep "
@@ -1064,8 +1047,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser(
         "verify",
-        help="run the differential oracle pairs (exact vs batched sketch, "
-             "PAC cache vs direct, instant vs async-unlimited migration)",
+        help="run the differential oracle pairs (per-access vs chunked "
+             "sketch, PAC cache vs direct, instant vs async-unlimited "
+             "migration, reference model vs production pipeline, ...)",
     )
     verify.add_argument("--oracles",
                         default="sketch,pac,migration,engine,kernels,fleet,"

@@ -1,7 +1,7 @@
 """Bulk dict-merge kernel shared by the streaming summaries.
 
 The software trackers keep ``{key: count}`` dicts because their
-hardware counterparts are CAMs; the batched engine still has to update
+hardware counterparts are CAMs; the vectorized ingest still has to update
 those dicts from numpy arrays without a per-key Python loop.  This
 module provides the one primitive they all need: add an array of
 weights into a count dict, preserving the dict's existing insertion

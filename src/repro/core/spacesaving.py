@@ -89,7 +89,7 @@ class SpaceSaving:
 
         Equivalent to replaying each unique key ``weight`` times
         consecutively, which is the standard weighted Space-Saving
-        extension.  Exactly matches :meth:`update_batch_reference`
+        extension.  Exactly matches one :meth:`update_one` per key
         (same counts, same ``items_seen``): offers before the first
         full-table miss are hits or free-slot fills, neither of which
         evicts, so that prefix is a bulk array merge; the contended
@@ -107,7 +107,7 @@ class SpaceSaving:
             weights = np.atleast_1d(np.asarray(weights, dtype=np.int64))
         if np.unique(keys).size != n:
             # Duplicate keys void the static hit/miss split below.
-            self.update_batch_reference(keys, weights)
+            self._update_sequential(keys, weights)
             return
 
         if self._counts:
@@ -131,14 +131,12 @@ class SpaceSaving:
         for i in range(f, n):
             self.update_one(int(keys[i]), int(weights[i]))
 
-    def update_batch_reference(
-        self, keys: np.ndarray, weights: np.ndarray = None
-    ) -> None:
-        """Per-key loop :meth:`update_batch` — the differential oracle."""
-        keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
-        if weights is None:
-            weights = np.ones(keys.size, dtype=np.int64)
-        for key, w in zip(keys.tolist(), np.asarray(weights).tolist()):
+    def _update_sequential(self, keys: np.ndarray, weights: np.ndarray) -> None:
+        """One :meth:`update_one` per key, in order: the only path for
+        chunks with duplicate keys."""
+        # lint: disable=PERF001 -- a duplicate key's second offer depends
+        # on its first; trackers feed unique keys, so this path stays cold
+        for key, w in zip(keys.tolist(), weights.tolist()):
             self.update_one(int(key), int(w))
 
     def estimate_one(self, address: int) -> int:

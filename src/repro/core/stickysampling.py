@@ -142,11 +142,6 @@ class StickySampling:
         self._counts = merge_counts(self._counts, uniq, counts)
         self.items_seen += int(chunk.size)
 
-    def update_batch_reference(self, keys: np.ndarray) -> None:
-        """Per-key loop :meth:`update_batch` — the differential oracle."""
-        for key in np.atleast_1d(np.asarray(keys, dtype=np.uint64)).tolist():
-            self.update_one(int(key))
-
     def estimate_one(self, address: int) -> int:
         return self._counts.get(int(address), 0)
 

@@ -50,19 +50,13 @@ _GRANULARITY_SHIFT = {"page": PAGE_SHIFT, "word": WORD_SHIFT}
 class TopKTracker(abc.ABC):
     """Common shell: address keying, query/reset, statistics."""
 
-    def __init__(
-        self, k: int, granularity: str = "page", batched: bool = True
-    ) -> None:
+    def __init__(self, k: int, granularity: str = "page") -> None:
         if k <= 0:
             raise ValueError("k must be positive")
         if granularity not in _GRANULARITY_SHIFT:
             raise ValueError("granularity must be 'page' or 'word'")
         self.k = int(k)
         self.granularity = granularity
-        #: Engine selector: True uses the vectorized array kernels,
-        #: False the per-access reference loops.  Both are exactly
-        #: equivalent (asserted by the kernel oracles in repro.verify).
-        self.batched = bool(batched)
         self._shift = np.uint64(_GRANULARITY_SHIFT[granularity])
         self.accesses_observed = 0
         self.queries_served = 0
@@ -125,13 +119,14 @@ class CmSketchTopK(TopKTracker):
         num_counters: N = H × W total sketch counters (the §7.1 design
             parameter; paper deploys N = 32K, H = 4).
         depth: H.
-        exact_sequence: process accesses one at a time with the exact
-            hardware semantics.  The default batched mode updates the
-            sketch in bulk and offers each chunk's unique keys to the
-            CAM with their post-chunk estimates — the counter state is
-            identical and top-K selection matches closely, while
-            running orders of magnitude faster in Python.
         conservative: forward CM-Sketch conservative-update option.
+
+    Each chunk updates the sketch in bulk and offers the chunk's unique
+    keys to the CAM with their post-chunk estimates.  Against the
+    hardware's one-access-at-a-time semantics the counter state is
+    identical and top-K selection matches closely (the ``sketch``
+    oracle in :mod:`repro.verify` bounds the drift), while running
+    orders of magnitude faster in Python.
     """
 
     def __init__(
@@ -140,33 +135,24 @@ class CmSketchTopK(TopKTracker):
         num_counters: int = 32 * 1024,
         depth: int = DEFAULT_DEPTH,
         granularity: str = "page",
-        exact_sequence: bool = False,
         conservative: bool = False,
-        batched: bool = True,
     ) -> None:
-        super().__init__(k, granularity, batched=batched)
+        super().__init__(k, granularity)
         if num_counters < depth:
             raise ValueError("num_counters must be >= depth")
         width = max(1, num_counters // depth)
         self.sketch = CountMinSketch(width, depth, conservative=conservative)
         self.cam = SortedCam(k)
-        self.exact_sequence = bool(exact_sequence)
 
     @property
     def num_counters(self) -> int:
         return self.sketch.num_counters
 
     def _ingest(self, keys: np.ndarray) -> None:
-        if self.exact_sequence:
-            self._ingest_sequence_reference(keys)
-            return
         uniques, counts = np.unique(keys, return_counts=True)
         self._ingest_uniques(uniques, counts)
 
     def _ingest_batch(self, batch: Any) -> None:
-        if self.exact_sequence:
-            self._ingest_sequence_reference(self._keys_of(batch.addresses))
-            return
         uniques, counts = batch.unique_keys(int(self._shift))
         self._ingest_uniques(uniques, counts)
 
@@ -176,23 +162,7 @@ class CmSketchTopK(TopKTracker):
         # Offer hottest-first so CAM admission under a full table
         # mirrors what the sequential stream would converge to.
         order = np.argsort(-estimates.astype(np.int64), kind="stable")
-        if self.batched:
-            self.cam.offer_batch(uniques[order], estimates[order])
-        else:
-            self._offer_reference(uniques[order], estimates[order])
-
-    def _offer_reference(self, keys: np.ndarray, estimates: np.ndarray) -> None:
-        """Per-key CAM offer loop — the differential oracle for
-        :meth:`SortedCam.offer_batch`."""
-        for key, est in zip(keys.tolist(), estimates.tolist()):
-            self.cam.offer(int(key), int(est))
-
-    def _ingest_sequence_reference(self, keys: np.ndarray) -> None:
-        """One sketch-update + CAM-offer per access: the exact
-        hardware semantics (``exact_sequence=True``)."""
-        for key in keys.tolist():
-            estimate = self.sketch.update_one(key)
-            self.cam.offer(key, estimate)
+        self.cam.offer_batch(uniques[order], estimates[order])
 
     def _snapshot(self) -> List[Tuple[int, int]]:
         return self.cam.entries()
@@ -215,48 +185,27 @@ class SpaceSavingTopK(TopKTracker):
         k: int,
         capacity: int = 50,
         granularity: str = "page",
-        exact_sequence: bool = False,
-        batched: bool = True,
     ) -> None:
-        super().__init__(k, granularity, batched=batched)
+        super().__init__(k, granularity)
         if capacity < k:
             raise ValueError("capacity must be >= k")
         self.summary = SpaceSaving(capacity)
-        self.exact_sequence = bool(exact_sequence)
 
     @property
     def capacity(self) -> int:
         return self.summary.capacity
 
     def _ingest(self, keys: np.ndarray) -> None:
-        if self.exact_sequence:
-            self._ingest_sequence_reference(keys)
-            return
         # Run-length compress the chunk, preserving first-appearance
         # order (weighted Space-Saving).
         uniques, first_pos, counts = np.unique(
             keys, return_index=True, return_counts=True
         )
         order = np.argsort(first_pos, kind="stable")
-        self._ingest_uniques(uniques[order], counts[order])
+        self.summary.update_batch(uniques[order], counts[order])
 
     def _ingest_batch(self, batch: Any) -> None:
-        if self.exact_sequence:
-            self._ingest_sequence_reference(self._keys_of(batch.addresses))
-            return
-        uniques, counts = batch.unique_keys_ordered(int(self._shift))
-        self._ingest_uniques(uniques, counts)
-
-    def _ingest_uniques(self, uniques: np.ndarray, counts: np.ndarray) -> None:
-        if self.batched:
-            self.summary.update_batch(uniques, counts)
-        else:
-            self.summary.update_batch_reference(uniques, counts)
-
-    def _ingest_sequence_reference(self, keys: np.ndarray) -> None:
-        """One summary update per access (``exact_sequence=True``)."""
-        for key in keys.tolist():
-            self.summary.update_one(int(key))
+        self.summary.update_batch(*batch.unique_keys_ordered(int(self._shift)))
 
     def _snapshot(self) -> List[Tuple[int, int]]:
         return self.summary.top_k(self.k)
@@ -278,11 +227,8 @@ class MisraGriesTopK(SpaceSavingTopK):
         k: int,
         capacity: int = 50,
         granularity: str = "page",
-        exact_sequence: bool = False,
-        batched: bool = True,
     ) -> None:
-        super().__init__(k, capacity=capacity, granularity=granularity,
-                         exact_sequence=exact_sequence, batched=batched)
+        super().__init__(k, capacity=capacity, granularity=granularity)
         self.summary = MisraGries(capacity)
 
 
@@ -302,18 +248,14 @@ class StickySamplingTopK(TopKTracker):
         error: float = 0.0002,
         granularity: str = "page",
         seed: int = 5,
-        batched: bool = True,
     ) -> None:
-        super().__init__(k, granularity, batched=batched)
+        super().__init__(k, granularity)
         self.summary = StickySampling(support=support, error=error, seed=seed)
 
     def _ingest(self, keys: np.ndarray) -> None:
         # No _ingest_batch override: sampling admission depends on key
         # order and RNG position, so the raw key stream is required.
-        if self.batched:
-            self.summary.update_batch(keys)
-        else:
-            self.summary.update_batch_reference(keys)
+        self.summary.update_batch(keys)
 
     def _snapshot(self) -> List[Tuple[int, int]]:
         return self.summary.top_k(self.k)
@@ -329,10 +271,8 @@ class ExactTopK(TopKTracker):
     role); used as an upper bound and for differential testing.
     """
 
-    def __init__(
-        self, k: int, granularity: str = "page", batched: bool = True
-    ) -> None:
-        super().__init__(k, granularity, batched=batched)
+    def __init__(self, k: int, granularity: str = "page") -> None:
+        super().__init__(k, granularity)
         self._counts: dict = {}
 
     def _ingest(self, keys: np.ndarray) -> None:
@@ -343,16 +283,7 @@ class ExactTopK(TopKTracker):
         self._ingest_uniques(*batch.unique_keys(int(self._shift)))
 
     def _ingest_uniques(self, uniques: np.ndarray, counts: np.ndarray) -> None:
-        if self.batched:
-            self._counts = merge_counts(self._counts, uniques, counts)
-        else:
-            self._ingest_uniques_reference(uniques, counts)
-
-    def _ingest_uniques_reference(
-        self, uniques: np.ndarray, counts: np.ndarray
-    ) -> None:
-        for key, count in zip(uniques.tolist(), counts.tolist()):
-            self._counts[int(key)] = self._counts.get(int(key), 0) + int(count)
+        self._counts = merge_counts(self._counts, uniques, counts)
 
     def _snapshot(self) -> List[Tuple[int, int]]:
         items = sorted(self._counts.items(), key=lambda kv: (-kv[1], kv[0]))

@@ -55,14 +55,9 @@ class CxlController:
         region: AddressRegion,
         access_latency_ns: float = 270.0,
         metrics: Optional[MetricsRegistry] = None,
-        batched: bool = True,
     ) -> None:
         self.region = region
         self.access_latency_ns = float(access_latency_ns)
-        #: When True, snoops exposing ``observe_batch`` receive one
-        #: shared :class:`~repro.cxl.batch.AccessBatch` whose unique-key
-        #: digests are computed once per chunk instead of once per AFU.
-        self.batched = bool(batched)
         self._snoops: List[AddressSnoop] = []
         self.requests_served = 0
         if metrics is None:
@@ -100,7 +95,10 @@ class CxlController:
 
         Requests outside the device region are dropped (they belong to
         another node); attached AFUs see exactly the in-region stream,
-        which is how the real hardware taps the CXL-IP→MC path.
+        which is how the real hardware taps the CXL-IP→MC path.  Snoops
+        exposing ``observe_batch`` share one
+        :class:`~repro.cxl.batch.AccessBatch`, so its unique-key digests
+        are computed once per chunk instead of once per AFU.
 
         Returns:
             Number of requests actually served by this device.
@@ -111,11 +109,9 @@ class CxlController:
         pa = in_region
         if pa.size == 0:
             return 0
-        batch = None
-        if self.batched and self._snoops:
-            batch = AccessBatch(pa, region=self.region)
+        batch = AccessBatch(pa, region=self.region)
         for snoop in self._snoops:
-            if batch is not None and hasattr(snoop, "observe_batch"):
+            if hasattr(snoop, "observe_batch"):
                 snoop.observe_batch(batch)
             else:
                 snoop.observe(pa)

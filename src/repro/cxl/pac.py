@@ -50,19 +50,11 @@ class PageAccessCounter:
         region: AddressRegion,
         counter_bits: int = 16,
         sram_counters: Optional[int] = None,
-        batched: bool = True,
     ) -> None:
         if not 1 <= counter_bits <= 32:
             raise ValueError("counter_bits must be in [1, 32]")
         self.region = region
         self.counter_bits = counter_bits
-        #: True: chunk-at-a-time counter updates (bincount/scatter).
-        #: False: one increment-and-spill-on-saturation per access, the
-        #: literal hardware semantics.  ``counts()`` is identical either
-        #: way (both conserve table+SRAM totals); only the ``spills``
-        #: statistic differs, since a chunk spill covers several
-        #: saturations at once.
-        self.batched = bool(batched)
         self._saturation = (1 << counter_bits) - 1
         self.num_pages = region.num_pages
 
@@ -119,10 +111,8 @@ class PageAccessCounter:
         self.total_accesses += int(rel.size)
         if self._cache_mode:
             self._observe_cached(rel)
-        elif self.batched:
-            self._observe_direct(rel)
         else:
-            self._observe_direct_reference(rel)
+            self._observe_direct(rel)
 
     def observe_batch(self, batch: AccessBatch) -> None:
         """Snoop a pre-digested :class:`~repro.cxl.batch.AccessBatch`.
@@ -133,8 +123,7 @@ class PageAccessCounter:
         """
         if not self.enabled:
             return
-        if (batch.region is not self.region or self._cache_mode
-                or not self.batched):
+        if batch.region is not self.region or self._cache_mode:
             self.observe(batch.addresses)
             return
         if batch.size == 0:
@@ -152,7 +141,12 @@ class PageAccessCounter:
         """Add per-slot chunk counts (``rel`` unique slot indices,
         ``counts`` their totals), spilling saturated counters.  Sparse
         on purpose: only the chunk's slots are touched, never the full
-        SRAM array."""
+        SRAM array.
+
+        ``counts()`` matches the per-access hardware semantics (one
+        increment, spill on each saturation crossing) exactly; only the
+        ``spills`` statistic differs, since one chunk spill covers
+        several saturations."""
         new = self._sram[rel].astype(np.uint64) + counts
         overflow = new > self._saturation
         if overflow.any():
@@ -163,17 +157,6 @@ class PageAccessCounter:
             self._table[rel[overflow]] += new[overflow]
             new[overflow] = 0
         self._sram[rel] = new.astype(np.uint32)
-
-    def _observe_direct_reference(self, rel: np.ndarray) -> None:
-        """One increment per access, spilling at each saturation
-        crossing — the per-access hardware semantics."""
-        for r in rel.tolist():
-            count = int(self._sram[r]) + 1
-            if count > self._saturation:
-                self._table[r] += np.uint64(count)
-                self.spills += 1
-                count = 0
-            self._sram[r] = count
 
     def _observe_cached(self, rel: np.ndarray) -> None:
         # Direct-mapped cache of counters; sequential semantics matter

@@ -43,7 +43,6 @@ class WordAccessCounter:
         device_region: AddressRegion,
         window_bytes: int = DEFAULT_WINDOW_BYTES,
         counter_bits: int = DEFAULT_COUNTER_BITS,
-        batched: bool = True,
     ) -> None:
         if not 1 <= counter_bits <= 32:
             raise ValueError("counter_bits must be in [1, 32]")
@@ -52,9 +51,6 @@ class WordAccessCounter:
         self.device_region = device_region
         self.window_bytes = min(int(window_bytes), device_region.size)
         self.counter_bits = counter_bits
-        #: Same contract as the PAC flag: chunked vs per-access counter
-        #: updates; ``counts()`` is identical, ``spills`` may differ.
-        self.batched = bool(batched)
         self._saturation = (1 << counter_bits) - 1
 
         self.monitor_region = AddressRegion(device_region.start, self.window_bytes)
@@ -108,11 +104,8 @@ class WordAccessCounter:
             np.int64
         )
         self.total_accesses += int(rel.size)
-        if self.batched:
-            uniq, counts = np.unique(rel, return_counts=True)
-            self._apply(uniq, counts.astype(np.uint64))
-        else:
-            self._observe_reference(rel)
+        uniq, counts = np.unique(rel, return_counts=True)
+        self._apply(uniq, counts.astype(np.uint64))
 
     def observe_batch(self, batch: AccessBatch) -> None:
         """Snoop a pre-digested :class:`~repro.cxl.batch.AccessBatch`.
@@ -123,8 +116,7 @@ class WordAccessCounter:
         """
         if not self.enabled:
             return
-        if not self.batched or batch.size == 0:
-            self.observe(batch.addresses)
+        if batch.size == 0:
             return
         lines, counts = batch.unique_keys(WORD_SHIFT)
         lo = np.uint64(self.monitor_region.start >> WORD_SHIFT)
@@ -141,7 +133,9 @@ class WordAccessCounter:
         """Add per-line chunk counts (``rel`` unique line indices,
         ``counts`` their totals), spilling saturated counters.  Sparse
         on purpose: only the chunk's lines are touched, never the full
-        window-sized SRAM array."""
+        window-sized SRAM array.  Same contract as the PAC's
+        ``_apply_direct``: ``counts()`` is exact, ``spills`` may differ
+        from the per-access semantics."""
         new = self._sram[rel].astype(np.uint64) + counts
         overflow = new > self._saturation
         if overflow.any():
@@ -149,17 +143,6 @@ class WordAccessCounter:
             self._table[rel[overflow]] += new[overflow]
             new[overflow] = 0
         self._sram[rel] = new.astype(np.uint32)
-
-    def _observe_reference(self, rel: np.ndarray) -> None:
-        """One increment per access, spilling at each saturation
-        crossing — the per-access hardware semantics."""
-        for r in rel.tolist():
-            count = int(self._sram[r]) + 1
-            if count > self._saturation:
-                self._table[r] += np.uint64(count)
-                self.spills += 1
-                count = 0
-            self._sram[r] = count
 
     def counts(self) -> np.ndarray:
         """Precise per-word counts over the monitored window."""

@@ -106,7 +106,6 @@ class FleetResult:
     tiers: int
     policy: str
     qos: bool
-    engine: str
     epochs: int
     results: List[TenantResult]
     #: Fleet-level metrics-registry snapshot (when obs metrics are on).
@@ -123,7 +122,6 @@ class FleetResult:
             "tiers": self.tiers,
             "policy": self.policy,
             "qos": self.qos,
-            "engine": self.engine,
             "epochs": self.epochs,
             "tenant_metrics": self.tenant_metrics(),
         }
@@ -318,7 +316,7 @@ class FleetSimulation:
         fleet: the fleet shape (tenants, tiers, QoS policy, chain
             knobs).
         config: per-run engine knobs shared by every tenant (trace
-            length, engine, seed, bandwidth ceilings, ...).
+            length, seed, bandwidth ceilings, ...).
         m5_options: M5 stack configuration (M5 policies only).
         obs: fleet-level observability; when metrics are on, the
             per-tenant gauges/counters (slowdown, bandwidth share,
@@ -487,7 +485,6 @@ class FleetSimulation:
             tiers=self.fleet.tiers,
             policy=self.fleet.policy,
             qos=self.fleet.qos,
-            engine=self.config.engine,
             epochs=epochs,
             results=tenant_results,
             metrics=self.merged_snapshot() if self.obs.metrics_on else {},
@@ -669,7 +666,6 @@ def assemble_fleet(
         tiers=fleet.tiers,
         policy=fleet.policy,
         qos=fleet.qos,
-        engine=config.engine,
         epochs=epochs,
         results=tenant_results,
         metrics=metrics,

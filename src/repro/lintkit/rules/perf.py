@@ -3,23 +3,21 @@
 The epoch hot path (``sim/``, ``cxl/``, ``memory/``, ``core/``) flows
 each chunk through vectorized array kernels; a ``for`` loop over
 ``arr.tolist()`` in those layers reintroduces a per-access Python loop
-— the exact pattern the batched engine exists to remove, and the kind
-of regression a profile will find months later.
+— the exact pattern the vectorized kernels exist to remove, and the
+kind of regression a profile will find months later.
 
 The rule flags any ``for`` statement or comprehension whose iterable
 contains an ``… .tolist()`` call, in the hot layers only.  The
-sanctioned escape is the differential-oracle convention: functions
-whose name ends in ``_reference`` *are* the per-access semantics the
-batched kernels are verified against (``repro verify --oracles
-kernels``), so loops inside them are exempt.  Anything else either
-gets vectorized or carries an explicit ``# lint: disable=PERF001``
-with a justification.
+per-access reference models the kernels are verified against live in
+:mod:`repro.verify.reference`, outside the hot layers.  Anything else
+either gets vectorized or carries an explicit
+``# lint: disable=PERF001`` with a justification.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.lintkit.base import Rule, register
 from repro.lintkit.context import FileContext
@@ -28,63 +26,45 @@ from repro.lintkit.findings import Finding
 #: Layers whose loops are the epoch hot path.
 HOT_LAYERS = ("sim", "cxl", "memory", "core")
 
-#: Enclosing-function suffix marking a sanctioned reference kernel.
-REFERENCE_SUFFIX = "_reference"
 
-
-def _iter_has_tolist(node: ast.expr) -> Optional[ast.Call]:
-    """The first ``X.tolist()`` call inside an iterable expression."""
-    for sub in ast.walk(node):
-        if (
-            isinstance(sub, ast.Call)
-            and isinstance(sub.func, ast.Attribute)
-            and sub.func.attr == "tolist"
-        ):
-            return sub
-    return None
+def _iter_has_tolist(node: ast.expr) -> bool:
+    """True when an iterable expression contains an ``X.tolist()`` call."""
+    return any(
+        isinstance(sub, ast.Call)
+        and isinstance(sub.func, ast.Attribute)
+        and sub.func.attr == "tolist"
+        for sub in ast.walk(node)
+    )
 
 
 @register
 class TolistIteration(Rule):
-    """PERF001: ``for`` over ``.tolist()`` in a hot layer outside a
-    ``*_reference`` kernel."""
+    """PERF001: ``for`` over ``.tolist()`` in a hot layer."""
 
     id = "PERF001"
     title = "per-element iteration over an ndarray in a hot layer"
     fix_hint = (
         "vectorize the loop (np.unique/bincount/isin/fancy indexing), "
-        "move it into a `*_reference` differential-oracle kernel, or "
-        "justify it with `# lint: disable=PERF001`"
+        "move a per-access reference model into repro.verify.reference, "
+        "or justify it with `# lint: disable=PERF001`"
     )
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
         if ctx.tree is None or not ctx.in_layer(*HOT_LAYERS):
             return
-        yield from self._visit(ctx, ctx.tree, exempt=False)
-
-    def _visit(
-        self, ctx: FileContext, node: ast.AST, exempt: bool
-    ) -> Iterable[Finding]:
-        for child in ast.iter_child_nodes(node):
-            child_exempt = exempt
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                child_exempt = exempt or child.name.endswith(REFERENCE_SUFFIX)
-            iters = []
-            if isinstance(child, (ast.For, ast.AsyncFor)):
-                iters = [child.iter]
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, (ast.For, ast.AsyncFor)):
+                iters = [node.iter]
             elif isinstance(
-                child, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+                node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
             ):
-                iters = [gen.iter for gen in child.generators]
-            if not child_exempt:
-                for it in iters:
-                    call = _iter_has_tolist(it)
-                    if call is not None:
-                        yield self.finding(
-                            ctx, child,
-                            "loop iterates an ndarray element-by-element via "
-                            "`.tolist()` in a hot layer; this is the "
-                            "per-access pattern the batched engine removes",
-                        )
-                        break
-            yield from self._visit(ctx, child, child_exempt)
+                iters = [gen.iter for gen in node.generators]
+            else:
+                continue
+            if any(_iter_has_tolist(it) for it in iters):
+                yield self.finding(
+                    ctx, node,
+                    "loop iterates an ndarray element-by-element via "
+                    "`.tolist()` in a hot layer; this is the per-access "
+                    "pattern the vectorized kernels remove",
+                )

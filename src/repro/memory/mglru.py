@@ -22,16 +22,11 @@ class MultiGenLru:
         num_generations: kernel default is 4 (``MAX_NR_GENS``).
     """
 
-    def __init__(
-        self, num_pages: int, num_generations: int = 4, batched: bool = True
-    ):
+    def __init__(self, num_pages: int, num_generations: int = 4):
         if num_generations < 2:
             raise ValueError("need at least 2 generations")
         self.num_pages = int(num_pages)
         self.num_generations = int(num_generations)
-        #: Engine selector: vectorized generation updates vs the
-        #: per-access reference loop (identical end state).
-        self.batched = bool(batched)
         # Generation sequence number per page; -1 = untracked.
         self._gen = np.full(num_pages, -1, dtype=np.int64)
         # Decayed access counts, the kernel's refault/tier signal: they
@@ -74,22 +69,9 @@ class MultiGenLru:
         signal, so access intensity survives epoch granularity.
         """
         pages = np.asarray(pages, dtype=np.int64)
-        if not self.batched:
-            self._record_accesses_reference(pages)
-            return
         tracked_pages = pages[self._gen[pages] >= 0]
         self._gen[tracked_pages] = self._max_seq
         np.add.at(self._heat, tracked_pages, 1.0)
-
-    def _record_accesses_reference(self, pages: np.ndarray) -> None:
-        """One generation/heat update per access — the reference
-        engine.  Generation assignment is idempotent and heat adds are
-        exact integer-valued float additions, so the end state matches
-        the vectorized kernel bit for bit."""
-        for page in pages.tolist():
-            if self._gen[page] >= 0:
-                self._gen[page] = self._max_seq
-                self._heat[page] += 1.0
 
     def age(self, heat_decay: float = 0.5) -> None:
         """Open a new youngest generation (the kernel's ``inc_max_seq``)."""

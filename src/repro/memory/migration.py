@@ -74,7 +74,6 @@ class MigrationEngine:
         cost_model: Optional[MigrationCostModel] = None,
         mglru: Optional[MultiGenLru] = None,
         ddr_reserve_pages: int = 0,
-        batched: bool = True,
     ):
         self.memory = memory
         self.cost_model = cost_model if cost_model is not None else MigrationCostModel()
@@ -82,10 +81,6 @@ class MigrationEngine:
             mglru if mglru is not None else MultiGenLru(memory.num_logical_pages)
         )
         self.ddr_reserve_pages = int(ddr_reserve_pages)
-        #: Engine selector: bulk frame moves vs the per-page reference
-        #: loop.  The batched path reproduces the reference loop's
-        #: frame assignments exactly (see :meth:`promote`).
-        self.batched = bool(batched)
         self._pins = np.zeros(memory.num_logical_pages, dtype=np.int8)
         # Cached "any page pinned" flag so the promote fast path does
         # not pay an O(footprint) any() per call.
@@ -145,14 +140,13 @@ class MigrationEngine:
         budget = self.memory.ddr.free_pages - self.ddr_reserve_pages
         free = min(max(budget, 0), int(on_cxl.size))
         paired = int(on_cxl.size) - free
-        # The bulk path must reproduce the reference loop's frame
+        # The bulk path must reproduce the page-at-a-time loop's frame
         # assignments exactly.  Pins re-enter the picture mid-loop
         # (a pinned victim perturbs the budget), and a full CXL node
         # makes the victim demote fail — both rare; replay those
         # sequentially rather than modelling them twice.
-        if (not self.batched or self._has_pins
-                or (paired > 0 and self.memory.cxl.free_pages < 1)):
-            promoted = self._promote_reference(pages, on_cxl, budget)
+        if self._has_pins or (paired > 0 and self.memory.cxl.free_pages < 1):
+            promoted = self._promote_sequential(pages, on_cxl, budget)
         else:
             promoted = free
             if free:
@@ -166,13 +160,13 @@ class MigrationEngine:
 
     def _promote_paired(self, pages: np.ndarray, remaining: np.ndarray) -> int:
         """Promote with zero DDR headroom: every promotion demotes one
-        MGLRU victim, reproducing the reference loop's alternating
+        MGLRU victim, reproducing the sequential loop's alternating
         demote/promote frame traffic in bulk.
 
         The victim list can be hoisted out of the loop: demoted victims
         leave the candidate pool, pages promoted mid-loop join it but
         are in the request (hence forbidden), and nothing else changes
-        generation or heat mid-call — so the reference loop's i-th
+        generation or heat mid-call — so the sequential loop's i-th
         victim is the i-th entry of one up-front coldest() sweep with
         the requested pages masked out.
 
@@ -208,23 +202,26 @@ class MigrationEngine:
         self.stats.time_us += self.cost_model.cost_us(t)
         return t
 
-    def _promote_reference(
+    def _promote_sequential(
         self, pages: np.ndarray, on_cxl: np.ndarray, budget: int
     ) -> int:
-        """One demote/promote pair per page — the reference engine."""
+        """One demote/promote pair per page: the page-at-a-time
+        semantics :meth:`promote`'s bulk path reproduces, and the only
+        path for pinned pages and a full CXL node."""
         promoted = 0
+        # lint: disable=PERF001 -- only pinned pages or a full CXL node
+        # land here; each demotion can change the next victim and budget
         for lpage in on_cxl.tolist():
             if budget <= 0:
                 # Demote one victim to make room; never demote a page
                 # named in this request (whether being promoted now or
                 # already resident on DDR).
                 ddr_pages = self.memory.pages_on(NodeKind.DDR)
-                forbidden = set(pages.tolist())
                 victims = self.mglru.coldest(len(ddr_pages), among=ddr_pages)
-                victim = next((v for v in victims.tolist() if v not in forbidden), None)
-                if victim is None:
+                victims = victims[~np.isin(victims, pages)]
+                if victims.size == 0:
                     break
-                self.demote(np.array([victim]))
+                self.demote(victims[:1])
                 budget += 1
             self.memory.move_page(lpage, NodeKind.DDR)
             self.mglru.track(np.array([lpage]))
@@ -237,30 +234,15 @@ class MigrationEngine:
         pages = np.unique(np.asarray(pages, dtype=np.int64))
         pages = self._reject_pinned(pages)
         on_ddr = pages[self.memory.node_map[pages] == 0]
-        if self.batched:
-            # The reference loop stops at the first failed CXL
-            # allocation, i.e. it demotes exactly the first
-            # free_pages-many pages of the batch.
-            demoted = min(int(on_ddr.size), self.memory.cxl.free_pages)
-            if demoted:
-                self.memory.move_pages(on_ddr[:demoted], NodeKind.CXL)
-                self.mglru.untrack(on_ddr[:demoted])
-        else:
-            demoted = self._demote_reference(on_ddr)
+        # A page-at-a-time loop stops at the first failed CXL
+        # allocation, i.e. it demotes exactly the first free_pages-many
+        # pages of the batch.
+        demoted = min(int(on_ddr.size), self.memory.cxl.free_pages)
+        if demoted:
+            self.memory.move_pages(on_ddr[:demoted], NodeKind.CXL)
+            self.mglru.untrack(on_ddr[:demoted])
         self.stats.demoted += demoted
         self.stats.time_us += self.cost_model.cost_us(demoted)
-        return demoted
-
-    def _demote_reference(self, on_ddr: np.ndarray) -> int:
-        """One page move per demotion — the reference engine."""
-        demoted = 0
-        for lpage in on_ddr.tolist():
-            try:
-                self.memory.move_page(lpage, NodeKind.CXL)
-            except MemoryError:
-                break
-            self.mglru.untrack(np.array([lpage]))
-            demoted += 1
         return demoted
 
     def reset_stats(self) -> None:

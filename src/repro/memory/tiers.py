@@ -214,7 +214,6 @@ class TieredMemory:
         num_logical_pages: int = 0,
         ddr_latency_ns: float = DDR_LATENCY_NS,
         cxl_latency_ns: float = CXL_LATENCY_NS,
-        batched: bool = True,
         nodes: Optional[Sequence[NodeSpec]] = None,
         tenant: int = 0,
     ):
@@ -258,10 +257,6 @@ class TieredMemory:
         self.ddr = self.nodes[0]
         self.cxl = self.nodes[self._kind_index.get(NodeKind.CXL, 1)]
         self.num_logical_pages = int(num_logical_pages)
-        #: Engine selector for the access path: vectorized translate /
-        #: accounting kernels vs per-access reference loops.  Results
-        #: are identical; only the cost differs.
-        self.batched = bool(batched)
 
         # page → absolute PFN and page → node code (vectorised maps).
         self._frame_of = np.full(num_logical_pages, -1, dtype=np.int64)
@@ -462,8 +457,6 @@ class TieredMemory:
 
     def translate(self, logical_addresses: np.ndarray) -> np.ndarray:
         """Translate logical byte addresses to physical byte addresses."""
-        if not self.batched:
-            return self._translate_reference(logical_addresses)
         la = np.asarray(logical_addresses, dtype=np.uint64)
         lpages = (la >> np.uint64(PAGE_SHIFT)).astype(np.int64)
         frames = self._frame_of[lpages]
@@ -472,32 +465,11 @@ class TieredMemory:
         offset = la & np.uint64(PAGE_SIZE - 1)
         return (frames.astype(np.uint64) << np.uint64(PAGE_SHIFT)) | offset
 
-    def _translate_reference(self, logical_addresses: np.ndarray) -> np.ndarray:
-        """One page-table walk per access — the reference engine."""
-        la = np.asarray(logical_addresses, dtype=np.uint64)
-        out = np.empty(la.shape, dtype=np.uint64)
-        for i, addr in enumerate(la.tolist()):
-            frame = int(self._frame_of[addr >> PAGE_SHIFT])
-            if frame < 0:
-                raise KeyError("access to unallocated logical page")
-            out[i] = (frame << PAGE_SHIFT) | (addr & (PAGE_SIZE - 1))
-        return out
-
     def record_epoch_accesses(self, logical_pages: np.ndarray) -> None:
         """Account a batch of page-granular accesses to node counters."""
-        if not self.batched:
-            self._record_epoch_accesses_reference(logical_pages)
-            return
         codes = self._node_of[np.asarray(logical_pages, dtype=np.int64)]
         for idx, node in enumerate(self.nodes):
             node.record_accesses(int((codes == idx).sum()))
-
-    def _record_epoch_accesses_reference(self, logical_pages) -> None:
-        """One node-counter increment per access — the reference engine."""
-        for lpage in np.asarray(logical_pages, dtype=np.int64).tolist():
-            code = self._node_of[lpage]
-            if code >= 0:
-                self.nodes[code].record_accesses(1)
 
     def begin_epoch(self, epoch_seconds: float = 1.0) -> None:
         if epoch_seconds <= 0:

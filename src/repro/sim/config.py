@@ -113,13 +113,6 @@ class SimConfig:
     #: pipeline stays bit-identical to the frozen goldens; on, a
     #: violation aborts the run with an ``InvariantViolation``.
     check_invariants: bool = False
-    #: Epoch hot-path implementation: ``"batched"`` flows each chunk
-    #: through vectorized array kernels end to end; ``"reference"``
-    #: keeps the per-access Python loops.  Results are bit-identical
-    #: (enforced by the ``engine``/``kernels`` oracles in
-    #: :mod:`repro.verify`); the reference path exists for goldens,
-    #: debugging, and the ``tools/bench_engine.py`` speedup baseline.
-    engine: str = "batched"
     #: Metric families the per-epoch ring recorder samples: empty
     #: disables the recorder stage entirely (the seed pipeline),
     #: ``"default"`` selects the curated low-cost set, ``"all"`` every
@@ -164,10 +157,6 @@ class SimConfig:
         if self.migration_enomem_policy not in ("demote-first", "abort"):
             raise ValueError(
                 "migration_enomem_policy must be 'demote-first' or 'abort'"
-            )
-        if self.engine not in ("reference", "batched"):
-            raise ValueError(
-                f"engine must be 'reference' or 'batched', got {self.engine!r}"
             )
         if self.migration_inflight_budget < 1:
             raise ValueError("migration_inflight_budget must be positive")
@@ -217,7 +206,7 @@ class FleetConfig:
     share of every tier (carved into a private physical-address
     window), and the tiers' channel bandwidth is arbitrated each
     epoch by the QoS model in :mod:`repro.sim.perf`.  Per-run engine
-    knobs (trace length, engine, seed, bandwidth ceilings, ...) stay
+    knobs (trace length, seed, bandwidth ceilings, ...) stay
     on :class:`SimConfig`; this object holds only the fleet shape.
 
     Attributes:

@@ -302,12 +302,6 @@ class Simulation:
         self._timeline = self.telemetry.attach(RingBufferSink(timeline_capacity))
 
         spec = workload.spec
-        # One knob selects the hot-path implementation everywhere:
-        # vectorized array kernels ("batched", the default) or the
-        # per-access reference loops ("reference").  Bit-identical by
-        # construction; the reference engine is the differential-oracle
-        # baseline and the bench_engine speedup denominator.
-        batched = self.config.engine == "batched"
         if nodes is None:
             self.memory = TieredMemory(
                 ddr_pages=self.config.ddr_pages,
@@ -315,24 +309,21 @@ class Simulation:
                 num_logical_pages=spec.footprint_pages,
                 ddr_latency_ns=self.config.ddr_latency_ns,
                 cxl_latency_ns=self.config.cxl_latency_ns,
-                batched=batched,
                 tenant=tenant,
             )
             self.memory.allocate_all(NodeKind.CXL)
         else:
             self.memory = TieredMemory(
                 num_logical_pages=spec.footprint_pages,
-                batched=batched,
                 nodes=nodes,
                 tenant=tenant,
             )
             self.memory.allocate_spill()
-        self.mglru = MultiGenLru(spec.footprint_pages, batched=batched)
+        self.mglru = MultiGenLru(spec.footprint_pages)
         self.engine = MigrationEngine(
             self.memory,
             cost_model=MigrationCostModel(self.config.migration_cost_us),
             mglru=self.mglru,
-            batched=batched,
         )
         #: The asynchronous transactional migration subsystem; None in
         #: instant mode (the default), where decisions apply atomically.
@@ -365,13 +356,12 @@ class Simulation:
             self.memory.cxl.region,
             access_latency_ns=self.config.cxl_latency_ns,
             metrics=self.obs.registry,
-            batched=batched,
         )
-        self.pac = PageAccessCounter(self.memory.cxl.region, batched=batched)
+        self.pac = PageAccessCounter(self.memory.cxl.region)
         self.controller.attach(self.pac)
         self.wac: Optional[WordAccessCounter] = None
         if enable_wac:
-            self.wac = WordAccessCounter(self.memory.cxl.region, batched=batched)
+            self.wac = WordAccessCounter(self.memory.cxl.region)
             self.controller.attach(self.wac)
 
         self._baseline: Optional[MigrationPolicy] = None
@@ -505,11 +495,10 @@ class Simulation:
 
     def _make_baseline(self, name: str) -> MigrationPolicy:
         cfg = self.config
-        batched = cfg.engine == "batched"
         if name == "none":
-            return NoMigration(self.memory, batched=batched)
+            return NoMigration(self.memory)
         if name == "anb":
-            policy = AutoNumaBalancing(self.memory, batched=batched)
+            policy = AutoNumaBalancing(self.memory)
             # Unmap/fault volume scales with the page grouping: one
             # model-page fault stands for footprint_scale real faults.
             policy.costs.scale = cfg.footprint_scale
@@ -520,31 +509,27 @@ class Simulation:
             # needs the real per-page rate: a model count undercounts
             # real accesses by the trace_subsample factor (the page
             # grouping cancels between count and group size).
-            return Damon(
-                self.memory, access_scale=cfg.trace_subsample, batched=batched
-            )
+            return Damon(self.memory, access_scale=cfg.trace_subsample)
         if name == "tpp":
-            policy = Tpp(self.memory, batched=batched)
+            policy = Tpp(self.memory)
             policy.costs.scale = cfg.footprint_scale  # fault volume
             return policy
         if name == "pte-scan":
-            policy = PteScanner(self.memory, batched=batched)
+            policy = PteScanner(self.memory)
             policy.costs.scale = cfg.footprint_scale  # scans every PTE
             return policy
         if name == "pebs":
-            policy = PebsSampler(self.memory, batched=batched)
+            policy = PebsSampler(self.memory)
             policy.costs.scale = cfg.time_dilation  # samples ∝ accesses
             return policy
         raise ValueError(name)
 
     def _make_m5(self, name: str) -> M5Manager:
         opts = self.m5_options
-        batched = self.config.engine == "batched"
         hpt = make_hpt(
             k=opts.k_hpt,
             algorithm=opts.algorithm,
             num_counters=opts.num_counters,
-            batched=batched,
         )
         self.controller.attach(hpt)
         hwt = None
@@ -560,7 +545,6 @@ class Simulation:
                 k=opts.k_hwt,
                 algorithm=opts.algorithm,
                 num_counters=opts.num_counters,
-                batched=batched,
             )
             self.controller.attach(hwt)
         nominator = Nominator(mode=mode, min_hot_words=opts.min_hot_words)

@@ -1,19 +1,23 @@
-"""Correctness tooling: invariant checking and differential oracles.
+"""Correctness tooling: invariant checking, reference models and
+differential oracles.
 
-Three layers guard the repro's trackers and migration paths (see
+Four layers guard the repro's trackers and migration paths (see
 ``docs/verification.md``):
 
 * :mod:`repro.verify.invariants` — per-epoch assertions wired into the
   pipeline behind ``SimConfig.check_invariants`` / ``repro run
   --check-invariants``: counter conservation, tier conservation,
   tracker/queue bounds, non-negative perf times.
+* :mod:`repro.verify.reference` — the per-access reference models of
+  every vectorized hot-path kernel, bound onto a component or a whole
+  simulation by :func:`as_reference`.
 * :mod:`repro.verify.differential` — paired-configuration oracles
-  (``repro verify`` / ``tools/run_differential.py``): exact vs batched
-  sketch, PAC cache vs direct mode, instant vs async-unlimited
-  migration, reference vs batched engine (full pipeline, bit-exact),
-  per-kernel batched vs reference state, and a 1-tenant, 2-tier fleet
-  vs the single-run engine (bit-exact), diffed with per-field
-  tolerances.
+  (``repro verify`` / ``tools/run_differential.py``): per-access vs
+  chunked sketch, PAC cache vs direct mode, instant vs async-unlimited
+  migration, reference models vs production pipeline (bit-exact),
+  per-kernel reference vs production state, a 1-tenant, 2-tier fleet
+  vs the single-run engine, and checkpoint-resumed vs uninterrupted
+  runs (bit-exact), diffed with per-field tolerances.
 * ``tests/verify/`` — Hypothesis property suites encoding the paper's
   analytical guarantees (CM-Sketch never underestimates, Space-Saving
   overestimates within N/K, exact-oracle CAM selection, MGLRU victim
@@ -40,6 +44,7 @@ from repro.verify.invariants import (
     InvariantViolation,
     Violation,
 )
+from repro.verify.reference import as_exact_sequence, as_reference
 
 __all__ = [
     "InvariantChecker",
@@ -58,4 +63,6 @@ __all__ = [
     "kernels_oracle",
     "resume_oracle",
     "run_all",
+    "as_reference",
+    "as_exact_sequence",
 ]

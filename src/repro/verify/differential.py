@@ -1,20 +1,22 @@
 """Differential oracles: paired configurations that must agree.
 
-The repro keeps several update paths per structure (exact, batched,
-cached) and two migration modes.  Each pair below is an *oracle*: one
+The repro keeps one production path per structure plus the per-access
+reference models of :mod:`repro.verify.reference`, a PAC counter-cache
+mode and two migration modes.  Each pair below is an *oracle*: one
 side is the slow, obviously-correct semantics, the other is the fast
 path the pipeline actually runs, and the two must agree — exactly
 where the docstrings promise identical state, within a tolerance where
 only the aggregate behaviour is guaranteed.
 
-Six oracle pairs (``repro verify`` / ``tools/run_differential.py``):
+Seven oracle pairs (``repro verify`` / ``tools/run_differential.py``):
 
-* ``sketch`` — :class:`~repro.core.trackers.CmSketchTopK` with
-  ``exact_sequence=True`` (per-access hardware semantics) vs the
-  batched default.  The CM-Sketch counter table and ``items_seen``
-  must be identical; the CAM's top-K selection must overlap within
-  tolerance (admission order differs transiently, §5.1 reset makes
-  the divergence bounded per query period).
+* ``sketch`` — a :class:`~repro.core.trackers.CmSketchTopK` ingesting
+  one access at a time (:func:`~repro.verify.reference.as_exact_sequence`,
+  the hardware semantics) vs the chunked production ingest.  The
+  CM-Sketch counter table and ``items_seen`` must be identical; the
+  CAM's top-K selection must overlap within tolerance (admission order
+  differs transiently, §5.1 reset makes the divergence bounded per
+  query period).
 * ``pac`` — :class:`~repro.cxl.pac.PageAccessCounter` cache mode
   (bounded SRAM, direct-mapped, evict-on-conflict) vs direct mode.
   After ``flush()`` both must report *identical* per-page counts:
@@ -25,22 +27,24 @@ Six oracle pairs (``repro verify`` / ``tools/run_differential.py``):
   must agree within small tolerances; execution time agrees loosely
   (the async cost model charges remap CPU + copy contention instead
   of the flat 54 µs).
-* ``engine`` — a full simulation with ``engine="reference"``
-  (per-access Python loops in every stage) vs ``engine="batched"``
-  (the vectorized array kernels).  Zero tolerance everywhere: the
-  batched hot path promises bit-identical results, down to the
+* ``engine`` — a full simulation on the per-access reference models
+  (:func:`~repro.verify.reference.as_reference`) vs the production
+  pipeline (the vectorized array kernels).  Zero tolerance
+  everywhere: the kernels promise bit-identical results, down to the
   hot-PFN list.
 * ``kernels`` — each vectorized kernel against its per-access
-  reference implementation on one shared skewed stream: trackers
+  reference model on one shared skewed stream: trackers
   (CM-Sketch/CAM, SpaceSaving, MisraGries, StickySampling, Exact),
   PAC/WAC observe, MGLRU generation updates, address translation,
   and bulk promote/demote frame placement.  All state comparisons
   are exact (mismatch counts with zero tolerance).
 * ``fleet`` — a 1-tenant, 2-tier :class:`~repro.fleet.FleetSimulation`
-  vs the plain single-run :class:`~repro.sim.engine.Simulation` under
-  both epoch engines.  Zero tolerance everywhere, down to the frame
-  and node maps: the fleet path (NodeSpec tiers, tenant windows,
-  lockstep driver) must degenerate exactly to the single-run engine.
+  vs the plain single-run :class:`~repro.sim.engine.Simulation`.  Zero
+  tolerance everywhere, down to the frame and node maps: the fleet
+  path (NodeSpec tiers, tenant windows, lockstep driver) must
+  degenerate exactly to the single-run engine.
+* ``resume`` — an uninterrupted run vs one resumed from its last
+  periodic checkpoint, bit-exact.
 
 Every comparison is a :class:`DiffRow` with a per-field tolerance
 (0 = bit-exact required), collected into an :class:`OracleReport`.
@@ -49,7 +53,7 @@ Every comparison is a :class:`DiffRow` with a per-field tolerance
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, SupportsFloat
+from typing import Any, Dict, List, Optional, Sequence, SupportsFloat
 
 import numpy as np
 
@@ -58,6 +62,7 @@ from repro.cxl.pac import PageAccessCounter
 from repro.memory.address import PAGE_SHIFT, PAGE_SIZE, AddressRegion
 from repro.sim.config import SimConfig
 from repro.sim.engine import RunResult, Simulation
+from repro.verify.reference import as_exact_sequence, as_reference
 from repro.workloads import registry
 
 
@@ -116,6 +121,11 @@ class OracleReport:
         return "\n".join(lines)
 
 
+def _mismatches(a: Sequence[Any], b: Sequence[Any]) -> int:
+    """Positions where two sequences differ, plus their length gap."""
+    return sum(x != y for x, y in zip(a, b)) + abs(len(a) - len(b))
+
+
 def _zipf_keys(rng: np.random.Generator, n: int, key_space: int) -> np.ndarray:
     """A skewed, deterministic key stream over ``[0, key_space)``."""
     keys = rng.zipf(1.2, size=n).astype(np.uint64) % np.uint64(key_space)
@@ -123,7 +133,7 @@ def _zipf_keys(rng: np.random.Generator, n: int, key_space: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# oracle 1: exact-sequence vs batched CM-Sketch tracker
+# oracle 1: per-access vs chunked CM-Sketch tracker
 
 
 def sketch_oracle(
@@ -135,30 +145,30 @@ def sketch_oracle(
     chunk: int = 4096,
     overlap_tolerance: float = 0.15,
 ) -> OracleReport:
-    """Per-access vs batched :class:`CmSketchTopK` on one stream."""
+    """Per-access vs chunked :class:`CmSketchTopK` on one stream."""
     report = OracleReport(
         "sketch",
-        "exact_sequence vs batched CmSketchTopK: identical counters, "
+        "per-access vs chunked CmSketchTopK: identical counters, "
         "top-K overlap within tolerance",
     )
     rng = np.random.default_rng(seed)
     keys = _zipf_keys(rng, accesses, key_space)
     addresses = keys << np.uint64(PAGE_SHIFT)
-    exact = CmSketchTopK(k, num_counters=num_counters, exact_sequence=True)
-    batched = CmSketchTopK(k, num_counters=num_counters, exact_sequence=False)
+    exact = as_exact_sequence(CmSketchTopK(k, num_counters=num_counters))
+    chunked = CmSketchTopK(k, num_counters=num_counters)
     for start in range(0, accesses, chunk):
         exact.observe(addresses[start:start + chunk])
-        batched.observe(addresses[start:start + chunk])
+        chunked.observe(addresses[start:start + chunk])
 
-    mismatch = int((exact.sketch.table != batched.sketch.table).sum())
+    mismatch = int((exact.sketch.table != chunked.sketch.table).sum())
     report.add("table_mismatched_counters", 0, mismatch)
-    report.add("items_seen", exact.sketch.items_seen, batched.sketch.items_seen)
+    report.add("items_seen", exact.sketch.items_seen, chunked.sketch.items_seen)
     report.add("accesses_observed", exact.accesses_observed,
-               batched.accesses_observed)
+               chunked.accesses_observed)
 
     top_exact = {key for key, _ in exact.peek()}
-    top_batched = {key for key, _ in batched.peek()}
-    overlap = len(top_exact & top_batched) / max(1, len(top_exact))
+    top_chunked = {key for key, _ in chunked.peek()}
+    overlap = len(top_exact & top_chunked) / max(1, len(top_exact))
     report.add("topk_overlap", 1.0, overlap, tolerance=overlap_tolerance)
     return report
 
@@ -321,7 +331,7 @@ def migration_oracle(
 
 
 # ----------------------------------------------------------------------
-# oracle 4: reference vs batched engine (full pipeline, bit-exact)
+# oracle 4: reference models vs production pipeline (bit-exact)
 
 
 def engine_oracle(
@@ -331,59 +341,49 @@ def engine_oracle(
     accesses: int = 120_000,
     chunk: int = 15_000,
 ) -> OracleReport:
-    """Full reference-engine vs batched-engine runs, zero tolerance.
+    """Per-access reference run vs production run, zero tolerance.
 
-    The batched hot path is a pure reimplementation — every stage
-    promises identical end state — so *every* field must match
-    exactly, including the hot-PFN list contents and order.
+    The vectorized hot path is a pure reimplementation of the
+    reference models — every stage promises identical end state — so
+    *every* field must match exactly, including the hot-PFN list
+    contents and order.
     """
     report = OracleReport(
         "engine",
-        f"{bench}/{policy}: reference vs batched epoch hot path "
-        "(bit-exact)",
+        f"{bench}/{policy}: reference models vs production epoch hot "
+        "path (bit-exact)",
     )
-    results = {}
-    for engine in ("reference", "batched"):
-        cfg = SimConfig(
-            total_accesses=accesses,
-            chunk_size=chunk,
-            checkpoints=2,
-            seed=seed,
-            engine=engine,
-        )
-        sim = Simulation(
+    cfg = SimConfig(
+        total_accesses=accesses, chunk_size=chunk, checkpoints=2, seed=seed
+    )
+
+    def build() -> Simulation:
+        return Simulation(
             registry.build(bench, seed=seed), cfg, policy=policy,
             enable_wac=policy.startswith("m5"),
         )
-        results[engine] = sim.run()
-    a, b = results["reference"], results["batched"]
+
+    a, b = as_reference(build()).run(), build().run()
     report.rows.extend(diff_run_results(a, b, tolerances={}))
     report.add("overhead_time_s", a.overhead_time_s, b.overhead_time_s)
     report.add("migration_time_s", a.migration_time_s, b.migration_time_s)
-    report.add(
-        "hot_pfn_mismatches",
-        0,
-        sum(x != y for x, y in zip(a.hot_pfns, b.hot_pfns))
-        + abs(len(a.hot_pfns) - len(b.hot_pfns)),
-    )
-    report.add(
-        "ratio_checkpoint_mismatches",
-        0,
-        sum(x != y for x, y in zip(a.ratio_checkpoints, b.ratio_checkpoints)),
-    )
+    report.add("hot_pfn_mismatches", 0, _mismatches(a.hot_pfns, b.hot_pfns))
+    report.add("ratio_checkpoint_mismatches", 0,
+               _mismatches(a.ratio_checkpoints, b.ratio_checkpoints))
     return report
 
 
 # ----------------------------------------------------------------------
-# oracle 5: per-kernel batched vs reference state
+# oracle 5: per-kernel reference vs production state
 
 
 def kernels_oracle(seed: int = 0, accesses: int = 60_000) -> OracleReport:
-    """Each vectorized kernel vs its per-access reference twin.
+    """Each vectorized kernel vs its per-access reference model.
 
-    One skewed stream drives paired instances (``batched=True`` vs
-    ``batched=False``) of every structure the epoch hot path
-    vectorizes; their internal state must match exactly afterwards.
+    One skewed stream drives paired instances (production vs
+    :func:`~repro.verify.reference.as_reference`) of every structure
+    the epoch hot path vectorizes; their internal state must match
+    exactly afterwards.
     """
     from repro.core.trackers import make_hpt
     from repro.cxl.batch import AccessBatch
@@ -394,8 +394,8 @@ def kernels_oracle(seed: int = 0, accesses: int = 60_000) -> OracleReport:
 
     report = OracleReport(
         "kernels",
-        "batched vs reference kernels: exact state equality per "
-        "structure",
+        "reference models vs vectorized kernels: exact state equality "
+        "per structure",
     )
     rng = np.random.default_rng(seed)
     num_pages = 1024
@@ -412,73 +412,77 @@ def kernels_oracle(seed: int = 0, accesses: int = 60_000) -> OracleReport:
     # Trackers: every algorithm, page and word granularity.
     for algorithm in ("cm-sketch", "space-saving", "misra-gries",
                       "sticky-sampling", "exact"):
-        ref = make_hpt(k=32, algorithm=algorithm, num_counters=2048,
-                       batched=False)
-        fast = make_hpt(k=32, algorithm=algorithm, num_counters=2048,
-                        batched=True)
+        ref = as_reference(
+            make_hpt(k=32, algorithm=algorithm, num_counters=2048))
+        fast = make_hpt(k=32, algorithm=algorithm, num_counters=2048)
         for chunk in chunks:
             batch = AccessBatch(chunk, region=region)
             ref.observe_batch(batch)
             fast.observe_batch(batch)
-        top_ref = sorted(ref.peek())
-        top_fast = sorted(fast.peek())
         report.add(f"tracker_{algorithm}_top_mismatches", 0,
-                   sum(x != y for x, y in zip(top_ref, top_fast))
-                   + abs(len(top_ref) - len(top_fast)))
+                   _mismatches(sorted(ref.peek()), sorted(fast.peek())))
         report.add(f"tracker_{algorithm}_accesses", ref.accesses_observed,
                    fast.accesses_observed)
 
     # PAC direct mode: identical per-page counts (spill stats may
     # legitimately differ — a chunked spill covers several
     # saturations — so only counts are compared).
-    pac_ref = PageAccessCounter(region, batched=False)
-    pac_fast = PageAccessCounter(region, batched=True)
+    pac_ref = as_reference(PageAccessCounter(region))
+    pac_fast = PageAccessCounter(region)
     for chunk in chunks:
         batch = AccessBatch(chunk, region=region)
-        pac_ref.observe(chunk)
+        pac_ref.observe_batch(batch)
         pac_fast.observe_batch(batch)
     report.add("pac_count_mismatches", 0,
                int((pac_ref.counts() != pac_fast.counts()).sum()))
 
     # WAC monitoring a quarter of the region (exercises the
     # observe_batch window re-filter against the wider batch).
-    wac_ref = WordAccessCounter(region, window_bytes=region.size // 4,
-                                batched=False)
-    wac_fast = WordAccessCounter(region, window_bytes=region.size // 4,
-                                 batched=True)
+    wac_ref = as_reference(
+        WordAccessCounter(region, window_bytes=region.size // 4))
+    wac_fast = WordAccessCounter(region, window_bytes=region.size // 4)
     for chunk in chunks:
         batch = AccessBatch(chunk, region=region)
-        wac_ref.observe(chunk)
+        wac_ref.observe_batch(batch)
         wac_fast.observe_batch(batch)
     report.add("wac_count_mismatches", 0,
                int((wac_ref.counts() != wac_fast.counts()).sum()))
 
     # Tiers + MGLRU + migration: replay one randomized
-    # promote/demote/access schedule against both engines.
+    # promote/demote/access schedule against both implementations.
     states = {}
-    for batched in (False, True):
+    for reference in (True, False):
         memory = TieredMemory(ddr_pages=96, cxl_pages=num_pages + 64,
-                              num_logical_pages=num_pages, batched=batched)
+                              num_logical_pages=num_pages)
         memory.allocate_all(NodeKind.CXL)
-        mglru = MultiGenLru(num_pages, batched=batched)
-        engine = MigrationEngine(memory, mglru=mglru, batched=batched)
+        mglru = MultiGenLru(num_pages)
+        engine = MigrationEngine(memory, mglru=mglru)
+        if reference:
+            for part in (memory, mglru, engine):
+                as_reference(part)
         op_rng = np.random.default_rng(seed + 1)
+        translated = []
         for _ in range(60):
             lot = op_rng.integers(0, num_pages, size=48)
+            memory.record_epoch_accesses(lot)
+            translated.append(memory.translate(
+                (lot.astype(np.uint64) << np.uint64(PAGE_SHIFT)) | words[:48]))
             mglru.record_accesses(lot[memory.node_map[lot] == 0])
             engine.promote(op_rng.integers(0, num_pages, size=24))
             if op_rng.random() < 0.3:
                 engine.demote(op_rng.integers(0, num_pages, size=8))
             if op_rng.random() < 0.25:
                 mglru.age()
-        states[batched] = (
+        states[reference] = (
             memory.frame_map.copy(), memory.node_map.copy(),
             list(memory.ddr._free), list(memory.cxl._free),
             mglru._gen.copy(), mglru._heat.copy(),
             (engine.stats.promoted, engine.stats.demoted,
              engine.stats.rejected, engine.stats.time_us),
+            np.concatenate(translated),
+            [node.accesses_total for node in memory.nodes],
         )
-    ref_state, fast_state = states[False], states[True]
+    ref_state, fast_state = states[True], states[False]
     report.add("frame_map_mismatches", 0,
                int((ref_state[0] != fast_state[0]).sum()))
     report.add("node_map_mismatches", 0,
@@ -492,6 +496,9 @@ def kernels_oracle(seed: int = 0, accesses: int = 60_000) -> OracleReport:
                int((ref_state[5] != fast_state[5]).sum()))
     report.add("migration_stats_mismatch", 0,
                int(ref_state[6] != fast_state[6]))
+    report.add("translate_mismatches", 0,
+               int((ref_state[7] != fast_state[7]).sum()))
+    report.add("node_access_mismatch", 0, int(ref_state[8] != fast_state[8]))
     return report
 
 
@@ -507,7 +514,7 @@ def fleet_oracle(
     chunk: int = 16_384,
 ) -> OracleReport:
     """A 1-tenant, 2-tier fleet vs the single-run engine, zero
-    tolerance, under both epoch engines.
+    tolerance.
 
     The fleet path rebuilds the whole stack — NodeSpec-driven tiers,
     per-tenant address windows, spill allocation, the lockstep driver
@@ -523,61 +530,36 @@ def fleet_oracle(
     report = OracleReport(
         "fleet",
         f"{bench}/{policy}: 1-tenant 2-tier fleet vs single-run engine "
-        "(bit-exact, both epoch engines)",
+        "(bit-exact)",
     )
     fleet = FleetConfig(tenants=1, tiers=2, bench=bench, policy=policy)
-    for engine in ("reference", "batched"):
-        cfg = SimConfig(
-            total_accesses=accesses,
-            chunk_size=chunk,
-            checkpoints=2,
-            seed=seed,
-            engine=engine,
-        )
-        fleet_sim = FleetSimulation(fleet, cfg)
-        tenant = fleet_sim.run().results[0]
-        single_sim = Simulation(
-            registry.build(bench, seed=cell_seed(seed, bench)),
-            cfg,
-            policy=policy,
-        )
-        single = single_sim.run()
-        for row in diff_run_results(single, tenant.result, tolerances={}):
-            report.rows.append(DiffRow(f"{engine}_{row.field}", row.a, row.b))
-        report.add(f"{engine}_overhead_time_s", single.overhead_time_s,
-                   tenant.result.overhead_time_s)
-        report.add(f"{engine}_migration_time_s", single.migration_time_s,
-                   tenant.result.migration_time_s)
-        report.add(
-            f"{engine}_hot_pfn_mismatches",
-            0,
-            sum(x != y for x, y in
-                zip(single.hot_pfns, tenant.result.hot_pfns))
-            + abs(len(single.hot_pfns) - len(tenant.result.hot_pfns)),
-        )
-        report.add(
-            f"{engine}_ratio_checkpoint_mismatches",
-            0,
-            sum(x != y for x, y in
-                zip(single.ratio_checkpoints,
-                    tenant.result.ratio_checkpoints)),
-        )
-        tenant_mem = fleet_sim.sims[0].memory
-        single_mem = single_sim.memory
-        report.add(
-            f"{engine}_frame_map_mismatches", 0,
-            int((tenant_mem.frame_map != single_mem.frame_map).sum()),
-        )
-        report.add(
-            f"{engine}_node_map_mismatches", 0,
-            int((tenant_mem.node_map != single_mem.node_map).sum()),
-        )
-        report.add(f"{engine}_slowdown_vs_isolated", 1.0,
-                   tenant.slowdown_vs_isolated)
-        report.add(
-            f"{engine}_bandwidth_share_min", 1.0,
-            min(tenant.bandwidth_share.values()),
-        )
+    cfg = SimConfig(
+        total_accesses=accesses, chunk_size=chunk, checkpoints=2, seed=seed
+    )
+    fleet_sim = FleetSimulation(fleet, cfg)
+    tenant = fleet_sim.run().results[0]
+    single_sim = Simulation(
+        registry.build(bench, seed=cell_seed(seed, bench)), cfg, policy=policy
+    )
+    single = single_sim.run()
+    report.rows.extend(diff_run_results(single, tenant.result, tolerances={}))
+    report.add("overhead_time_s", single.overhead_time_s,
+               tenant.result.overhead_time_s)
+    report.add("migration_time_s", single.migration_time_s,
+               tenant.result.migration_time_s)
+    report.add("hot_pfn_mismatches", 0,
+               _mismatches(single.hot_pfns, tenant.result.hot_pfns))
+    report.add("ratio_checkpoint_mismatches", 0,
+               _mismatches(single.ratio_checkpoints,
+                           tenant.result.ratio_checkpoints))
+    tenant_mem = fleet_sim.sims[0].memory
+    single_mem = single_sim.memory
+    report.add("frame_map_mismatches", 0,
+               int((tenant_mem.frame_map != single_mem.frame_map).sum()))
+    report.add("node_map_mismatches", 0,
+               int((tenant_mem.node_map != single_mem.node_map).sum()))
+    report.add("slowdown_vs_isolated", 1.0, tenant.slowdown_vs_isolated)
+    report.add("bandwidth_share_min", 1.0, min(tenant.bandwidth_share.values()))
     return report
 
 
@@ -610,15 +592,14 @@ def resume_oracle(
 ) -> OracleReport:
     """Uninterrupted run vs checkpoint-load-resume, zero tolerance.
 
-    For each epoch engine, one checkpointed run executes to
-    completion; the checkpoint file it leaves behind is the *last
-    periodic snapshot* (several epochs before the end, since the
-    cadence does not divide the epoch count).  Loading that snapshot
-    and running the tail again must reproduce the uninterrupted
-    result bit-identically — every ``RunResult`` field, the full
-    telemetry timeline, and the metrics-registry snapshot (modulo
-    wall-clock recorders, which measure the process, not the
-    simulation).
+    One checkpointed run executes to completion; the checkpoint file
+    it leaves behind is the *last periodic snapshot* (several epochs
+    before the end, since the cadence does not divide the epoch
+    count).  Loading that snapshot and running the tail again must
+    reproduce the uninterrupted result bit-identically — every
+    ``RunResult`` field, the full telemetry timeline, and the
+    metrics-registry snapshot (modulo wall-clock recorders, which
+    measure the process, not the simulation).
     """
     import os
     import tempfile
@@ -630,54 +611,39 @@ def resume_oracle(
         f"{bench}/{policy}: uninterrupted vs checkpoint-resumed run "
         "(bit-exact)",
     )
-    for engine in ("reference", "batched"):
-        with tempfile.TemporaryDirectory() as tmp:
-            ckpt = os.path.join(tmp, f"{engine}.ckpt")
-            cfg = SimConfig(
-                total_accesses=accesses,
-                chunk_size=chunk,
-                checkpoints=2,
-                seed=seed,
-                engine=engine,
-                checkpoint_every=checkpoint_every,
-                checkpoint_path=ckpt,
-            )
-            sim = Simulation(
-                registry.build(bench, seed=seed), cfg, policy=policy,
-                obs=Observability(metrics=True, tracing=False),
-            )
-            full = sim.run()
-            resumed_sim = Simulation.load_state(ckpt)
-            resumed_at = resumed_sim.resumed_epoch or 0
-            resumed = resumed_sim.run()
-        rows = diff_run_results(full, resumed, tolerances={})
-        for row in rows:
-            row.field = f"{engine}_{row.field}"
-        report.rows.extend(rows)
-        report.add(f"{engine}_overhead_time_s",
-                   full.overhead_time_s, resumed.overhead_time_s)
-        report.add(f"{engine}_migration_time_s",
-                   full.migration_time_s, resumed.migration_time_s)
-        report.add(
-            f"{engine}_hot_pfn_mismatches", 0,
-            sum(x != y for x, y in zip(full.hot_pfns, resumed.hot_pfns))
-            + abs(len(full.hot_pfns) - len(resumed.hot_pfns)),
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = SimConfig(
+            total_accesses=accesses,
+            chunk_size=chunk,
+            checkpoints=2,
+            seed=seed,
+            checkpoint_every=checkpoint_every,
+            checkpoint_path=os.path.join(tmp, "run.ckpt"),
         )
-        report.add(
-            f"{engine}_timeline_mismatches", 0,
-            sum(x != y for x, y in zip(full.timeline, resumed.timeline))
-            + abs(len(full.timeline) - len(resumed.timeline)),
+        sim = Simulation(
+            registry.build(bench, seed=seed), cfg, policy=policy,
+            obs=Observability(metrics=True, tracing=False),
         )
-        report.add(f"{engine}_metric_mismatches", 0,
-                   _metric_mismatches(full.metrics, resumed.metrics))
-        # The resume must actually re-run a tail, or the oracle
-        # proves nothing: the cadence is chosen not to divide the
-        # epoch count.
-        report.add(f"{engine}_epochs_rerun",
-                   cfg.num_epochs - resumed_at,
-                   cfg.num_epochs - resumed_at, tolerance=0.0)
-        if cfg.num_epochs - resumed_at <= 0:
-            report.add(f"{engine}_tail_nonempty", 1, 0)
+        full = sim.run()
+        resumed_sim = Simulation.load_state(cfg.checkpoint_path)
+        resumed_at = resumed_sim.resumed_epoch or 0
+        resumed = resumed_sim.run()
+    report.rows.extend(diff_run_results(full, resumed, tolerances={}))
+    report.add("overhead_time_s", full.overhead_time_s, resumed.overhead_time_s)
+    report.add("migration_time_s", full.migration_time_s,
+               resumed.migration_time_s)
+    report.add("hot_pfn_mismatches", 0,
+               _mismatches(full.hot_pfns, resumed.hot_pfns))
+    report.add("timeline_mismatches", 0,
+               _mismatches(full.timeline, resumed.timeline))
+    report.add("metric_mismatches", 0,
+               _metric_mismatches(full.metrics, resumed.metrics))
+    # The resume must actually re-run a tail, or the oracle proves
+    # nothing: the cadence is chosen not to divide the epoch count.
+    report.add("epochs_rerun", cfg.num_epochs - resumed_at,
+               cfg.num_epochs - resumed_at, tolerance=0.0)
+    if cfg.num_epochs - resumed_at <= 0:
+        report.add("tail_nonempty", 1, 0)
     return report
 
 

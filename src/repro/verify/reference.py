@@ -1,0 +1,275 @@
+"""Per-access reference models: the oracles of the vectorized kernels.
+
+The paper defines PAC/WAC (§3) and the HPT/HWT top-K trackers (§5.1) by
+what they do on *one* access; MGLRU and ``migrate_pages()`` act on one
+page at a time.  The production pipeline reaches the same end state a
+chunk at a time with array kernels.  This module keeps the literal
+one-at-a-time semantics as plain functions, one per vectorized entry
+point, so the ``engine`` and ``kernels`` oracles, the golden matrix and
+the Hypothesis equivalence suites can hold the kernels to them.
+
+:func:`as_reference` binds these functions onto one built component, or
+onto every component of a :class:`~repro.sim.engine.Simulation` before
+its first epoch, replacing the vectorized entry points on those
+instances only::
+
+    sim = as_reference(Simulation(workload, config, policy="m5-hpt"))
+    sim.run()  # bit-identical to the production run, over 10x slower
+
+:func:`as_exact_sequence` goes one step further for the CM-Sketch and
+CAM-only trackers: one estimator update and one CAM offer per access,
+the hardware pipeline the ``sketch`` oracle compares the chunked ingest
+against.
+"""
+
+from __future__ import annotations
+
+import functools
+from typing import Any, Callable, Dict, Optional, Tuple, TypeVar
+
+import numpy as np
+
+from repro.baselines.base import MigrationPolicy
+from repro.core.spacesaving import SpaceSaving
+from repro.core.stickysampling import StickySampling
+from repro.core.topk import SortedCam
+from repro.core.trackers import (
+    CmSketchTopK,
+    ExactTopK,
+    SpaceSavingTopK,
+    TopKTracker,
+)
+from repro.cxl.batch import AccessBatch
+from repro.cxl.pac import PageAccessCounter
+from repro.cxl.wac import WordAccessCounter
+from repro.memory.address import PAGE_SHIFT, PAGE_SIZE, WORD_SHIFT
+from repro.memory.migration import MigrationEngine
+from repro.memory.mglru import MultiGenLru
+from repro.memory.tiers import NodeKind, TieredMemory
+from repro.sim.engine import Simulation
+
+T = TypeVar("T")
+
+# ----------------------------------------------------------------------
+# tiers
+
+
+def translate(memory: TieredMemory, logical_addresses: np.ndarray) -> np.ndarray:
+    """One page-table walk per access."""
+    la = np.asarray(logical_addresses, dtype=np.uint64)
+    out = np.empty(la.shape, dtype=np.uint64)
+    for i, addr in enumerate(la.tolist()):
+        frame = int(memory.frame_map[addr >> PAGE_SHIFT])
+        if frame < 0:
+            raise KeyError("access to unallocated logical page")
+        out[i] = (frame << PAGE_SHIFT) | (addr & (PAGE_SIZE - 1))
+    return out
+
+
+def record_epoch_accesses(memory: TieredMemory, logical_pages: np.ndarray) -> None:
+    """One node-counter increment per access."""
+    for lpage in np.asarray(logical_pages, dtype=np.int64).tolist():
+        code = int(memory.node_map[lpage])
+        if code >= 0:
+            memory.nodes[code].record_accesses(1)
+
+
+# ----------------------------------------------------------------------
+# PAC / WAC
+
+
+def _count_each(counter: Any, slots: np.ndarray) -> None:
+    """One SRAM increment per access, spilling into the 64-bit table
+    at each saturation crossing (the §3 counter semantics)."""
+    for slot in slots.tolist():
+        count = int(counter._sram[slot]) + 1
+        if count > counter._saturation:
+            counter._table[slot] += np.uint64(count)
+            counter.spills += 1
+            count = 0
+        counter._sram[slot] = count
+
+
+def pac_observe(pac: PageAccessCounter, addresses: np.ndarray) -> None:
+    """PAC snoop, one access at a time (direct-mapped SRAM)."""
+    if pac._cache_mode:
+        # The counter-cache mode has a single, sequential implementation.
+        PageAccessCounter.observe(pac, addresses)
+        return
+    if not pac.enabled:
+        return
+    pa = np.asarray(addresses, dtype=np.uint64)
+    pa = pa[pac.region.contains(pa)]
+    pac.total_accesses += int(pa.size)
+    pfns = (pa >> np.uint64(PAGE_SHIFT)).astype(np.int64)
+    _count_each(pac, pfns - pac.region.first_page)
+
+
+def wac_observe(wac: WordAccessCounter, addresses: np.ndarray) -> None:
+    """WAC snoop, one access at a time over the monitor window."""
+    if not wac.enabled:
+        return
+    pa = np.asarray(addresses, dtype=np.uint64)
+    pa = pa[wac.monitor_region.contains(pa)]
+    wac.total_accesses += int(pa.size)
+    start = np.uint64(wac.monitor_region.start)
+    _count_each(wac, ((pa - start) >> np.uint64(WORD_SHIFT)).astype(np.int64))
+
+
+def observe_batch(snoop: Any, batch: AccessBatch) -> None:
+    """Ignore the batch's shared digests and replay its raw addresses."""
+    snoop.observe(batch.addresses)
+
+
+# ----------------------------------------------------------------------
+# trackers
+
+
+def offer_batch(cam: SortedCam, addresses: np.ndarray, estimates: np.ndarray) -> int:
+    """One CAM offer per (address, estimate) pair, in order."""
+    pairs = zip(np.atleast_1d(addresses).tolist(), np.atleast_1d(estimates).tolist())
+    return sum(cam.offer(address, estimate) for address, estimate in pairs)
+
+
+def update_batch(
+    summary: Any, keys: np.ndarray, weights: Optional[np.ndarray] = None
+) -> None:
+    """One ``update_one`` per key (``weight`` repeats at once), in order:
+    Space-Saving, Misra–Gries and Sticky Sampling alike."""
+    keys_list = np.atleast_1d(np.asarray(keys, dtype=np.uint64)).tolist()
+    if weights is None:
+        for key in keys_list:
+            summary.update_one(key)
+        return
+    for key, weight in zip(keys_list, np.atleast_1d(weights).tolist()):
+        summary.update_one(key, weight)
+
+
+def exact_ingest(tracker: ExactTopK, keys: np.ndarray) -> None:
+    """One exact counter increment per access."""
+    for key in keys.tolist():
+        tracker._counts[key] = tracker._counts.get(key, 0) + 1
+
+
+def ingest_sequence(tracker: TopKTracker, keys: np.ndarray) -> None:
+    """One estimator update and one CAM offer per access — the §5.1
+    hardware pipeline, as opposed to the chunked ingest."""
+    if isinstance(tracker, CmSketchTopK):
+        for key in keys.tolist():
+            tracker.cam.offer(key, tracker.sketch.update_one(key))
+    elif isinstance(tracker, SpaceSavingTopK):
+        for key in keys.tolist():
+            tracker.summary.update_one(key)
+    else:
+        raise TypeError(f"no exact-sequence model for {type(tracker).__name__}")
+
+
+# ----------------------------------------------------------------------
+# MGLRU, migration, hot-page list
+
+
+def record_accesses(mglru: MultiGenLru, pages: np.ndarray) -> None:
+    """One generation/heat update per access.  Generation assignment
+    is idempotent and heat adds are exact integer-valued float
+    additions, so the vectorized kernel must match bit for bit."""
+    for page in np.asarray(pages, dtype=np.int64).tolist():
+        if mglru._gen[page] >= 0:
+            mglru._gen[page] = mglru.max_seq
+            mglru._heat[page] += 1.0
+
+
+def promote(engine: MigrationEngine, pages: np.ndarray) -> int:
+    """One demote/promote pair per page."""
+    pages = engine._reject_pinned(np.unique(np.asarray(pages, dtype=np.int64)))
+    on_cxl = pages[engine.memory.node_map[pages] == 1]
+    if on_cxl.size == 0:
+        return 0
+    budget = engine.memory.ddr.free_pages - engine.ddr_reserve_pages
+    promoted = engine._promote_sequential(pages, on_cxl, budget)
+    engine.stats.promoted += promoted
+    engine.stats.time_us += engine.cost_model.cost_us(promoted)
+    return promoted
+
+
+def demote(engine: MigrationEngine, pages: np.ndarray) -> int:
+    """One page move per demotion, stopping when CXL is full."""
+    pages = engine._reject_pinned(np.unique(np.asarray(pages, dtype=np.int64)))
+    demoted = 0
+    for lpage in pages[engine.memory.node_map[pages] == 0].tolist():
+        try:
+            engine.memory.move_page(lpage, NodeKind.CXL)
+        except MemoryError:
+            break
+        engine.mglru.untrack(np.array([lpage]))
+        demoted += 1
+    engine.stats.demoted += demoted
+    engine.stats.time_us += engine.cost_model.cost_us(demoted)
+    return demoted
+
+
+def record_hot(policy: MigrationPolicy, logical_pages: np.ndarray) -> None:
+    """One membership test and append per identified page."""
+    for lpage in np.atleast_1d(np.asarray(logical_pages, dtype=np.int64)).tolist():
+        if policy._hot_mask[lpage]:
+            continue
+        policy._hot_mask[lpage] = True
+        policy.hot_pages.append(lpage)
+        policy.hot_pfns.append(int(policy.memory.frame_map[lpage]))
+        policy._pending_candidates.append(lpage)
+
+
+# ----------------------------------------------------------------------
+# binding
+
+#: Entry points each component type swaps for its reference model.
+REFERENCE_MODELS: Tuple[Tuple[Any, Dict[str, Callable[..., Any]]], ...] = (
+    (TieredMemory, {"translate": translate,
+                    "record_epoch_accesses": record_epoch_accesses}),
+    (PageAccessCounter, {"observe": pac_observe, "observe_batch": observe_batch}),
+    (WordAccessCounter, {"observe": wac_observe, "observe_batch": observe_batch}),
+    (TopKTracker, {"observe_batch": observe_batch}),
+    (ExactTopK, {"_ingest": exact_ingest}),
+    (SortedCam, {"offer_batch": offer_batch}),
+    ((SpaceSaving, StickySampling), {"update_batch": update_batch}),
+    (MultiGenLru, {"record_accesses": record_accesses}),
+    (MigrationEngine, {"promote": promote, "demote": demote}),
+    (MigrationPolicy, {"record_hot": record_hot}),
+)
+
+
+def _bind(obj: Any, methods: Dict[str, Callable[..., Any]]) -> None:
+    # A partial, unlike a bound method, survives a pickle round trip.
+    for name, fn in methods.items():
+        setattr(obj, name, functools.partial(fn, obj))
+
+
+def as_reference(obj: T) -> T:
+    """Swap ``obj``'s vectorized entry points for the per-access
+    models above, and return it.
+
+    ``obj`` is one component (tiers, PAC/WAC, a tracker with its CAM or
+    summary, MGLRU, the migration engine, a CPU-driven policy) or a
+    whole :class:`Simulation`, whose components are all converted.  The
+    swap is per instance; other instances keep the production kernels.
+    """
+    if isinstance(obj, Simulation):
+        parts = (obj.memory, obj.mglru, obj.engine, *obj.controller.snoops,
+                 obj.epoch_policy)
+        for part in parts:
+            as_reference(part)
+        return obj
+    for cls, methods in REFERENCE_MODELS:
+        if isinstance(obj, cls):
+            _bind(obj, methods)
+    if isinstance(obj, TopKTracker):
+        for part in (getattr(obj, "cam", None), getattr(obj, "summary", None)):
+            if part is not None:
+                as_reference(part)
+    return obj
+
+
+def as_exact_sequence(tracker: T) -> T:
+    """Make a CM-Sketch or CAM-only tracker ingest one access at a time
+    (:func:`ingest_sequence`), and return it."""
+    _bind(tracker, {"observe_batch": observe_batch, "_ingest": ingest_sequence})
+    return tracker

@@ -8,6 +8,7 @@ from repro.core.trackers import (
     StickySamplingTopK,
     make_hpt,
 )
+from repro.verify import as_exact_sequence
 
 
 def skewed_addresses(rng, num_pages=200, count=20_000, exponent=1.4):
@@ -30,7 +31,7 @@ class TestMisraGriesTopK:
 
     def test_underestimates(self):
         pa = np.array([0x1000] * 100 + [0x2000] * 3, dtype=np.uint64)
-        mg = MisraGriesTopK(2, capacity=4, exact_sequence=True)
+        mg = as_exact_sequence(MisraGriesTopK(2, capacity=4))
         mg.observe(pa)
         top = dict(mg.peek())
         assert top[1] <= 100

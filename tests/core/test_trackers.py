@@ -10,6 +10,7 @@ from repro.core.trackers import (
     make_hpt,
     make_hwt,
 )
+from repro.verify import as_exact_sequence
 
 
 def skewed_addresses(rng, num_pages=200, count=20_000, exponent=1.2):
@@ -62,7 +63,7 @@ class TestQueryReset:
 
 class TestCmSketchTracker:
     def test_exact_sequence_matches_hardware_semantics(self):
-        t = CmSketchTopK(2, num_counters=1024, exact_sequence=True)
+        t = as_exact_sequence(CmSketchTopK(2, num_counters=1024))
         t.observe(np.array([0x1000] * 5 + [0x2000] * 3 + [0x3000],
                            dtype=np.uint64))
         top = t.query()
@@ -71,12 +72,12 @@ class TestCmSketchTracker:
     def test_batched_finds_same_heavy_hitters(self):
         rng = np.random.default_rng(0)
         pa = skewed_addresses(rng)
-        exact = CmSketchTopK(5, num_counters=32 * 1024, exact_sequence=True)
-        batched = CmSketchTopK(5, num_counters=32 * 1024)
+        exact = as_exact_sequence(CmSketchTopK(5, num_counters=32 * 1024))
+        chunked = CmSketchTopK(5, num_counters=32 * 1024)
         exact.observe(pa)
-        batched.observe(pa)
+        chunked.observe(pa)
         top_e = {k for k, _ in exact.query()}
-        top_b = {k for k, _ in batched.query()}
+        top_b = {k for k, _ in chunked.query()}
         assert len(top_e & top_b) >= 4
 
     def test_large_sketch_near_oracle(self):
@@ -121,7 +122,7 @@ class TestSpaceSavingTracker:
         assert len(overlap) >= 3
 
     def test_exact_sequence_mode(self):
-        ss = SpaceSavingTopK(2, capacity=4, exact_sequence=True)
+        ss = as_exact_sequence(SpaceSavingTopK(2, capacity=4))
         ss.observe(np.array([0x1000] * 5 + [0x2000], dtype=np.uint64))
         assert ss.query()[0][0] == 1
 

@@ -29,17 +29,15 @@ def small_config(**overrides):
 # golden: 1-tenant / 2-tier fleet == single-run engine, bit for bit
 
 
-@pytest.mark.parametrize("engine", ["reference", "batched"])
-def test_one_tenant_two_tier_fleet_matches_single_run(engine):
-    config = small_config(engine=engine)
+def test_one_tenant_two_tier_fleet_matches_single_run():
+    config = small_config()
     fleet_sim = FleetSimulation(
         FleetConfig(tenants=1, tiers=2, bench="mcf"), config
     )
     fleet_result = fleet_sim.run()
 
     workload = registry.build("mcf", seed=cell_seed(config.seed, "mcf"))
-    single_sim = Simulation(workload, small_config(engine=engine),
-                            policy="m5-hpt")
+    single_sim = Simulation(workload, small_config(), policy="m5-hpt")
     single = single_sim.run()
 
     tenant = fleet_result.results[0]

@@ -24,7 +24,6 @@ from repro.sim import (
 from repro.verify.differential import WALL_CLOCK_FAMILIES, _metric_mismatches
 from repro.workloads import uniform_workload
 
-ENGINES = ("reference", "batched")
 MIGRATION_MODES = ("instant", "async")
 
 
@@ -66,17 +65,12 @@ class TestKillAndResume:
 
     EVERY = 3
 
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("mode", MIGRATION_MODES)
-    def test_resume_after_kill_is_bit_identical(
-        self, tmp_path, engine, mode
-    ):
-        baseline_cfg = make_config(engine=engine, migration_mode=mode)
-        baseline = make_sim(baseline_cfg).run()
+    def test_resume_after_kill_is_bit_identical(self, tmp_path, mode):
+        baseline = make_sim(make_config(migration_mode=mode)).run()
 
-        ckpt = str(tmp_path / f"{engine}-{mode}.ckpt")
+        ckpt = str(tmp_path / f"{mode}.ckpt")
         cfg = make_config(
-            engine=engine,
             migration_mode=mode,
             checkpoint_every=self.EVERY,
             checkpoint_path=ckpt,
@@ -85,7 +79,7 @@ class TestKillAndResume:
         st = sim._initial_state()
         # Abort somewhere past the first checkpoint but before the
         # end — seeded, so the "random" epoch is reproducible.
-        kill_epoch = random.Random(f"{engine}/{mode}").randrange(
+        kill_epoch = random.Random(mode).randrange(
             self.EVERY, cfg.num_epochs
         )
         for _ in range(kill_epoch):
@@ -101,14 +95,12 @@ class TestKillAndResume:
         # The resume re-ran a real tail, or this test proves nothing.
         assert resumed_at < cfg.num_epochs
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_checkpointing_itself_is_invisible(self, tmp_path, engine):
+    def test_checkpointing_itself_is_invisible(self, tmp_path):
         """With no kill at all, a checkpointed run's results equal a
         checkpoint-free run's — persisting must not perturb the
         timeline, the metrics, or any result field."""
-        plain = make_sim(make_config(engine=engine)).run()
+        plain = make_sim(make_config()).run()
         sim = make_sim(make_config(
-            engine=engine,
             checkpoint_every=4,
             checkpoint_path=str(tmp_path / "c.ckpt"),
         ))

@@ -153,12 +153,11 @@ class TestSweepMetrics:
         monkeypatch.setattr(cli, "run_matrix", fake_run_matrix)
         rc = main([
             "sweep", "--benches", "mcf", "--policies", "anb",
-            "--accesses", "100000", "--engine", "reference",
+            "--accesses", "100000",
             "--migration-mode", "async", "--mig-budget", "7",
         ])
         assert rc == 0
         config = seen["config"]
-        assert config.engine == "reference"
         assert config.migration_mode == "async"
         assert config.migration_inflight_budget == 7
         assert config.total_accesses == 100_000
@@ -346,3 +345,11 @@ class TestParser:
         # error with the CLI's usual exit code.
         assert main(["run"]) == 2
         assert "--bench is required" in capsys.readouterr().out
+
+    def test_engine_flag_is_a_usage_error(self, capsys):
+        # The per-access reference models live in repro.verify; the
+        # CLI has one hot path and no knob to select another.
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--bench", "mcf", "--engine", "batched"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err

@@ -8,6 +8,10 @@ migration mode.  The refactored pipeline must reproduce every
 ``RunResult`` field bit-for-bit: execution-time decomposition,
 promoted/demoted counts, tier occupancy, the ratio checkpoints, and
 the hot-page-list length.
+
+Each policy is checked twice: on the production pipeline, and on the
+per-access reference models (``repro.verify.as_reference``) the
+vectorized kernels are verified against.
 """
 
 import json
@@ -18,7 +22,8 @@ import pytest
 
 from repro.baselines import EpochPolicy, MigrationPolicy
 from repro.sim import SimConfig, Simulation
-from repro.sim.engine import ALL_POLICIES, run_policy
+from repro.sim.engine import ALL_POLICIES
+from repro.verify import as_reference
 from repro.workloads import build
 
 GOLDENS_PATH = os.path.join(os.path.dirname(__file__), "data", "pipeline_goldens.json")
@@ -27,7 +32,7 @@ with open(GOLDENS_PATH) as fh:
     GOLDENS = json.load(fh)
 
 
-def golden_config(migrate: bool, engine: str = "batched") -> SimConfig:
+def golden_config(migrate: bool) -> SimConfig:
     """The exact configuration the goldens were captured under."""
     return SimConfig(
         total_accesses=120_000,
@@ -37,8 +42,16 @@ def golden_config(migrate: bool, engine: str = "batched") -> SimConfig:
         checkpoints=3,
         pages_per_gb=1024,
         migrate=migrate,
-        engine=engine,
     )
+
+
+def golden_run(policy: str, migrate: bool, engine: str):
+    """One golden-config run on the production pipeline ("batched") or
+    on the per-access reference models ("reference")."""
+    sim = Simulation(build("mcf", seed=0), golden_config(migrate), policy=policy)
+    if engine == "reference":
+        as_reference(sim)
+    return sim.run()
 
 
 def result_fields(result) -> dict:
@@ -56,27 +69,21 @@ def result_fields(result) -> dict:
 
 
 class TestPipelineEquivalence:
-    """Both hot-path engines must reproduce the frozen goldens: the
-    batched default because it is what runs, and the per-access
-    reference because it is the differential-oracle baseline."""
+    """Both implementations must reproduce the frozen goldens: the
+    production pipeline because it is what runs, and the per-access
+    reference models because they are the differential oracle."""
 
     @pytest.mark.parametrize("engine", ["batched", "reference"])
     @pytest.mark.parametrize("policy", ALL_POLICIES)
     def test_identification_mode_matches_seed_engine(self, policy, engine):
         golden = GOLDENS[f"{policy}|ident"]
-        result = run_policy(
-            build("mcf", seed=0), policy, golden_config(False, engine)
-        )
-        assert result_fields(result) == golden
+        assert result_fields(golden_run(policy, False, engine)) == golden
 
     @pytest.mark.parametrize("engine", ["batched", "reference"])
     @pytest.mark.parametrize("policy", ALL_POLICIES)
     def test_migration_mode_matches_seed_engine(self, policy, engine):
         golden = GOLDENS[f"{policy}|mig"]
-        result = run_policy(
-            build("mcf", seed=0), policy, golden_config(True, engine)
-        )
-        assert result_fields(result) == golden
+        assert result_fields(golden_run(policy, True, engine)) == golden
 
     def test_goldens_cover_every_policy(self):
         covered = {key.split("|")[0] for key in GOLDENS}

@@ -17,6 +17,7 @@ from repro.cxl.wac import WordAccessCounter
 from repro.memory.address import PAGE_SIZE, AddressRegion
 from repro.memory.migration import MigrationEngine
 from repro.memory.tiers import NodeKind, TieredMemory
+from repro.verify import as_exact_sequence
 
 BASE = 0x4000_0000
 
@@ -67,7 +68,7 @@ class TestTrackerGuarantees:
     @given(st.lists(st.integers(0, 100), min_size=10, max_size=500))
     def test_cm_sketch_tracker_counts_never_underestimate(self, pages):
         pa = (np.array(pages, dtype=np.uint64) << np.uint64(12))
-        tracker = CmSketchTopK(5, num_counters=256, exact_sequence=True)
+        tracker = as_exact_sequence(CmSketchTopK(5, num_counters=256))
         oracle = ExactTopK(101)
         tracker.observe(pa)
         oracle.observe(pa)
@@ -79,7 +80,7 @@ class TestTrackerGuarantees:
     @given(st.lists(st.integers(0, 100), min_size=10, max_size=500))
     def test_space_saving_tracker_never_underestimates(self, pages):
         pa = (np.array(pages, dtype=np.uint64) << np.uint64(12))
-        tracker = SpaceSavingTopK(5, capacity=16, exact_sequence=True)
+        tracker = as_exact_sequence(SpaceSavingTopK(5, capacity=16))
         oracle = ExactTopK(101)
         tracker.observe(pa)
         oracle.observe(pa)

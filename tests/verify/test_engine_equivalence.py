@@ -1,13 +1,13 @@
-"""Hypothesis equivalence suites: batched kernels ≡ reference loops.
+"""Hypothesis equivalence suites: vectorized kernels ≡ reference models.
 
-Every vectorized kernel of the epoch hot path keeps a per-access
-reference implementation (the ``engine="reference"`` path).  The
-batched twin promises *identical* end state — not statistically
-similar, identical — and these properties check that promise on
-randomly generated streams, including the shapes most likely to break
-a vectorization: empty chunks, all-duplicate chunks, streams that
-saturate hardware counters, and estimate ties that stress eviction
-order.
+Every vectorized kernel of the epoch hot path has a per-access
+reference model in :mod:`repro.verify.reference`, bound onto an
+instance by ``as_reference``.  The kernel promises *identical* end
+state — not statistically similar, identical — and these properties
+check that promise on randomly generated streams, including the shapes
+most likely to break a vectorization: empty chunks, all-duplicate
+chunks, streams that saturate hardware counters, and estimate ties
+that stress eviction order.
 
 ``derandomize=True`` keeps CI deterministic: examples are derived
 from the property itself, not a random seed.
@@ -28,6 +28,7 @@ from repro.memory.address import PAGE_SHIFT, PAGE_SIZE, AddressRegion
 from repro.memory.mglru import MultiGenLru
 from repro.memory.migration import MigrationEngine
 from repro.memory.tiers import NodeKind, TieredMemory
+from repro.verify import as_reference
 
 SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
 
@@ -82,7 +83,7 @@ class TestSortedCamOfferBatch:
 
 
 class TestCountStructureBatches:
-    """update_batch ≡ update_batch_reference for the count summaries.
+    """update_batch ≡ one update_one per key for the count summaries.
 
     Dict *order* is asserted too — downstream tie-breaks (CAM argmin,
     StickySampling's RNG-in-dict-order diminish) depend on it.
@@ -91,10 +92,10 @@ class TestCountStructureBatches:
     @SETTINGS
     @given(chunked_streams)
     def test_spacesaving(self, chunks):
-        ref, fast = SpaceSaving(8), SpaceSaving(8)
+        ref, fast = as_reference(SpaceSaving(8)), SpaceSaving(8)
         for chunk in chunks:
             keys = np.asarray(chunk, dtype=np.uint64)
-            ref.update_batch_reference(keys)
+            ref.update_batch(keys)
             fast.update_batch(keys)
         assert list(ref._counts.items()) == list(fast._counts.items())
         assert ref.items_seen == fast.items_seen
@@ -103,10 +104,10 @@ class TestCountStructureBatches:
     @SETTINGS
     @given(chunked_streams)
     def test_misra_gries(self, chunks):
-        ref, fast = MisraGries(8), MisraGries(8)
+        ref, fast = as_reference(MisraGries(8)), MisraGries(8)
         for chunk in chunks:
             keys = np.asarray(chunk, dtype=np.uint64)
-            ref.update_batch_reference(keys)
+            ref.update_batch(keys)
             fast.update_batch(keys)
         assert list(ref._counts.items()) == list(fast._counts.items())
         assert ref.items_seen == fast.items_seen
@@ -114,34 +115,33 @@ class TestCountStructureBatches:
     @SETTINGS
     @given(chunked_streams)
     def test_sticky_sampling(self, chunks):
-        ref = StickySampling(support=0.1, error=0.05, failure_prob=0.1,
-                             seed=5)
+        ref = as_reference(StickySampling(support=0.1, error=0.05,
+                                          failure_prob=0.1, seed=5))
         fast = StickySampling(support=0.1, error=0.05, failure_prob=0.1,
                               seed=5)
         for chunk in chunks:
             keys = np.asarray(chunk, dtype=np.uint64)
-            ref.update_batch_reference(keys)
+            ref.update_batch(keys)
             fast.update_batch(keys)
         assert list(ref._counts.items()) == list(fast._counts.items())
         assert ref.items_seen == fast.items_seen
-        # The batched path must consume the sampling RNG at exactly the
-        # reference positions, or future admissions diverge.
+        # The vectorized path must consume the sampling RNG at exactly
+        # the reference positions, or future admissions diverge.
         assert (ref._rng.bit_generator.state
                 == fast._rng.bit_generator.state)
 
 
 class TestTrackerBatches:
-    """Full trackers: observe_batch on batched vs reference instances."""
+    """Full trackers: observe_batch on production vs reference instances."""
 
     @SETTINGS
     @given(chunked_streams)
     def test_all_algorithms(self, chunks):
         for algorithm in ("cm-sketch", "space-saving", "misra-gries",
                           "sticky-sampling", "exact"):
-            ref = make_hpt(k=6, algorithm=algorithm, num_counters=256,
-                           batched=False)
-            fast = make_hpt(k=6, algorithm=algorithm, num_counters=256,
-                            batched=True)
+            ref = as_reference(
+                make_hpt(k=6, algorithm=algorithm, num_counters=256))
+            fast = make_hpt(k=6, algorithm=algorithm, num_counters=256)
             for chunk in chunks:
                 batch = AccessBatch(_addresses(chunk), region=REGION)
                 ref.observe_batch(batch)
@@ -157,35 +157,35 @@ class TestSnoopCounterBatches:
     @SETTINGS
     @given(chunked_streams)
     def test_pac_counts(self, chunks):
-        ref = PageAccessCounter(REGION, counter_bits=2, batched=False)
-        fast = PageAccessCounter(REGION, counter_bits=2, batched=True)
+        ref = as_reference(PageAccessCounter(REGION, counter_bits=2))
+        fast = PageAccessCounter(REGION, counter_bits=2)
         for chunk in chunks:
-            addresses = _addresses(chunk)
-            ref.observe(addresses)
-            fast.observe_batch(AccessBatch(addresses, region=REGION))
+            batch = AccessBatch(_addresses(chunk), region=REGION)
+            ref.observe_batch(batch)
+            fast.observe_batch(batch)
         assert np.array_equal(ref.counts(), fast.counts())
         assert ref.total_accesses == fast.total_accesses
 
     @SETTINGS
     @given(chunked_streams)
     def test_wac_counts(self, chunks):
-        ref = WordAccessCounter(REGION, window_bytes=REGION.size // 2,
-                                counter_bits=2, batched=False)
+        ref = as_reference(WordAccessCounter(
+            REGION, window_bytes=REGION.size // 2, counter_bits=2))
         fast = WordAccessCounter(REGION, window_bytes=REGION.size // 2,
-                                 counter_bits=2, batched=True)
+                                 counter_bits=2)
         for chunk in chunks:
-            addresses = _addresses(chunk)
-            ref.observe(addresses)
-            fast.observe_batch(AccessBatch(addresses, region=REGION))
+            batch = AccessBatch(_addresses(chunk), region=REGION)
+            ref.observe_batch(batch)
+            fast.observe_batch(batch)
         assert np.array_equal(ref.counts(), fast.counts())
         assert ref.total_accesses == fast.total_accesses
 
 
-def _tiered(batched):
+def _tiered(reference):
     memory = TieredMemory(ddr_pages=8, cxl_pages=NUM_PAGES + 4,
-                          num_logical_pages=NUM_PAGES, batched=batched)
+                          num_logical_pages=NUM_PAGES)
     memory.allocate_all(NodeKind.CXL)
-    return memory
+    return as_reference(memory) if reference else memory
 
 
 class TestMemoryBatches:
@@ -195,8 +195,7 @@ class TestMemoryBatches:
     @given(streams)
     def test_mglru_record_accesses(self, keys):
         pages = np.asarray(keys, dtype=np.int64) % NUM_PAGES
-        ref, fast = MultiGenLru(NUM_PAGES, batched=False), MultiGenLru(
-            NUM_PAGES, batched=True)
+        ref, fast = as_reference(MultiGenLru(NUM_PAGES)), MultiGenLru(NUM_PAGES)
         for lru in (ref, fast):
             lru.track(np.arange(0, NUM_PAGES, 2))
             lru.age()
@@ -209,10 +208,13 @@ class TestMemoryBatches:
     @given(chunked_streams)
     def test_promote_demote_state(self, chunks):
         states = []
-        for batched in (False, True):
-            memory = _tiered(batched)
-            mglru = MultiGenLru(NUM_PAGES, batched=batched)
-            engine = MigrationEngine(memory, mglru=mglru, batched=batched)
+        for reference in (True, False):
+            memory = _tiered(reference)
+            mglru = MultiGenLru(NUM_PAGES)
+            engine = MigrationEngine(memory, mglru=mglru)
+            if reference:
+                as_reference(mglru)
+                as_reference(engine)
             for i, chunk in enumerate(chunks):
                 pages = np.asarray(chunk, dtype=np.int64) % NUM_PAGES
                 mglru.record_accesses(pages[memory.node_map[pages] == 0])
@@ -235,7 +237,7 @@ class TestMemoryBatches:
         addresses = (pages.astype(np.uint64) << np.uint64(PAGE_SHIFT)) | (
             np.arange(pages.size, dtype=np.uint64) % np.uint64(PAGE_SIZE)
         )
-        ref, fast = _tiered(False), _tiered(True)
+        ref, fast = _tiered(True), _tiered(False)
         assert np.array_equal(ref.translate(addresses),
                               fast.translate(addresses))
         ref.record_epoch_accesses(pages)

@@ -1,19 +1,19 @@
 #!/usr/bin/env python
-"""Engine gate: the batched hot path must beat the reference engine.
+"""Engine gate: the vectorized hot path must beat the reference models.
 
 Runs the same (bench, policy, seed) simulation ``--repeats`` times per
-engine — ``reference`` (one Python iteration per access) and
-``batched`` (numpy arrays end-to-end) — interleaved so CPU frequency
-drift hits both legs equally, compares median wall-clock times, and
-exits non-zero when the end-to-end speedup falls below
-``--min-speedup``.
+leg — ``reference`` (the per-access models of
+``repro.verify.reference``, one Python iteration per access, bound by
+``as_reference``) and ``batched`` (the production pipeline, numpy
+arrays end-to-end) — interleaved so CPU frequency drift hits both legs
+equally, compares median wall-clock times, and exits non-zero when the
+end-to-end speedup falls below ``--min-speedup``.
 
-Also asserts the two engines are bit-identical (same RunResult fields,
-same hot-page sets, same checkpoint ratios — the engine knob may only
+Also asserts the two legs are bit-identical (same RunResult fields,
+same hot-page sets, same checkpoint ratios — vectorizing may only
 change *how fast* an epoch is computed, never *what* it computes) and
-records per-stage accesses/sec from one traced run per engine
-(excluded from the timing legs) to ``BENCH_engine.json`` at the repo
-root.
+records per-stage accesses/sec from one traced run per leg (excluded
+from the timing legs) to ``BENCH_engine.json`` at the repo root.
 
 Usage::
 
@@ -34,6 +34,7 @@ from bench_common import cpu_count, write_record  # noqa: E402
 
 from repro.obs import Observability  # noqa: E402
 from repro.sim import SimConfig, Simulation  # noqa: E402
+from repro.verify import as_reference  # noqa: E402
 from repro.workloads import registry  # noqa: E402
 
 ENGINES = ("reference", "batched")
@@ -59,10 +60,11 @@ def one_run(args, engine, obs=None):
         chunk_size=args.chunk,
         trace_subsample=64.0,
         checkpoints=1,
-        engine=engine,
     )
     sim = Simulation(workload, config, policy=args.policy,
                      enable_wac=True, obs=obs)
+    if engine == "reference":
+        as_reference(sim)
     start = time.perf_counter()
     result = sim.run()
     return time.perf_counter() - start, result
@@ -95,7 +97,7 @@ def main() -> int:
     parser.add_argument("--chunk", type=int, default=16_384)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--repeats", type=int, default=5,
-                        help="runs per engine; the median is compared")
+                        help="runs per leg; the median is compared")
     parser.add_argument("--min-speedup", type=float, default=10.0,
                         help="required end-to-end batched speedup")
     parser.add_argument("--smoke", action="store_true",
@@ -134,10 +136,10 @@ def main() -> int:
     if ref.ratio_checkpoints != fast.ratio_checkpoints:
         mismatched.append("ratio_checkpoints")
     if mismatched:
-        print(f"FAIL: engines disagree on {', '.join(mismatched)} — "
-              "the engine knob must not change results")
+        print(f"FAIL: legs disagree on {', '.join(mismatched)} — "
+              "the vectorized kernels must not change results")
         return 1
-    print("engines bit-identical: True")
+    print("legs bit-identical: True")
 
     record = {
         "bench": args.bench,
@@ -157,10 +159,10 @@ def main() -> int:
     write_record(args.output, record)
 
     if speedup < args.min_speedup:
-        print(f"FAIL: batched engine speedup {speedup:.2f}x below the "
+        print(f"FAIL: batched speedup {speedup:.2f}x below the "
               f"{args.min_speedup:.1f}x gate")
         return 1
-    print(f"OK: batched engine is {speedup:.2f}x faster than reference")
+    print(f"OK: batched is {speedup:.2f}x faster than the reference models")
     return 0
 
 
