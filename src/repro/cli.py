@@ -1067,8 +1067,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="project-aware static analysis (determinism, units, numpy "
-             "dtype safety, registry drift)",
+        help="project-aware static analysis (determinism, units, hot-path "
+             "loops, registry drift, crash safety, pickle safety)",
     )
     from repro.lintkit import add_arguments as _add_lint_arguments
 

@@ -12,31 +12,25 @@ differential oracles) can only check *after* a simulation has run:
   carrying a unit suffix (``_us``, ``_ns``, ``_s``, ``_gbps``,
   ``_bytes``, ``_pages``, …) may only mix through explicit
   conversions;
-* **numpy counter safety** (``DTYPE001``) — narrow integer SRAM
-  counters in ``cxl/`` must handle saturation explicitly, mirroring
-  PAC's L-bit spill model;
+* **hot-path loops** (``PERF001``) — no per-element iteration over an
+  ndarray in the simulation's hot layers;
 * **registry drift** (``DRIFT001``–``DRIFT003``) — ``SimConfig``
   knobs, telemetry event names, and metric families stay in sync with
   the checked-in registries under ``docs/registries/``;
-* **concurrency** (``CONC001``–``CONC004``) — lock discipline on
-  shared attributes, no blocking calls while holding a lock, thread
-  lifecycle hygiene, and a *checked* ``# lint: torn-safe`` annotation
-  for deliberately lock-free designs;
-* **crash safety** (``CRASH001``–``CRASH004``) — checkpoint artifacts
+* **crash safety** (``CRASH001``–``CRASH003``) — checkpoint artifacts
   flow through tmp + ``os.replace`` with the manifest replaced last,
-  fsync-before-replace (advisory), and handle hygiene on error paths;
+  and fsync-before-replace (advisory);
 * **pickle safety** (``PICKLE001``–``PICKLE002``) — classes reachable
   from the checkpoint pickles carry no OS resources or lambdas.
 
-The CONC/CRASH/PICKLE families run on a project-level model
+The CRASH/PICKLE families run on a project-level model
 (:mod:`repro.lintkit.model`): a symbol table, a module-granular call
 graph, and attribute→class reachability, built once per run.
 
-Run it as ``repro lint`` or ``python tools/run_lint.py``; suppress a
-deliberate exception with a ``# lint: disable=RULE`` comment (unused
-suppressions are themselves flagged as ``SUP001``).  ``--format
-sarif`` emits SARIF 2.1.0 for CI/PR annotation; ``--changed REF``
-keeps only findings on lines changed since a git ref.  See
+Run it as ``repro lint``; suppress a deliberate exception with a
+``# lint: disable=RULE`` comment (unused suppressions are themselves
+flagged as ``SUP001``).  ``repro lint --update-registries``
+regenerates the extraction-based registries.  See
 ``docs/static_analysis.md`` for the full catalogue and the
 registry-file workflow.
 """
@@ -50,11 +44,9 @@ from repro.lintkit.engine import (
     format_json,
     lint_project,
     load_project,
-    main,
     run_from_args,
 )
 from repro.lintkit.findings import Finding, Severity
-from repro.lintkit.sarif import format_sarif
 
 # Importing the rule modules registers every rule in RULE_REGISTRY.
 from repro.lintkit import rules as _rules  # noqa: F401
@@ -73,8 +65,6 @@ __all__ = [
     "load_project",
     "format_human",
     "format_json",
-    "format_sarif",
     "add_arguments",
     "run_from_args",
-    "main",
 ]

@@ -6,7 +6,6 @@ import ast
 import os
 from typing import Dict, Iterable, List, Optional
 
-from repro.lintkit.annotations import TornSafeAnnotations, find_torn_safe
 from repro.lintkit.suppressions import FileSuppressions, find_suppressions
 
 
@@ -21,8 +20,6 @@ class FileContext:
         tree: the parsed :mod:`ast` module, or ``None`` when the file
             has a syntax error (reported as ``PARSE`` by the engine).
         suppressions: the file's ``# lint: disable=`` comments.
-        torn_safe: the file's ``# lint: torn-safe`` annotations,
-            consumed by the CONC concurrency rules.
     """
 
     def __init__(self, path: str, rel: str, source: str):
@@ -36,7 +33,6 @@ class FileContext:
             self.tree = None
             self.syntax_error = exc
         self.suppressions: FileSuppressions = find_suppressions(source)
-        self.torn_safe: TornSafeAnnotations = find_torn_safe(source)
         if self.tree is not None:
             spans: dict = {}
             for node in ast.walk(self.tree):
@@ -47,7 +43,6 @@ class FileContext:
                     if prev is None or end < prev:
                         spans[node.lineno] = end
             self.suppressions.expand(spans)
-            self.torn_safe.expand(spans)
 
     def in_layer(self, *layers: str) -> bool:
         """True if the file lives under ``repro/<layer>/`` for any of

@@ -1,5 +1,5 @@
 """Lint engine: file collection, rule dispatch, suppression
-accounting, and the ``repro lint`` command-line front end."""
+accounting, and the ``repro lint`` arguments and runner."""
 
 from __future__ import annotations
 
@@ -181,8 +181,7 @@ def format_json(result: LintResult) -> str:
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the lint arguments (shared by ``repro lint`` and the
-    standalone ``tools/run_lint.py``)."""
+    """Attach the ``repro lint`` arguments to ``parser``."""
     parser.add_argument(
         "paths", nargs="*", default=["src"],
         help="files or directories to lint (default: src)",
@@ -192,13 +191,8 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         help="project root anchoring docs/registries/ (default: cwd)",
     )
     parser.add_argument(
-        "--format", choices=("human", "json", "sarif"), default="human",
-        help="report format (sarif for CI/PR annotation upload)",
-    )
-    parser.add_argument(
-        "--changed", default=None, metavar="REF",
-        help="keep only findings on lines changed since the git REF "
-        "(e.g. origin/main) — the new-code gate for rule rollouts",
+        "--format", choices=("human", "json"), default="human",
+        help="report format",
     )
     parser.add_argument(
         "--output", default=None, metavar="FILE",
@@ -209,31 +203,27 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         help="comma-separated rule ids to run (default: all)",
     )
     parser.add_argument(
-        "--max-suppressions", type=int, default=None, metavar="N",
-        help="fail (exit 1) when more than N findings are suppressed "
-        "— the CI budget keeping `# lint: disable` from accreting",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalogue and exit",
     )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro lint",
-        description="project-aware static analysis (determinism, units, "
-        "numpy dtype safety, registry drift, concurrency, crash safety, "
-        "pickle safety)",
+    parser.add_argument(
+        "--update-registries", action="store_true",
+        help="regenerate docs/registries/{telemetry_events,metric_families}"
+        ".json from the scanned source and exit",
     )
-    add_arguments(parser)
-    return parser
 
 
 def run_from_args(args: argparse.Namespace) -> int:
     if args.list_rules:
         for rule in all_rules():
             print(f"{rule.id}  [{rule.severity}]  {rule.title}")
+        return 0
+    if args.update_registries:
+        from repro.lintkit.rules.drift import update_registries
+
+        project = load_project(args.paths, root=args.root)
+        for path in update_registries(project):
+            print(f"registry updated: {os.path.relpath(path, project.root)}")
         return 0
     only = (
         [r.strip() for r in args.rules.split(",") if r.strip()]
@@ -246,22 +236,7 @@ def run_from_args(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(f"lint: {exc.args[0]}", file=sys.stderr)
         return 2
-    if getattr(args, "changed", None):
-        from repro.lintkit.diffscope import DiffScopeError, filter_changed
-
-        try:
-            result = filter_changed(result, project.root, args.changed)
-        except DiffScopeError as exc:
-            print(f"lint: {exc}", file=sys.stderr)
-            return 2
-    if args.format == "sarif":
-        from repro.lintkit.sarif import format_sarif
-
-        report = format_sarif(result)
-    elif args.format == "json":
-        report = format_json(result)
-    else:
-        report = format_human(result)
+    report = format_json(result) if args.format == "json" else format_human(result)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(report + "\n")
@@ -271,20 +246,4 @@ def run_from_args(args: argparse.Namespace) -> int:
         )
     else:
         print(report)
-    budget = getattr(args, "max_suppressions", None)
-    if budget is not None and result.summary.suppressed > budget:
-        print(
-            f"lint: suppression budget exceeded: "
-            f"{result.summary.suppressed} suppressed > budget {budget}",
-            file=sys.stderr,
-        )
-        return 1
     return result.exit_code()
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    return run_from_args(build_parser().parse_args(argv))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

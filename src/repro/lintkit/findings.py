@@ -10,7 +10,7 @@ class Severity(enum.Enum):
     """How bad a finding is.
 
     ``ERROR`` findings are correctness hazards (nondeterminism, unit
-    mix-ups, silent integer saturation, registry drift) and fail the
+    mix-ups, registry drift, torn checkpoints) and fail the
     lint run; ``WARNING`` findings are advisory and also fail the run
     — the linter has no "soft" mode, a warning must be fixed or
     suppressed — but are ranked below errors in the report.
@@ -72,14 +72,6 @@ class Finding:
 
     def sort_key(self) -> tuple:
         return (self.path, self.line, self.col, self.rule)
-
-
-@dataclass
-class RuleStats:
-    """Per-rule counters for the run summary."""
-
-    findings: int = 0
-    suppressed: int = 0
 
 
 @dataclass

@@ -1,22 +1,22 @@
 """Project-level analysis model for :mod:`repro.lintkit`.
 
-The per-file visitor rules (DET/UNIT/DTYPE/…) see one AST at a time;
-the CONC/CRASH/PICKLE rule families need to reason about *protocols*
-that span functions, classes, and modules — "is a blocking call
-reachable from inside this lock region?", "which classes end up
+The per-file visitor rules (DET/UNIT/PERF/…) see one AST at a time;
+the CRASH/PICKLE rule families need to reason about *protocols* that
+span functions, classes, and modules — "does anything this
+checkpoint writer calls reach ``os.fsync``?", "which classes end up
 inside the checkpoint pickle?".  This subpackage supplies that view:
 
 * :mod:`~repro.lintkit.model.builder` — the symbol table: every
   module, class, and function in the linted tree under its dotted
   qualname, with import aliases resolved;
 * :mod:`~repro.lintkit.model.summaries` — per-function and per-class
-  summaries (call sites, lock regions, attribute writes, durable
-  file writes, raise/blocking facts, attribute→class bindings)
+  summaries (call sites, attribute writes, durable file writes and
+  their publishing replaces, fsync calls, attribute→class bindings)
   computed in one AST walk per function;
 * :mod:`~repro.lintkit.model.queries` — the module-granular call
   graph plus the fixpoint/reachability queries rules consume
-  (transitively-blocking functions, fsync-calling functions,
-  pickle-reachable classes with provenance paths).
+  (fsync-calling functions, pickle-reachable classes with provenance
+  paths).
 
 Build one with :func:`get_model`; the instance is cached on the
 :class:`~repro.lintkit.context.Project`, so every rule in a run

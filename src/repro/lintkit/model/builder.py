@@ -16,7 +16,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterable, List, Optional, Set
 
-from repro.lintkit.base import import_aliases
+from repro.lintkit.base import dotted_name, import_aliases
 from repro.lintkit.context import FileContext, Project
 
 #: Attribute name on the Project instance caching the built model.
@@ -47,8 +47,8 @@ class FunctionInfo:
     """One function or method definition.
 
     Summary fields (``calls``, ``attr_writes``, ``durable_writes``,
-    ``replaces``, ``raises_directly``, ``blocking_sites``) are filled
-    by :mod:`~repro.lintkit.model.summaries` right after construction;
+    ``replaces``, ``calls_fsync``) are filled by
+    :mod:`~repro.lintkit.model.summaries` right after construction;
     the builder only records identity.
     """
 
@@ -69,10 +69,7 @@ class FunctionInfo:
         self.attr_writes: list = []
         self.durable_writes: list = []
         self.replaces: list = []
-        self.raises_directly = False
-        self.blocking_sites: list = []
         self.calls_fsync = False
-        self.thread_creates: list = []
 
     @property
     def ctx(self) -> FileContext:
@@ -98,8 +95,6 @@ class ClassInfo:
         self.base_names: List[str] = []
         # -- filled by summaries.summarize_class --
         self.attr_classes: Dict[str, Set[str]] = {}
-        self.lock_attrs: Set[str] = set()
-        self.launches_thread = False
         self.custom_pickle = False  #: defines __getstate__/__reduce__
 
     @property
@@ -121,13 +116,6 @@ class ModuleInfo:
         )
         self.classes: Dict[str, ClassInfo] = {}
         self.functions: Dict[str, FunctionInfo] = {}
-
-    @property
-    def imports_threading(self) -> bool:
-        return any(
-            target == "threading" or target.startswith("threading.")
-            for target in self.aliases.values()
-        )
 
     def resolve_alias(self, dotted: str) -> str:
         """Expand the leading segment of ``dotted`` through this
@@ -193,7 +181,7 @@ class ProjectModel:
                 self.classes[qualname] = cls
                 module.classes[node.name] = cls
                 for base in node.bases:
-                    dotted = _dotted(base)
+                    dotted = dotted_name(base)
                     if dotted:
                         cls.base_names.append(dotted)
                 self._index_body(module, cls, qualname, node.body)
@@ -288,17 +276,6 @@ class ProjectModel:
                 return current.methods[name]
             frontier.extend(self.base_classes(current))
         return None
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 def get_model(project: Project) -> ProjectModel:

@@ -2,11 +2,11 @@
 
 Everything here is module-granular and conservative in the direction
 the rules need: call edges only exist where the summary pass resolved
-a callee to a project function, so "transitively blocking" can miss
-dynamic dispatch but never invents an edge.  Each query carries
-*provenance* — a human-readable chain (``checkpoint → _write_blob →
-time.sleep``) — so findings can explain themselves instead of just
-pointing at a line.
+a callee to a project function, so "transitively calls fsync" can miss
+dynamic dispatch but never invents an edge.  Pickle reachability
+carries *provenance* — a human-readable chain
+(``Service.checkpoint → StreamRun.sim → Simulation.telemetry``) — so
+findings can explain themselves instead of just pointing at a line.
 """
 
 from __future__ import annotations
@@ -17,82 +17,20 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.lintkit.model.builder import ClassInfo, ProjectModel
 
-#: Class names (leaf or dotted) that hold OS resources a pickle cannot
-#: carry; used by reachable-class consumers, exported for tests.
-RESOURCE_BASES = {
-    "threading.Thread",
-    "threading.Lock",
-    "threading.RLock",
-    "threading.Condition",
-    "socket.socket",
-}
-
 
 class GraphQueries:
     """Fixpoint and BFS queries, built once per model."""
 
     def __init__(self, model: "ProjectModel") -> None:
         self.model = model
-        #: qualname -> set of callee qualnames (project functions only).
-        self.edges: Dict[str, Set[str]] = {}
-        #: callee qualname -> set of caller qualnames.
+        #: callee qualname -> set of caller qualnames (project
+        #: functions only).
         self.redges: Dict[str, Set[str]] = {}
         for info in model.functions.values():
-            targets = self.edges.setdefault(info.qualname, set())
             for site in info.calls:
                 for callee in site.candidates:
-                    targets.add(callee)
                     self.redges.setdefault(callee, set()).add(info.qualname)
-        self._blocking: Optional[Dict[str, str]] = None
         self._fsyncing: Optional[Set[str]] = None
-
-    # ------------------------------------------------------------------
-    # plain reachability
-
-    def reachable(self, seeds: Iterable[str]) -> Set[str]:
-        """Function qualnames reachable from ``seeds`` (inclusive)."""
-        seen: Set[str] = set()
-        frontier = [s for s in seeds if s in self.edges]
-        while frontier:
-            current = frontier.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            frontier.extend(self.edges.get(current, ()))
-        return seen
-
-    # ------------------------------------------------------------------
-    # blocking fixpoint
-
-    def blocking_reason(self, qualname: str) -> Optional[str]:
-        """Why ``qualname`` may block, as a call chain ending at the
-        primitive (``_flush → os.fsync``), or None if it cannot."""
-        return self._blocking_map().get(qualname)
-
-    def _blocking_map(self) -> Dict[str, str]:
-        if self._blocking is not None:
-            return self._blocking
-        reasons: Dict[str, str] = {}
-        worklist: List[str] = []
-        for info in self.model.functions.values():
-            if info.blocking_sites:
-                site = info.blocking_sites[0]
-                label = site.external or (
-                    f"{site.receiver}.{site.method}()"
-                    if site.receiver and site.method
-                    else "blocking call"
-                )
-                reasons[info.qualname] = label
-                worklist.append(info.qualname)
-        while worklist:
-            callee = worklist.pop()
-            for caller in self.redges.get(callee, ()):
-                if caller in reasons:
-                    continue
-                reasons[caller] = f"{_short(callee)} → {reasons[callee]}"
-                worklist.append(caller)
-        self._blocking = reasons
-        return reasons
 
     # ------------------------------------------------------------------
     # fsync fixpoint
@@ -248,8 +186,3 @@ def _mentions_bare_self(expr: ast.expr) -> bool:
             return True
     return False
 
-
-def _short(qualname: str) -> str:
-    """The last two dotted segments — enough to read a chain."""
-    parts = qualname.rsplit(".", 2)
-    return ".".join(parts[-2:]) if len(parts) > 1 else qualname

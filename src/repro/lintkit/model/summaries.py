@@ -1,8 +1,7 @@
 """Per-function and per-class summaries for the project model.
 
-One recursive walk per function collects everything the CONC/CRASH/
-PICKLE rules need, annotated with the *lock context* (the nesting
-depth of ``with <lock>:`` statements) at each site:
+One recursive walk per function collects everything the CRASH/PICKLE
+rules need:
 
 * :class:`CallSite` — every call, resolved module-granularly to
   project functions/classes (through import aliases and ``self.``
@@ -10,26 +9,23 @@ depth of ``with <lock>:`` statements) at each site:
   dotted path;
 * :class:`AttrWrite` — every write to ``self.<attr>`` classified as a
   *rebind* (``self.x = …``) or a *mutation* (``self.x += …``,
-  ``self.x[k] = …``, ``self.x.append(…)``);
+  ``self.x[k] = …``);
 * :class:`DurableWrite` / :class:`ReplaceCall` — file writes that
   land bytes on disk and the ``os.replace`` calls that publish them,
   each carrying the lowercase token bag of its path expression
   (identifiers + string literals, with one level of local-variable
   expansion) so the CRASH rules can classify checkpoint/tmp paths;
-* blocking facts (``time.sleep``, socket/subprocess primitives,
-  ``.join()``/``.acquire()`` on concurrency-named receivers), direct
-  ``raise`` statements, and ``os.fsync`` calls.
+* ``os.fsync`` calls.
 
-Class summaries aggregate the methods: lock-attribute ownership,
-thread launches, attribute→class bindings (from constructor calls,
-``self.x: T`` annotations, class-body fields, and ``__init__``
-parameter annotations — the edges pickle-reachability walks), and
-custom-pickle (``__getstate__``/``__reduce__``) markers.
+Class summaries aggregate the methods: attribute→class bindings (from
+constructor calls, ``self.x: T`` annotations, class-body fields, and
+``__init__`` parameter annotations — the edges pickle-reachability
+walks), and custom-pickle (``__getstate__``/``__reduce__``) markers.
 
 Nested ``def``s and ``lambda`` bodies are *not* folded into their
 enclosing function's summary — they execute at some other time, so
-their calls must not inherit the enclosing lock context.  Nested
-defs are summarized as functions in their own right.
+their writes and calls belong to them.  Nested defs are summarized as
+functions in their own right.
 """
 
 from __future__ import annotations
@@ -38,6 +34,8 @@ import ast
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
+from repro.lintkit.base import dotted_name
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.lintkit.model.builder import (
         ClassInfo,
@@ -45,51 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
         ModuleInfo,
         ProjectModel,
     )
-
-#: External callables that block the calling thread.
-BLOCKING_EXTERNAL = {
-    "time.sleep",
-    "open",
-    "socket.socket",
-    "socket.create_connection",
-    "subprocess.run",
-    "subprocess.call",
-    "subprocess.check_call",
-    "subprocess.check_output",
-    "subprocess.Popen",
-    "urllib.request.urlopen",
-    "select.select",
-    "os.fsync",
-}
-
-#: Method names that block when invoked on a concurrency object; the
-#: receiver must *look* like one (see :func:`_concurrencyish`) so that
-#: ``", ".join(parts)`` or ``dict.get`` never match.
-BLOCKING_METHODS = {
-    "join", "acquire", "wait", "recv", "recv_into", "accept", "connect",
-    "sendall", "serve_forever", "get",
-}
-
-_CONCURRENCY_RECEIVER_MARKERS = (
-    "thread", "proc", "sock", "conn", "queue", "lock", "event", "server",
-    "httpd", "pipe",
-)
-
-#: Constructors whose result owns an OS lock handle.
-LOCK_CONSTRUCTORS = {
-    "threading.Lock", "threading.RLock", "threading.Condition",
-    "threading.Semaphore", "threading.BoundedSemaphore",
-}
-
-#: Substrings marking a ``with self.<attr>:`` context as a lock.
-_LOCK_NAME_MARKERS = ("lock", "mutex", "cond", "sem")
-
-#: Container-mutating method names counted as attribute writes.
-_MUTATOR_METHODS = {
-    "append", "add", "update", "extend", "insert", "pop", "popitem",
-    "popleft", "appendleft", "setdefault", "clear", "remove", "discard",
-    "sort", "reverse",
-}
 
 #: numpy savers that write a file at their first argument.
 _NUMPY_SAVERS = {"numpy.savez", "numpy.savez_compressed", "numpy.save"}
@@ -100,12 +53,9 @@ class CallSite:
     """One call expression inside a function body."""
 
     node: ast.Call
-    lock_depth: int  #: number of enclosing ``with <lock>:`` statements
     candidates: List[str] = field(default_factory=list)  #: project qualnames
     external: Optional[str] = None  #: resolved dotted path for externals
-    receiver: Optional[str] = None  #: dotted receiver for method calls
     method: Optional[str] = None  #: trailing attribute for method calls
-    instantiates: Optional[str] = None  #: class qualname if a constructor
 
 
 @dataclass
@@ -114,9 +64,7 @@ class AttrWrite:
 
     attr: str
     node: ast.AST
-    kind: str  #: ``rebind`` (self.x = …) or ``mutate`` (aug/subscript/method)
-    lock_depth: int
-    function: "FunctionInfo"
+    kind: str  #: ``rebind`` (self.x = …) or ``mutate`` (aug/subscript)
     value: Optional[ast.expr] = None  #: RHS for rebinds
 
 
@@ -128,7 +76,6 @@ class DurableWrite:
     node: ast.AST
     via: str  #: ``open`` / ``write_text`` / ``write_bytes`` / ``numpy``
     path_tokens: Set[str]
-    assigned_to: Optional[str] = None  #: local name bound to an open() handle
 
 
 @dataclass
@@ -138,44 +85,6 @@ class ReplaceCall:
     node: ast.AST
     src_tokens: Set[str]
     dst_tokens: Set[str]
-
-
-@dataclass
-class ThreadCreate:
-    """One ``threading.Thread(...)`` construction."""
-
-    node: ast.Call
-    has_daemon: bool
-    assigned_to: Optional[str]  #: dotted target (``self._thread``, ``t``)
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def _concurrencyish(receiver: Optional[str]) -> bool:
-    if not receiver:
-        return False
-    low = receiver.lower()
-    return any(marker in low for marker in _CONCURRENCY_RECEIVER_MARKERS)
-
-
-def _is_lock_context(expr: ast.expr) -> Optional[str]:
-    """The lock attribute name if ``expr`` names a lock, else None."""
-    dotted = _dotted(expr)
-    if dotted is None:
-        return None
-    leaf = dotted.rpartition(".")[2].lower()
-    if any(marker in leaf for marker in _LOCK_NAME_MARKERS):
-        return dotted.rpartition(".")[2]
-    return None
 
 
 def expr_tokens(expr: ast.AST) -> Set[str]:
@@ -192,7 +101,7 @@ def expr_tokens(expr: ast.AST) -> Set[str]:
 
 
 class _FunctionWalker:
-    """Single pass over one function body, tracking lock depth."""
+    """Single pass over one function body."""
 
     def __init__(
         self,
@@ -203,10 +112,6 @@ class _FunctionWalker:
         self.model = model
         self.module = module
         self.info = info
-        self.lock_depth = 0
-        #: Lock-named attributes used as ``with self.X:`` contexts.
-        self.lock_attrs_used: Set[str] = set()
-        self.thread_creates: List[ThreadCreate] = []
         #: Local name -> RHS expression (for path-token expansion).
         self.local_values: Dict[str, ast.expr] = {}
 
@@ -227,23 +132,6 @@ class _FunctionWalker:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef, ast.Lambda)):
             return  # different execution context; summarized separately
-        if isinstance(node, (ast.With, ast.AsyncWith)):
-            locks = [
-                _is_lock_context(item.context_expr) for item in node.items
-            ]
-            held = [name for name in locks if name is not None]
-            for item in node.items:
-                self._visit(item.context_expr)
-            if held:
-                self.lock_attrs_used.update(held)
-                self.lock_depth += 1
-            for stmt in node.body:
-                self._visit(stmt)
-            if held:
-                self.lock_depth -= 1
-            return
-        if isinstance(node, ast.Raise):
-            self.info.raises_directly = True
         if isinstance(node, ast.Assign):
             self._record_assign(node)
         elif isinstance(node, ast.AugAssign):
@@ -264,15 +152,13 @@ class _FunctionWalker:
                 target.value, ast.Name
             ) and target.value.id == "self":
                 self.info.attr_writes.append(
-                    AttrWrite(target.attr, node, "rebind", self.lock_depth,
-                              self.info, value=node.value)
+                    AttrWrite(target.attr, node, "rebind", value=node.value)
                 )
             elif isinstance(target, ast.Subscript):
                 attr = self._self_attr(target.value)
                 if attr is not None:
                     self.info.attr_writes.append(
-                        AttrWrite(attr, node, "mutate", self.lock_depth,
-                                  self.info)
+                        AttrWrite(attr, node, "mutate")
                     )
 
     def _record_augassign(self, node: ast.AugAssign) -> None:
@@ -281,15 +167,13 @@ class _FunctionWalker:
             target.value, ast.Name
         ) and target.value.id == "self":
             self.info.attr_writes.append(
-                AttrWrite(target.attr, node, "mutate", self.lock_depth,
-                          self.info)
+                AttrWrite(target.attr, node, "mutate")
             )
         elif isinstance(target, ast.Subscript):
             attr = self._self_attr(target.value)
             if attr is not None:
                 self.info.attr_writes.append(
-                    AttrWrite(attr, node, "mutate", self.lock_depth,
-                              self.info)
+                    AttrWrite(attr, node, "mutate")
                 )
 
     def _record_annassign(self, node: ast.AnnAssign) -> None:
@@ -298,8 +182,7 @@ class _FunctionWalker:
             target, ast.Attribute
         ) and isinstance(target.value, ast.Name) and target.value.id == "self":
             self.info.attr_writes.append(
-                AttrWrite(target.attr, node, "rebind", self.lock_depth,
-                          self.info, value=node.value)
+                AttrWrite(target.attr, node, "rebind", value=node.value)
             )
 
     @staticmethod
@@ -314,8 +197,8 @@ class _FunctionWalker:
     # calls
 
     def _record_call(self, call: ast.Call) -> None:
-        site = CallSite(node=call, lock_depth=self.lock_depth)
-        dotted = _dotted(call.func)
+        site = CallSite(node=call)
+        dotted = dotted_name(call.func)
         owner = self.info.owner
         if dotted is not None:
             head, _, rest = dotted.partition(".")
@@ -324,28 +207,13 @@ class _FunctionWalker:
                     method = self.model.method_of(owner, rest)
                     if method is not None:
                         site.candidates.append(method.qualname)
-                site.receiver = "self." + rest.rpartition(".")[0] if "." in \
-                    rest else "self"
                 site.method = rest.rpartition(".")[2]
-            elif "." not in dotted:
-                target = self.model.resolve_function(self.module, dotted)
-                cls = self.model.resolve_class(self.module, dotted)
-                if target is not None:
-                    site.candidates.append(target.qualname)
-                elif cls is not None:
-                    site.instantiates = cls.qualname
-                    init = self.model.method_of(cls, "__init__")
-                    if init is not None:
-                        site.candidates.append(init.qualname)
-                else:
-                    site.external = self.module.resolve_alias(dotted)
             else:
                 target = self.model.resolve_function(self.module, dotted)
                 cls = self.model.resolve_class(self.module, dotted)
                 if target is not None:
                     site.candidates.append(target.qualname)
                 elif cls is not None:
-                    site.instantiates = cls.qualname
                     init = self.model.method_of(cls, "__init__")
                     if init is not None:
                         site.candidates.append(init.qualname)
@@ -353,38 +221,16 @@ class _FunctionWalker:
                     site.external = _normalize_numpy(
                         self.module.resolve_alias(dotted)
                     )
-                    site.receiver = dotted.rpartition(".")[0]
-                    site.method = dotted.rpartition(".")[2]
+                    if "." in dotted:
+                        site.method = dotted.rpartition(".")[2]
         self.info.calls.append(site)
         self._classify_call(site)
 
     def _classify_call(self, site: CallSite) -> None:
         call = site.node
         external = site.external
-        # -- blocking primitives ---------------------------------------
-        if external in BLOCKING_EXTERNAL and not (
-            external == "open" and not _is_write_open(call)
-            and site.lock_depth == 0
-        ):
-            self.info.blocking_sites.append(site)
-        elif (
-            site.method in BLOCKING_METHODS
-            and not site.candidates
-            and _concurrencyish(site.receiver)
-        ):
-            self.info.blocking_sites.append(site)
         if external == "os.fsync":
             self.info.calls_fsync = True
-        # -- thread construction ---------------------------------------
-        if external == "threading.Thread":
-            self.thread_creates.append(
-                ThreadCreate(
-                    call,
-                    has_daemon=any(k.arg == "daemon" for k in call.keywords),
-                    assigned_to=None,  # filled by summarize_function
-                )
-            )
-        # -- durable writes / replaces ---------------------------------
         if external == "open" and _is_write_open(call) and call.args:
             self.info.durable_writes.append(
                 DurableWrite(call, "open", self._path_tokens(call.args[0]))
@@ -453,34 +299,14 @@ def _normalize_numpy(path: str) -> str:
 
 def summarize_module(model: "ProjectModel", module: "ModuleInfo") -> None:
     """Fill function summaries, then aggregate class facts."""
-    walkers: Dict[str, _FunctionWalker] = {}
     for info in model.functions.values():
-        if info.module is not module:
-            continue
-        walker = _FunctionWalker(model, module, info)
-        walker.run()
-        walkers[info.qualname] = walker
-        _bind_thread_targets(info, walker)
+        if info.module is module:
+            _FunctionWalker(model, module, info).run()
     for cls in module.classes.values():
-        _summarize_class(model, cls, walkers)
+        _summarize_class(model, cls)
 
 
-def _bind_thread_targets(info: "FunctionInfo", walker: _FunctionWalker) -> None:
-    """Attach ``x = threading.Thread(...)`` targets to the create."""
-    by_node = {tc.node: tc for tc in walker.thread_creates}
-    for node in ast.walk(info.node):
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            create = by_node.get(node.value)
-            if create is not None and len(node.targets) == 1:
-                create.assigned_to = _dotted(node.targets[0])
-    info.thread_creates = walker.thread_creates
-
-
-def _summarize_class(
-    model: "ProjectModel",
-    cls: "ClassInfo",
-    walkers: Dict[str, _FunctionWalker],
-) -> None:
+def _summarize_class(model: "ProjectModel", cls: "ClassInfo") -> None:
     cls.custom_pickle = any(
         name in cls.methods
         for name in ("__getstate__", "__reduce__", "__reduce_ex__")
@@ -494,30 +320,15 @@ def _summarize_class(
                 model, cls, stmt.target.id, stmt.annotation
             )
     for method in cls.methods.values():
-        walker = walkers.get(method.qualname)
-        if walker is None:
-            continue
-        cls.lock_attrs |= {
-            name for name in walker.lock_attrs_used if name
-        }
-        if walker.thread_creates:
-            cls.launches_thread = True
         for write in method.attr_writes:
             if write.kind != "rebind" or write.value is None:
                 continue
-            # Lock ownership: self.x = threading.Lock()
-            if isinstance(write.value, ast.Call):
-                dotted = _dotted(write.value.func)
-                if dotted is not None and cls.module.resolve_alias(
-                    _normalize_numpy(dotted)
-                ) in LOCK_CONSTRUCTORS:
-                    cls.lock_attrs.add(write.attr)
             # Attribute -> class bindings: self.x = SomeClass(...) or
             # any expression instantiating project classes (list
             # comprehensions of constructors included).
             for sub in ast.walk(write.value):
                 if isinstance(sub, ast.Call):
-                    dotted = _dotted(sub.func)
+                    dotted = dotted_name(sub.func)
                     if dotted is None:
                         continue
                     target = model.resolve_class(cls.module, dotted)
@@ -553,7 +364,7 @@ def _merge_annotation_classes(
 ) -> None:
     """Resolve every project class named inside an annotation."""
     for node in ast.walk(annotation):
-        dotted = _dotted(node)
+        dotted = dotted_name(node)
         if dotted is None:
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 dotted = node.value  # string-quoted forward reference

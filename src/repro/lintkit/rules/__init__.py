@@ -1,11 +1,9 @@
 """Rule modules — importing this package registers every rule."""
 
 from repro.lintkit.rules import (  # noqa: F401
-    concurrency,
     crashsafe,
     determinism,
     drift,
-    dtype,
     perf,
     pickle_safety,
     units,

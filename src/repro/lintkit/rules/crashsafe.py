@@ -25,19 +25,13 @@ plots, logs have no atomicity contract).
   checkpoint-scoped function publishes via ``os.replace`` but neither
   it nor anything it calls runs ``os.fsync``: rename durability
   without data durability, so power loss can publish an empty file.
-* **CRASH004** (warning) — handle hygiene around raising calls: a
-  handle from bare ``open()`` that is still unclosed when the
-  function calls a project function that raises (outside any
-  ``try``), and ``open()`` passed inline as a call argument with
-  nothing owning the handle at all.
 """
 
 from __future__ import annotations
 
-import ast
-from typing import Iterable, List, Set, Tuple
+from typing import Iterable, Set
 
-from repro.lintkit.base import Rule, dotted_name, register
+from repro.lintkit.base import Rule, register
 from repro.lintkit.context import Project
 from repro.lintkit.findings import Finding, Severity
 from repro.lintkit.model import get_model
@@ -159,96 +153,3 @@ class FsyncBeforeReplaceRule(Rule):
                 f"`{info.name}` publishes with `os.replace` but never "
                 "reaches `os.fsync`; power loss can publish an empty file",
             )
-
-
-@register
-class HandleHygieneRule(Rule):
-    id = "CRASH004"
-    title = "open() handle leaks on an error path"
-    severity = Severity.WARNING
-    fix_hint = (
-        "use `with open(...)`, or close the handle in a "
-        "`try/except: close(); raise` around the code that can raise"
-    )
-
-    def check_project(self, project: Project) -> Iterable[Finding]:
-        model = get_model(project)
-        for info in model.functions.values():
-            yield from self._check_function(model, info)
-
-    def _check_function(self, model, info) -> Iterable[Finding]:
-        opens = self._bare_opens(info)
-        if opens:
-            guarded = _guarded_lines(info.node)
-            raising = [
-                site
-                for site in info.calls
-                if site.node.lineno not in guarded
-                and any(
-                    model.functions[c].raises_directly
-                    for c in site.candidates
-                    if c in model.functions
-                )
-            ]
-            for open_line, target in opens:
-                for site in raising:
-                    if site.node.lineno > open_line:
-                        callee = site.candidates[0].rsplit(".", 1)[-1]
-                        yield self.finding(
-                            info.ctx,
-                            open_line,
-                            f"`{info.name}` opens `{target}` and then calls "
-                            f"`{callee}` which can raise, outside any "
-                            "`try` — the handle leaks on that path",
-                        )
-                        break
-        # open() passed inline as an argument: nothing owns the handle.
-        for node in ast.walk(info.node):
-            if not isinstance(node, ast.Call):
-                continue
-            for arg in list(node.args) + [k.value for k in node.keywords]:
-                if (
-                    isinstance(arg, ast.Call)
-                    and isinstance(arg.func, ast.Name)
-                    and arg.func.id == "open"
-                ):
-                    outer = dotted_name(node.func) or "a call"
-                    yield self.finding(
-                        info.ctx,
-                        arg,
-                        f"`open()` passed inline to `{outer}` — no name "
-                        "owns the handle, so it is never closed "
-                        "deterministically",
-                    )
-
-    @staticmethod
-    def _bare_opens(info) -> List[Tuple[int, str]]:
-        """(line, target) for ``x = open(...)`` outside a ``with``
-        (plain and annotated assignments)."""
-        out: List[Tuple[int, str]] = []
-        for node in ast.walk(info.node):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                value, target_node = node.value, node.targets[0]
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                value, target_node = node.value, node.target
-            else:
-                continue
-            if (
-                isinstance(value, ast.Call)
-                and isinstance(value.func, ast.Name)
-                and value.func.id == "open"
-            ):
-                target = dotted_name(target_node) or "<handle>"
-                out.append((node.lineno, target))
-        return out
-
-
-def _guarded_lines(func_node: ast.AST) -> Set[int]:
-    """Lines inside a ``try`` that has handlers or a ``finally``."""
-    lines: Set[int] = set()
-    for node in ast.walk(func_node):
-        if isinstance(node, ast.Try) and (node.handlers or node.finalbody):
-            for stmt in node.body:
-                end = getattr(stmt, "end_lineno", None) or stmt.lineno
-                lines.update(range(stmt.lineno, end + 1))
-    return lines

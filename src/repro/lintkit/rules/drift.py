@@ -8,7 +8,7 @@ instruments register.  Each has a checked-in registry under
 both directions*, so adding a knob/event/metric without documenting
 it — or documenting one that no longer exists — fails the lint run.
 
-Registry workflow: ``tools/run_lint.py --update-registries``
+Registry workflow: ``repro lint --update-registries``
 regenerates the two extraction-based registries (telemetry events,
 metric families) from source, preserving existing descriptions;
 ``config_cli.json`` is maintained by hand because the flag-or-exempt
@@ -234,7 +234,7 @@ class _ExtractionDrift(Rule):
             yield self.finding(
                 reg_rel, 1,
                 f"registry file {self.registry_file} is missing",
-                fix_hint="run tools/run_lint.py --update-registries",
+                fix_hint="run `python -m repro lint --update-registries`",
             )
             return
         documented = set(registry.get(self.registry_key, {}))
@@ -245,7 +245,7 @@ class _ExtractionDrift(Rule):
                     rel, line,
                     f"{self.thing} `{name}` is emitted here but missing from "
                     f"{self.registry_file}",
-                    fix_hint="run tools/run_lint.py --update-registries and "
+                    fix_hint="run `python -m repro lint --update-registries` and "
                     "fill in the description",
                 )
         # The reverse diff (documented-but-not-emitted) only makes

@@ -23,7 +23,7 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, List, Pattern
+from typing import Dict, List
 
 #: Matches ``lint: disable=DET001`` and ``lint: disable=DET001,UNIT002``
 #: inside a comment token.  Anything after the rule list (e.g. an
@@ -46,14 +46,11 @@ class SuppressionEntry:
     used: bool = field(default=False)
 
 
-def tagged_comments(source: str, pattern: Pattern) -> List[tuple]:
-    """(line, standalone, match) for every *real* comment token whose
-    text matches ``pattern``.
+def _disable_comments(source: str) -> List[tuple]:
+    """(line, standalone, [rules]) for every real disable comment.
 
-    Tokenizes the file so the tag appearing inside a string or
-    docstring is never picked up.  Shared by the ``lint: disable=``
-    suppressions and the ``lint: torn-safe`` annotations
-    (:mod:`repro.lintkit.annotations`).
+    Tokenizes the file so the pattern appearing inside a string or
+    docstring is never picked up.
     """
     out: List[tuple] = []
     lines = source.splitlines()
@@ -64,22 +61,24 @@ def tagged_comments(source: str, pattern: Pattern) -> List[tuple]:
     for tok in tokens:
         if tok.type != tokenize.COMMENT:
             continue
-        match = pattern.search(tok.string)
+        match = _DISABLE_RE.search(tok.string)
         if not match:
             continue
         line, col = tok.start
         before = lines[line - 1][:col] if line - 1 < len(lines) else ""
-        out.append((line, before.strip() == "", match))
+        rules = [r.strip() for r in match.group(1).split(",")]
+        out.append((line, before.strip() == "", rules))
     return out
 
 
-def attach_comment(line: int, standalone: bool, lines: List[str]) -> int:
-    """The code line a tag comment on ``line`` applies to.
+def _target_line(line: int, standalone: bool, lines: List[str]) -> int:
+    """The code line a disable comment on ``line`` applies to.
 
     Trailing comments apply to their own line; standalone comments
     attach to the first code line below them (chains of consecutive
     comment lines pass through; a blank line or EOF breaks the
-    attachment, leaving the tag anchored — and stale — on itself).
+    attachment, leaving the suppression anchored — and stale — on
+    itself).
     """
     if not standalone:
         return line
@@ -94,14 +93,6 @@ def attach_comment(line: int, standalone: bool, lines: List[str]) -> int:
     return line
 
 
-def _disable_comments(source: str) -> List[tuple]:
-    """(line, standalone, [rules]) for every real disable comment."""
-    return [
-        (line, standalone, [r.strip() for r in match.group(1).split(",")])
-        for line, standalone, match in tagged_comments(source, _DISABLE_RE)
-    ]
-
-
 class FileSuppressions:
     """All suppression comments of one source file."""
 
@@ -110,7 +101,7 @@ class FileSuppressions:
         self._by_line: Dict[int, List[SuppressionEntry]] = {}
         lines = source.splitlines()
         for line, standalone, rules in _disable_comments(source):
-            self._add(rules, line, attach_comment(line, standalone, lines))
+            self._add(rules, line, _target_line(line, standalone, lines))
 
     def _add(self, rules: List[str], comment_line: int, target_line: int) -> None:
         for rule in rules:

@@ -160,13 +160,9 @@ class ObsServer:
         raise last  # pragma: no cover - needs snapshot_tries races
 
     def count_scrape(self, path: str) -> None:
-        # lint: torn-safe -- single-writer dict bump: only the serial
-        # HTTPServer handler thread writes; readers tolerate staleness
         self.scrapes[path] = self.scrapes.get(path, 0) + 1
 
     def count_disconnect(self) -> None:
-        # lint: torn-safe -- monotone int counter; a torn read is a
-        # stale count, never a corrupt one
         self.disconnects += 1
 
     @property

@@ -20,7 +20,7 @@ def model_of(tmp_path, files):
     [
         ("src/repro/sim/engine.py", "repro.sim.engine"),
         ("src/repro/obs/__init__.py", "repro.obs"),
-        ("tools/run_lint.py", "tools.run_lint"),
+        ("tools/bench_engine.py", "tools.bench_engine"),
         ("examples/demo.py", "examples.demo"),
     ],
 )
@@ -96,36 +96,32 @@ def test_cross_module_call_resolution_via_alias(tmp_path):
 # summaries
 
 
-def test_lock_regions_and_attr_write_kinds(tmp_path):
+def test_attr_write_kinds(tmp_path):
     model = model_of(tmp_path, {
-        "src/repro/a/locked.py": """
-            import threading
-
+        "src/repro/a/box.py": """
             class Box:
                 def __init__(self):
-                    self._lock = threading.Lock()
                     self.total = 0
+                    self.seen = {}
 
-                def locked_add(self, n):
-                    with self._lock:
-                        self.total += n
-
-                def racy_add(self, n):
+                def add(self, n):
                     self.total += n
 
-                def rebind(self):
+                def mark(self, key):
+                    self.seen[key] = True
+
+                def reset(self):
                     self.total = 0
         """,
     })
-    box = model.classes["repro.a.locked.Box"]
-    assert box.lock_attrs == {"_lock"}
+    box = model.classes["repro.a.box.Box"]
     by_method = {
-        m: [(w.attr, w.kind, w.lock_depth) for w in f.attr_writes]
+        m: [(w.attr, w.kind) for w in f.attr_writes]
         for m, f in box.methods.items()
     }
-    assert by_method["locked_add"] == [("total", "mutate", 1)]
-    assert by_method["racy_add"] == [("total", "mutate", 0)]
-    assert by_method["rebind"] == [("total", "rebind", 0)]
+    assert by_method["add"] == [("total", "mutate")]
+    assert by_method["mark"] == [("seen", "mutate")]
+    assert by_method["reset"] == [("total", "rebind")]
 
 
 def test_durable_write_tokens_expand_locals(tmp_path):
@@ -148,50 +144,30 @@ def test_durable_write_tokens_expand_locals(tmp_path):
     assert any("tmp" in t for t in replace.src_tokens)
 
 
-def test_nested_defs_do_not_inherit_lock_context(tmp_path):
+def test_nested_defs_are_summarized_separately(tmp_path):
     model = model_of(tmp_path, {
         "src/repro/a/nested.py": """
-            import time
+            import os
 
-            class Box:
-                def outer(self):
-                    with self._lock:
-                        def later():
-                            time.sleep(1)
-                        return later
+            def outer(path):
+                def later():
+                    os.fsync(3)
+                    with open(path, "w") as fh:
+                        fh.write("x")
+                return later
         """,
     })
-    outer = model.functions["repro.a.nested.Box.outer"]
-    # the sleep belongs to the nested def, not to the lock region
-    assert outer.blocking_sites == []
-    later = model.functions["repro.a.nested.Box.outer.later"]
-    assert len(later.blocking_sites) == 1
+    outer = model.functions["repro.a.nested.outer"]
+    # the nested def runs at some other time: its facts are its own
+    assert not outer.calls_fsync
+    assert outer.durable_writes == []
+    later = model.functions["repro.a.nested.outer.later"]
+    assert later.calls_fsync
+    assert len(later.durable_writes) == 1
 
 
 # ----------------------------------------------------------------------
 # graph queries
-
-
-def test_blocking_fixpoint_carries_call_chain(tmp_path):
-    model = model_of(tmp_path, {
-        "src/repro/a/chain.py": """
-            import time
-
-            def leaf():
-                time.sleep(0.1)
-
-            def mid():
-                leaf()
-
-            def top():
-                mid()
-        """,
-    })
-    q = model.queries
-    assert q.blocking_reason("repro.a.chain.leaf") == "time.sleep"
-    top_reason = q.blocking_reason("repro.a.chain.top")
-    assert "time.sleep" in top_reason and "mid" in top_reason
-    assert q.blocking_reason("repro.a.chain.top_missing") is None
 
 
 def test_fsync_fixpoint_is_transitive(tmp_path):

@@ -4,7 +4,10 @@ findings."""
 
 import textwrap
 
-from repro.lintkit.suppressions import count_disable_comments
+from repro.lintkit.suppressions import (
+    count_disable_comments,
+    find_suppressions,
+)
 from tests.lintkit.conftest import rule_ids
 
 
@@ -108,3 +111,69 @@ def test_count_disable_comments_counts_real_comments():
         "b = list({1, 2})\n"
     )
     assert count_disable_comments(source) == 2
+
+
+def test_one_comment_lists_several_rules():
+    sup = find_suppressions("x = 1  # lint: disable=DET001, UNIT002 -- why\n")
+    assert [(e.rule, e.comment_line, e.target_line) for e in sup.entries] == [
+        ("DET001", 1, 1),
+        ("UNIT002", 1, 1),
+    ]
+
+
+def test_comment_chain_attaches_to_first_code_line(lint_tree):
+    result = lint_tree(
+        {
+            "src/repro/sim/x.py": """\
+                import random
+
+                # lint: disable=DET001
+                # the demo wants fresh entropy on every run
+                x = random.random()
+                """
+        },
+        rules=["DET001"],
+    )
+    assert result.ok
+    assert result.summary.suppressed == 1
+
+
+def test_blank_line_breaks_standalone_attachment(lint_tree):
+    result = lint_tree(
+        {
+            "src/repro/sim/x.py": """\
+                import random
+
+                # lint: disable=DET001
+
+                x = random.random()
+                """
+        },
+        rules=["DET001"],
+    )
+    assert rule_ids(result) == ["DET001", "SUP001"]
+    assert result.summary.suppressed == 0
+
+
+def test_suppression_silences_only_the_rule_it_names(lint_tree):
+    result = lint_tree(
+        {
+            "src/repro/sim/x.py": """\
+                import random
+
+                x = random.random()  # lint: disable=DET003
+                """
+        },
+        rules=["DET001", "DET003"],
+    )
+    assert rule_ids(result) == ["DET001", "SUP001"]
+
+
+def test_sup001_cannot_be_suppressed():
+    sup = find_suppressions("x = 1  # lint: disable=SUP001\n")
+    assert not sup.consume("SUP001", 1)
+    assert [e.rule for e in sup.unused()] == ["SUP001"]
+
+
+def test_count_disable_comments_is_zero_on_untokenizable_source():
+    assert count_disable_comments("x = (  # lint: disable=DET001\n") == 0
