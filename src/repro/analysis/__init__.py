@@ -29,16 +29,7 @@ from repro.analysis.figures import (
     write_csv,
 )
 from repro.analysis.tables import print_series, print_table, render_series, render_table
-from repro.analysis.timeline import (
-    migration_outcome_totals,
-    migration_outcomes,
-    migration_totals,
-    occupancy_series,
-    pivot,
-    ratio_trajectory,
-    timeline_frame,
-    timeline_series,
-)
+from repro.analysis.timeline import migration_outcomes, pivot, timeline_frame
 
 __all__ = [
     "AccessCdf",
@@ -64,12 +55,7 @@ __all__ = [
     "export_series",
     "export_sparsity",
     "write_csv",
-    "migration_outcome_totals",
     "migration_outcomes",
-    "migration_totals",
-    "occupancy_series",
     "pivot",
-    "ratio_trajectory",
     "timeline_frame",
-    "timeline_series",
 ]

@@ -1,11 +1,16 @@
 """Epoch-resolution timeline analysis.
 
 The engine's telemetry bus records one ``"epoch"`` event per epoch
-(tier occupancy, traffic split, promotions/demotions, overhead and
-migration time) plus ``"ratio"`` checkpoint events; these land in
+(tier occupancy, traffic split, promotions/demotions, overhead,
+nominations and migration time) plus ``"ratio"`` checkpoint events
+and, in async mode, ``"migration.*"`` queue outcomes; these land in
 ``RunResult.timeline``.  This module turns that event list into the
 column-oriented series the figures and harnesses plot — without
 re-running the simulation.
+
+Run *totals* are not re-derived here: the ring keeps only the most
+recent events, so a long run's timeline is its tail.  The exact
+totals are ``RunResult``'s fields and ``extra`` keys.
 """
 
 from __future__ import annotations
@@ -13,21 +18,6 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Union
 
 Event = Dict[str, Union[str, int, float]]
-
-
-def timeline_series(
-    timeline: Sequence[Event], field: str, stage: str = "epoch"
-) -> List[float]:
-    """One field of the timeline as an epoch-ordered series.
-
-    Events missing the field are skipped, so sparse stages (e.g.
-    ``"ratio"`` checkpoints) come out dense.
-    """
-    return [
-        float(e[field])
-        for e in timeline
-        if e.get("stage") == stage and field in e
-    ]
 
 
 def timeline_frame(
@@ -50,17 +40,6 @@ def timeline_frame(
     }
 
 
-def occupancy_series(timeline: Sequence[Event]) -> Dict[str, List[float]]:
-    """DDR/CXL resident-page counts per epoch (the tiering trajectory)."""
-    frame = timeline_frame(timeline)
-    return {
-        "epoch": frame.get("epoch", []),
-        "t_s": frame.get("t_s", []),
-        "nr_pages_ddr": frame.get("nr_pages_ddr", []),
-        "nr_pages_cxl": frame.get("nr_pages_cxl", []),
-    }
-
-
 #: One pivot column: ``(column_name, stage, payload_field)`` with an
 #: optional fourth element choosing the aggregation — ``"sum"`` (the
 #: default) or ``"last"`` (keep the epoch's final value; right for
@@ -80,10 +59,9 @@ def pivot(
     epochs sorted ascending, absent fields reading 0.0.  An empty
     match returns ``{}``.
 
-    This is the one aggregation loop behind
-    :func:`migration_outcomes` and :func:`migration_totals`; new event
-    families get a table by declaring a column spec instead of
-    re-writing the group-by.
+    This is the aggregation loop behind :func:`migration_outcomes`;
+    new event families get a table by declaring a column spec instead
+    of re-writing the group-by.
     """
     specs = [
         (c[0], c[1], c[2], c[3] if len(c) > 3 else "sum") for c in columns
@@ -112,30 +90,6 @@ def pivot(
     for name, _, _, _ in specs:
         out[name] = [rows[ep][name] for ep in ordered]
     return out
-
-
-def migration_totals(timeline: Sequence[Event]) -> Dict[str, float]:
-    """Aggregate promotions/demotions and migration time over the run."""
-    frame = pivot(
-        timeline,
-        (
-            ("promoted", "epoch", "promoted"),
-            ("demoted", "epoch", "demoted"),
-            ("migration_us", "epoch", "migration_us"),
-            ("overhead_us", "epoch", "overhead_us"),
-        ),
-    )
-    return {
-        "promoted": sum(frame.get("promoted", [])),
-        "demoted": sum(frame.get("demoted", [])),
-        "migration_us": sum(frame.get("migration_us", [])),
-        "overhead_us": sum(frame.get("overhead_us", [])),
-    }
-
-
-def ratio_trajectory(timeline: Sequence[Event]) -> List[float]:
-    """The access-count-ratio checkpoints, in measurement order."""
-    return timeline_series(timeline, "ratio", stage="ratio")
 
 
 #: Per-epoch columns of :func:`migration_outcomes` — a :func:`pivot`
@@ -168,15 +122,3 @@ def migration_outcomes(timeline: Sequence[Event]) -> Dict[str, List[float]]:
     events (instant mode).
     """
     return pivot(timeline, _MIGRATION_COLUMNS)
-
-
-def migration_outcome_totals(timeline: Sequence[Event]) -> Dict[str, float]:
-    """Whole-run totals of the async subsystem's migration events."""
-    frame = migration_outcomes(timeline)
-    totals = {
-        name: sum(frame.get(name, [])) for name, *_ in _MIGRATION_COLUMNS
-        if name != "pending"
-    }
-    totals["epochs_active"] = float(len(frame.get("epoch", [])))
-    totals["peak_pending"] = max(frame.get("pending", []), default=0.0)
-    return totals

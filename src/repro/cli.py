@@ -33,12 +33,7 @@ import json
 import time
 from typing import List, Optional
 
-from repro.analysis import (
-    AccessCdf,
-    from_wac,
-    migration_outcome_totals,
-    print_table,
-)
+from repro.analysis import AccessCdf, from_wac, print_table
 from repro.core import hwcost
 from repro.obs import (
     MetricsRegistry,
@@ -237,7 +232,7 @@ def cmd_run(args) -> int:
                 _serving(obs.registry, args.serve_port, args.serve_linger)
             )
         result = sim.run()
-        if resume and sim.telemetry.active:
+        if resume:
             sim.telemetry.close()  # flush the reopened JSONL sink
     if telemetry is not None:
         print(f"epoch timeline written to {args.timeline} "
@@ -300,12 +295,6 @@ def cmd_run(args) -> int:
               f"retried {ex.get('mig_retries', 0):.0f}, "
               f"dropped {ex.get('mig_dropped_retries', 0):.0f}, "
               f"pending {ex.get('mig_pending', 0):.0f}")
-        totals = migration_outcome_totals(result.timeline)
-        if totals["epochs_active"]:
-            print(f"queue timeline: active in {totals['epochs_active']:.0f} "
-                  f"epochs, peak pending {totals['peak_pending']:.0f}, "
-                  f"commit/abort ratio "
-                  f"{totals['committed']:.0f}/{totals['aborted']:.0f}")
     return 0
 
 

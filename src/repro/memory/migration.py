@@ -244,6 +244,3 @@ class MigrationEngine:
         self.stats.demoted += demoted
         self.stats.time_us += self.cost_model.cost_us(demoted)
         return demoted
-
-    def reset_stats(self) -> None:
-        self.stats = MigrationStats()

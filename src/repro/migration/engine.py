@@ -172,7 +172,6 @@ class AsyncMigrationEngine:
         )
         self.stats = AsyncMigrationStats()
         self.current_epoch = 0
-        self.last_report: Optional[TickReport] = None
 
     # ------------------------------------------------------------------
     # enqueue side (policies / Promoter)
@@ -237,63 +236,51 @@ class AsyncMigrationEngine:
         report: TickReport,
         epoch: int,
     ) -> None:
+        """Record one transaction's outcome in ``report`` (the only
+        place it is written; :meth:`tick` folds the report into the
+        run totals and metrics) and decide the request's fate."""
         outcome = result.outcome
         report.attempted += 1
         report.outcomes[outcome] = report.outcomes.get(outcome, 0) + 1
         report.pages_copied += result.copies
         report.copy_bytes += result.copies * PAGE_SIZE
-        self.stats.pages_copied += result.copies
-        self.stats.copy_bytes += result.copies * PAGE_SIZE
-        self._m_outcomes.labels(outcome=outcome.value).inc()
-        self._m_copy_bytes.inc(result.copies * PAGE_SIZE)
         if result.fallback_victim is not None:
             # The demote-first victim committed even if the promotion
             # itself later aborted.
             report.committed += 1
             report.demoted += 1
-            self.stats.committed += 1
-            self.stats.demoted += 1
 
         if outcome is Outcome.COMMITTED:
             self.queue.release(request.lpage)
             report.committed += 1
-            self.stats.committed += 1
             if request.direction is Direction.PROMOTE:
                 report.promoted += 1
-                self.stats.promoted += 1
             else:
                 report.demoted += 1
-                self.stats.demoted += 1
             return
         if outcome is Outcome.NOOP:
             self.queue.release(request.lpage)
             report.noop += 1
-            self.stats.noop += 1
             return
         if outcome is Outcome.REJECT_PINNED:
             self.queue.release(request.lpage)
             report.rejected_pinned += 1
-            self.stats.rejected_pinned += 1
             return
 
         # Abort path: dirty / injected / ENOMEM → retry or drop.
         report.aborted += 1
-        self.stats.aborted += 1
         kind = {
             Outcome.ABORT_DIRTY: "aborted_dirty",
             Outcome.ABORT_INJECTED: "aborted_injected",
             Outcome.ABORT_ENOMEM: "aborted_enomem",
         }[outcome]
         setattr(report, kind, getattr(report, kind) + 1)
-        setattr(self.stats, kind, getattr(self.stats, kind) + 1)
         request.retries += 1
         if request.retries > self.config.max_retries:
             self.queue.release(request.lpage)
             report.dropped_retries += 1
-            self.stats.dropped_retries += 1
             return
         report.retried += 1
-        self.stats.retries += 1
         self.queue.requeue(request, self._backoff_gate(epoch, request.retries))
 
     def tick(
@@ -329,7 +316,6 @@ class AsyncMigrationEngine:
             # exactly what the SLO watchdog watches migration_pending
             # for.
             self._m_pending.set(len(self.queue))
-            self.last_report = report
             return report
 
         batch = self.queue.take(epoch, budget)
@@ -345,10 +331,13 @@ class AsyncMigrationEngine:
             self._settle(request, result, report, epoch)
             budget -= result.copies
         if report.attempted:
+            # One fold per tick into the run totals and the metrics,
+            # in the report's outcome order (series first appear in
+            # the order the outcomes first occurred).
+            self.stats.fold(report)
+            for outcome, count in report.outcomes.items():
+                self._m_outcomes.labels(outcome=outcome.value).inc(count)
+            self._m_copy_bytes.inc(report.copy_bytes)
             self._m_batch.observe(float(report.attempted))
         self._m_pending.set(len(self.queue))
-        self.last_report = report
         return report
-
-    def reset_stats(self) -> None:
-        self.stats = AsyncMigrationStats()

@@ -94,6 +94,22 @@ class AsyncMigrationStats:
     pages_copied: int = 0
     copy_bytes: int = 0
 
+    def fold(self, report: TickReport) -> None:
+        """Add one tick's settled outcomes to the run totals."""
+        self.committed += report.committed
+        self.promoted += report.promoted
+        self.demoted += report.demoted
+        self.aborted += report.aborted
+        self.aborted_dirty += report.aborted_dirty
+        self.aborted_injected += report.aborted_injected
+        self.aborted_enomem += report.aborted_enomem
+        self.retries += report.retried
+        self.dropped_retries += report.dropped_retries
+        self.rejected_pinned += report.rejected_pinned
+        self.noop += report.noop
+        self.pages_copied += report.pages_copied
+        self.copy_bytes += report.copy_bytes
+
     def as_extra(self, prefix: str = "mig_") -> Dict[str, float]:
         """Flatten into ``RunResult.extra``-style numeric fields."""
         return {

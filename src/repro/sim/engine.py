@@ -28,9 +28,12 @@ CPU-driven baselines and the M5 manager flow through the *same*
 policy stage — there is no per-family branching in the loop — so a
 new policy only needs to implement ``EpochPolicy`` to plug in.
 
-Stages publish per-epoch events (tier occupancy, promotions and
-demotions, policy overhead, migration time, ratio checkpoints) to a
-:class:`~repro.sim.telemetry.TelemetryBus`; a ring-buffer sink is
+The perf stage publishes one ``epoch`` event per epoch (tier traffic
+and occupancy, promotions and demotions, policy overhead and
+nominations, migration time) to a
+:class:`~repro.sim.telemetry.TelemetryBus` and feeds the per-epoch
+counters from the same values, so the timeline and the metrics cannot
+disagree; a ring-buffer sink of :data:`TIMELINE_CAPACITY` events is
 attached by default and surfaces as ``RunResult.timeline``.
 
 Passing an :class:`~repro.obs.Observability` bundle turns on the
@@ -124,7 +127,10 @@ Stage = Callable[[EpochPolicy, "_EpochState"], None]
 #: On-disk checkpoint format.  Bumped whenever the pickled state's
 #: shape changes incompatibly; ``load_state`` refuses other versions
 #: rather than resuming from state it would misinterpret.
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
+
+#: Events the default ring-buffer sink keeps (``RunResult.timeline``).
+TIMELINE_CAPACITY = 4096
 
 
 class CheckpointError(RuntimeError):
@@ -170,8 +176,8 @@ class RunResult:
     overhead_events: Dict[str, float] = field(default_factory=dict)
     extra: Dict[str, float] = field(default_factory=dict)
     #: Epoch-resolution telemetry events (from the run's ring-buffer
-    #: sink): tier occupancy, promotions/demotions, overhead and
-    #: migration time per epoch, plus ratio checkpoints.
+    #: sink): one ``epoch`` event per epoch, plus ratio checkpoints
+    #: and, in async mode, the ``migration.*`` queue outcomes.
     timeline: List[Dict[str, float]] = field(default_factory=list)
     #: Events the ring-buffer sink evicted because it was full; a
     #: non-zero value means ``timeline`` is the *tail* of the run.
@@ -262,8 +268,6 @@ class Simulation:
             to.  A fresh bus is created when omitted; either way a
             ring-buffer sink is attached so ``RunResult.timeline`` is
             always populated.
-        timeline_capacity: ring-buffer size for the default timeline
-            sink.
         obs: an :class:`~repro.obs.Observability` bundle (metrics
             registry + stage tracer).  Omitted, the shared disabled
             instance is used: every instrument is a no-op and the
@@ -284,7 +288,6 @@ class Simulation:
         m5_options: Optional[M5Options] = None,
         enable_wac: bool = False,
         telemetry: Optional[TelemetryBus] = None,
-        timeline_capacity: int = 4096,
         obs: Optional[Observability] = None,
         nodes: Optional[Sequence[NodeSpec]] = None,
         tenant: int = 0,
@@ -299,7 +302,7 @@ class Simulation:
         self.m5_options = m5_options if m5_options is not None else M5Options()
         self.obs = obs if obs is not None else NULL_OBS
         self.telemetry = telemetry if telemetry is not None else TelemetryBus()
-        self._timeline = self.telemetry.attach(RingBufferSink(timeline_capacity))
+        self._timeline = self.telemetry.attach(RingBufferSink(TIMELINE_CAPACITY))
 
         spec = workload.spec
         if nodes is None:
@@ -601,14 +604,13 @@ class Simulation:
         if self._tracks_wraps:
             wraps = self.workload.wraps
             if wraps > self._replay_wraps_prev:
-                if self.telemetry.active:
-                    self.telemetry.publish(
-                        "replay.wrap",
-                        st.epoch,
-                        st.now_s,
-                        wraps=wraps - self._replay_wraps_prev,
-                        total_wraps=wraps,
-                    )
+                self.telemetry.publish(
+                    "replay.wrap",
+                    st.epoch,
+                    st.now_s,
+                    wraps=wraps - self._replay_wraps_prev,
+                    total_wraps=wraps,
+                )
                 self._replay_wraps_prev = wraps
         if self.async_engine is not None:
             # Later stages (Promoter, the tick) tag queue entries with
@@ -644,15 +646,7 @@ class Simulation:
         st.promoted_before = self.engine.stats.promoted
         st.demoted_before = self.engine.stats.demoted
         st.decision = policy.on_epoch(st.view)
-        if self.telemetry.active:
-            self.telemetry.publish(
-                "policy",
-                st.epoch,
-                st.now_s,
-                overhead_us=st.decision.overhead_us,
-                nominated=st.decision.nominated,
-            )
-        if self._manager is not None and self.telemetry.active:
+        if self._manager is not None:
             dropped = self._manager.promoter.proc_file.dropped
             if dropped > self._promoter_dropped_prev:
                 self.telemetry.publish(
@@ -698,8 +692,6 @@ class Simulation:
                 committed=st.tick.committed,
                 aborted=st.tick.aborted,
             )
-        if not self.telemetry.active:
-            return
         report = st.tick
         enqueued = eng.stats.enqueued - st.enqueued_before
         dropped_full = eng.stats.dropped_queue_full - st.qdropped_before
@@ -756,17 +748,15 @@ class Simulation:
                 if victims.size:
                     self.engine.demote(victims)
         self.mglru.age()
-        promoted = self.engine.stats.promoted - st.promoted_before
-        demoted = self.engine.stats.demoted - st.demoted_before
-        self._mx_promoted.inc(promoted)
-        self._mx_demoted.inc(demoted)
-        if self.telemetry.active and (promoted or demoted):
-            self.telemetry.publish(
-                "migrate", st.epoch, st.now_s, promoted=promoted, demoted=demoted
-            )
 
     def _stage_perf(self, policy: EpochPolicy, st: _EpochState) -> None:
-        """Convert the epoch's traffic and overheads into time."""
+        """Convert the epoch's traffic and overheads into time, then
+        publish the ``epoch`` event.
+
+        The event is the epoch's one record: the per-epoch counters
+        (``sim_accesses_total``, ``sim_migrated_pages_total``) are fed
+        here from the same values, and nowhere else.
+        """
         st.migration_us = self.engine.stats.time_us - st.migration_us_prev
         st.migration_us_prev = self.engine.stats.time_us
         n_ddr = self.memory.ddr.accesses_this_epoch
@@ -792,25 +782,29 @@ class Simulation:
         )
         st.now_s += st.perf.total_s
         st.epoch_s_estimate = st.perf.total_s
-        if self.telemetry.active:
-            fields: Dict[str, float] = dict(
-                epoch_s=st.perf.total_s,
-                n_ddr=n_ddr,
-                n_cxl=n_cxl,
-                nr_pages_ddr=self.memory.nr_pages(NodeKind.DDR),
-                nr_pages_cxl=self.memory.nr_pages(NodeKind.CXL),
-                promoted=self.engine.stats.promoted - st.promoted_before,
-                demoted=self.engine.stats.demoted - st.demoted_before,
-                overhead_us=st.decision.overhead_us,
-                migration_us=st.migration_us,
-            )
-            if deep:
-                # Extra tiers ride along under name-derived keys; the
-                # two-node event shape stays frozen.
-                for i, node in enumerate(self.memory.nodes[2:], start=2):
-                    fields[f"n_{node.name}"] = node.accesses_this_epoch
-                    fields[f"nr_pages_{node.name}"] = self.memory.nr_pages_at(i)
-            self.telemetry.publish("epoch", st.epoch, st.now_s, **fields)
+        promoted = self.engine.stats.promoted - st.promoted_before
+        demoted = self.engine.stats.demoted - st.demoted_before
+        self._mx_promoted.inc(promoted)
+        self._mx_demoted.inc(demoted)
+        fields: Dict[str, float] = dict(
+            epoch_s=st.perf.total_s,
+            n_ddr=n_ddr,
+            n_cxl=n_cxl,
+            nr_pages_ddr=self.memory.nr_pages(NodeKind.DDR),
+            nr_pages_cxl=self.memory.nr_pages(NodeKind.CXL),
+            promoted=promoted,
+            demoted=demoted,
+            overhead_us=st.decision.overhead_us,
+            nominated=st.decision.nominated,
+            migration_us=st.migration_us,
+        )
+        if deep:
+            # Extra tiers ride along under name-derived keys; the
+            # two-node event shape stays frozen.
+            for i, node in enumerate(self.memory.nodes[2:], start=2):
+                fields[f"n_{node.name}"] = node.accesses_this_epoch
+                fields[f"nr_pages_{node.name}"] = self.memory.nr_pages_at(i)
+        self.telemetry.publish("epoch", st.epoch, st.now_s, **fields)
 
     def _stage_verify(self, policy: EpochPolicy, st: _EpochState) -> None:
         """Run the invariant catalogue against the finished epoch."""
@@ -835,8 +829,7 @@ class Simulation:
             return
         ratio = access_count_ratio(self.pac, policy.hot_pfns, self._k_cap())
         st.ratios.append(ratio)
-        if self.telemetry.active:
-            self.telemetry.publish("ratio", st.epoch, st.now_s, ratio=ratio)
+        self.telemetry.publish("ratio", st.epoch, st.now_s, ratio=ratio)
 
     def _stage_persist(self, policy: EpochPolicy, st: _EpochState) -> None:
         """Checkpoint the full simulation state every K epochs."""

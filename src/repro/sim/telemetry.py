@@ -1,9 +1,9 @@
 """Per-epoch telemetry bus for the simulation pipeline.
 
-Every pipeline stage can publish structured events while a run is in
-flight — tier occupancy, promotions/demotions, access-count-ratio
-checkpoints, policy overhead, migration time — and any number of
-*sinks* consume them.  Two sinks ship with the bus:
+Pipeline stages publish structured events while a run is in flight —
+the per-epoch record, access-count-ratio checkpoints, async queue
+outcomes — and any number of *sinks* consume them.  Two sinks ship
+with the bus:
 
 * :class:`RingBufferSink` — bounded in-memory history; the engine
   attaches one by default and copies it into ``RunResult.timeline``
@@ -17,11 +17,11 @@ simulated clock) — plus arbitrary numeric payload fields.  Publishing
 with no sinks attached is a cheap no-op, so instrumented code never
 needs to guard its publish calls.
 
-Event kinds published by the pipeline: ``policy`` (overhead,
-nominations), ``migrate`` (promotions/demotions), ``epoch`` (tier
-occupancy, traffic split, epoch duration), ``ratio`` (access-count
-checkpoints), ``promoter.drop`` (bounded proc-file overflow), and —
-in async migration mode — ``migration.enqueue`` /
+Event kinds published by the pipeline: ``epoch`` (the epoch's one
+record: traffic split, tier occupancy, promotions/demotions, policy
+overhead and nominations, migration time, epoch duration), ``ratio``
+(access-count checkpoints), ``promoter.drop`` (bounded proc-file
+overflow), and — in async migration mode — ``migration.enqueue`` /
 ``migration.commit`` / ``migration.abort`` / ``migration.retry``
 (the transactional queue's per-epoch outcomes; aggregate them with
 :func:`repro.analysis.timeline.migration_outcomes`).

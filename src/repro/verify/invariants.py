@@ -111,11 +111,9 @@ class InvariantChecker:
         violation = Violation(invariant, int(epoch), detail)
         self.violations.append(violation)
         self._m_violations.labels(invariant=invariant).inc()
-        if self.sim.telemetry.active:
-            self.sim.telemetry.publish(
-                "invariant.violation", int(epoch), 0.0,
-                invariant=invariant,
-            )
+        self.sim.telemetry.publish(
+            "invariant.violation", int(epoch), 0.0, invariant=invariant,
+        )
         if self.mode == "raise":
             raise InvariantViolation(str(violation))
 

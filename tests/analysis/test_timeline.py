@@ -2,15 +2,7 @@
 
 import pytest
 
-from repro.analysis.timeline import (
-    migration_outcome_totals,
-    migration_outcomes,
-    migration_totals,
-    occupancy_series,
-    pivot,
-    timeline_frame,
-    timeline_series,
-)
+from repro.analysis.timeline import migration_outcomes, pivot, timeline_frame
 
 
 def epoch_event(epoch, **fields):
@@ -41,27 +33,9 @@ def async_timeline():
 
 
 class TestBasicPivots:
-    def test_series_skips_other_stages(self):
-        tl = async_timeline()
-        assert timeline_series(tl, "promoted") == [2.0, 0.0]
-
     def test_frame_equal_length_columns(self):
         frame = timeline_frame(async_timeline())
         assert len(frame["promoted"]) == len(frame["demoted"]) == 2
-
-    def test_occupancy_empty_timeline(self):
-        assert occupancy_series([]) == {
-            "epoch": [], "t_s": [], "nr_pages_ddr": [], "nr_pages_cxl": [],
-        }
-
-    def test_migration_totals_sums(self):
-        tl = [epoch_event(1, promoted=2, demoted=1, migration_us=5.0,
-                          overhead_us=1.0),
-              epoch_event(2, promoted=3, demoted=0, migration_us=7.0,
-                          overhead_us=2.0)]
-        totals = migration_totals(tl)
-        assert totals["promoted"] == 5.0
-        assert totals["migration_us"] == 12.0
 
 
 class TestPivot:
@@ -124,18 +98,3 @@ class TestMigrationOutcomes:
         tl = list(reversed(async_timeline()))
         frame = migration_outcomes(tl)
         assert frame["epoch"] == [1.0, 2.0]
-
-    def test_totals(self):
-        totals = migration_outcome_totals(async_timeline())
-        assert totals["enqueued"] == 14.0
-        assert totals["dropped_full"] == 1.0
-        assert totals["committed"] == 11.0
-        assert totals["aborted"] == 3.0
-        assert totals["epochs_active"] == 2.0
-        assert totals["peak_pending"] == 8.0
-
-    def test_totals_empty_timeline(self):
-        totals = migration_outcome_totals([])
-        assert totals["committed"] == 0.0
-        assert totals["epochs_active"] == 0.0
-        assert totals["peak_pending"] == 0.0

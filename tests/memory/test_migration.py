@@ -182,13 +182,6 @@ class TestPinning:
 
 
 class TestStats:
-    def test_reset_stats(self):
-        _, eng = make_engine()
-        eng.promote(np.array([0]))
-        eng.reset_stats()
-        assert eng.stats.promoted == 0
-        assert eng.stats.time_us == 0.0
-
     def test_frame_conservation_through_churn(self):
         """Frames stay unique through heavy promote/demote churn."""
         mem, eng = make_engine(ddr=4, cxl=16, pages=12)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.timeline import migration_outcome_totals, migration_outcomes
+from repro.analysis.timeline import migration_outcomes
 from repro.sim.config import SimConfig
 from repro.sim.engine import Simulation, run_policy
 from repro.sim.telemetry import RingBufferSink, TelemetryBus
@@ -110,16 +110,6 @@ class TestTelemetryIntegration:
         assert "migration.commit" in stages
         assert "migration.abort" in stages
         assert "migration.retry" in stages
-
-    def test_timeline_pivot_matches_run_stats(self):
-        bus = TelemetryBus([RingBufferSink()])
-        cfg = async_config(migration_abort_rate=0.3)
-        r = run_policy(build("mcf", seed=0), "anb", cfg, telemetry=bus)
-        totals = migration_outcome_totals(r.timeline)
-        assert totals["committed"] == r.extra["mig_committed"]
-        assert totals["aborted"] == r.extra["mig_aborted"]
-        frame = migration_outcomes(r.timeline)
-        assert len(frame["epoch"]) == totals["epochs_active"]
 
     def test_instant_mode_publishes_no_migration_events(self):
         bus = TelemetryBus([RingBufferSink()])

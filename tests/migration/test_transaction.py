@@ -259,12 +259,55 @@ class TestEngineTick:
         assert extra["mig_committed"] == 1.0
         assert "mig_pages_copied" in extra
 
-    def test_reset_stats(self):
-        _, _, eng = make_engine()
-        eng.enqueue_promotions([0])
-        eng.tick(epoch=1)
-        eng.reset_stats()
-        assert eng.stats.committed == 0
+    def test_stats_and_outcome_metric_are_the_folded_tick_reports(self):
+        """Each tick's report is folded once into the run totals and
+        the outcome counter; series appear in first-occurrence order."""
+        from repro.obs.metrics import MetricsRegistry
+
+        reg = MetricsRegistry()
+        mem = TieredMemory(ddr_pages=3, cxl_pages=16, num_logical_pages=12)
+        mem.allocate_all(NodeKind.CXL)
+        sync = MigrationEngine(mem)
+        eng = AsyncMigrationEngine(
+            sync,
+            AsyncMigrationConfig(inflight_budget=4, abort_rate=0.4,
+                                 max_retries=1, seed=3),
+            metrics=reg,
+        )
+        reports = []
+        for epoch in range(1, 9):
+            eng.enqueue_promotions([(epoch * 5 + i) % 12 for i in range(3)])
+            sync.mglru.age()
+            reports.append(eng.tick(epoch, dirty_pages=[epoch * 5 % 12]))
+        total = {}
+        first_seen = []
+        for report in reports:
+            for outcome, n in report.outcomes.items():
+                total[outcome.value] = total.get(outcome.value, 0) + n
+                if outcome.value not in first_seen:
+                    first_seen.append(outcome.value)
+        assert len(first_seen) >= 3  # commits, injected and dirty aborts
+        family = reg.get("migration_outcomes_total")
+        assert [labels["outcome"] for labels, _ in family.series()] == first_seen
+        assert {labels["outcome"]: m.value
+                for labels, m in family.series()} == total
+        report_fields = {
+            "committed": "committed", "promoted": "promoted",
+            "demoted": "demoted", "aborted": "aborted",
+            "aborted_dirty": "aborted_dirty",
+            "aborted_injected": "aborted_injected",
+            "aborted_enomem": "aborted_enomem", "retries": "retried",
+            "dropped_retries": "dropped_retries",
+            "rejected_pinned": "rejected_pinned", "noop": "noop",
+            "pages_copied": "pages_copied", "copy_bytes": "copy_bytes",
+        }
+        for stat, field in report_fields.items():
+            assert getattr(eng.stats, stat) == sum(
+                getattr(r, field) for r in reports
+            ), stat
+        assert reg.get("migration_copy_bytes_total").labels().value == (
+            eng.stats.copy_bytes
+        )
 
 
 class TestConfigValidation:

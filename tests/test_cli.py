@@ -40,6 +40,40 @@ class TestRun:
         assert rc == 0
         assert "p99" in capsys.readouterr().out
 
+    def test_async_totals_printed_once_from_run_result(
+        self, monkeypatch, capsys
+    ):
+        """A run long enough to overflow the timeline ring still prints
+        each async total once, and it is the exact ``RunResult`` one,
+        never a sum over the truncated ring."""
+        from repro import cli
+
+        sims = []
+
+        class Recording(cli.Simulation):
+            def run(self):
+                sims.append(self)
+                return super().run()
+
+        monkeypatch.setattr(cli, "Simulation", Recording)
+        rc = main([
+            "run", "--bench", "mcf", "--policy", "anb",
+            "--accesses", "1200000", "--chunk", "1024",
+            "--migration-mode", "async", "--mig-abort-rate", "0.3",
+        ])
+        assert rc == 0
+        result = sims[0].result
+        assert result.timeline_dropped > 0
+        lines = capsys.readouterr().out.splitlines()
+        commit_lines = [line for line in lines if "commit" in line]
+        abort_lines = [line for line in lines if "abort" in line]
+        committed = int(result.extra["mig_committed"])
+        aborted = int(result.extra["mig_aborted"])
+        assert len(commit_lines) == 1
+        assert f"committed {committed}," in commit_lines[0]
+        assert len(abort_lines) == 1
+        assert f"aborted {aborted} " in abort_lines[0]
+
 
 class TestRunObservability:
     def test_metrics_prom_file(self, capsys, tmp_path):
