@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Tuple, Type
+from typing import Dict, Iterable, List, Optional, Type
 
 from repro.lintkit.context import FileContext, Project
 from repro.lintkit.findings import Finding, Severity
@@ -144,17 +144,3 @@ def identifiers_in(node: ast.AST) -> List[str]:
             if called:
                 out.extend(called.split("."))
     return out
-
-
-def enclosing_functions(tree: ast.Module) -> List[Tuple[ast.AST, ast.AST]]:
-    """(function_node, parent) pairs for every def in the module."""
-    pairs: List[Tuple[ast.AST, ast.AST]] = []
-
-    def visit(node: ast.AST) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                pairs.append((child, node))
-            visit(child)
-
-    visit(tree)
-    return pairs

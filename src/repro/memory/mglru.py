@@ -106,6 +106,13 @@ class MultiGenLru:
         if candidates.size == 0 or n <= 0:
             return np.empty(0, dtype=np.int64)
         gens = self._gen[candidates]
+        if n == 1:
+            # The lexsort's first entry by three masked O(D) reductions
+            # over the same key: oldest generation, then coldest heat
+            # within it, then the smallest page id.
+            oldest = candidates[gens == gens.min()]
+            heat = self._heat[oldest]
+            return oldest[heat == heat.min()].min(keepdims=True)
         # Oldest (smallest seq) first; within a generation, coldest
         # heat first; final tie broken by page id for determinism.
         order = np.lexsort((candidates, self._heat[candidates], gens))

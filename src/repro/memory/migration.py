@@ -141,10 +141,10 @@ class MigrationEngine:
         free = min(max(budget, 0), int(on_cxl.size))
         paired = int(on_cxl.size) - free
         # The bulk path must reproduce the page-at-a-time loop's frame
-        # assignments exactly.  Pins re-enter the picture mid-loop
-        # (a pinned victim perturbs the budget), and a full CXL node
-        # makes the victim demote fail — both rare; replay those
-        # sequentially rather than modelling them twice.
+        # assignments exactly.  Pinned DDR pages must be passed over as
+        # victims, and a full CXL node makes the victim demote fail —
+        # both rare; replay those sequentially rather than modelling
+        # them twice.
         if self._has_pins or (paired > 0 and self.memory.cxl.free_pages < 1):
             promoted = self._promote_sequential(pages, on_cxl, budget)
         else:
@@ -216,18 +216,28 @@ class MigrationEngine:
                 # Demote one victim to make room; never demote a page
                 # named in this request (whether being promoted now or
                 # already resident on DDR).
-                ddr_pages = self.memory.pages_on(NodeKind.DDR)
-                victims = self.mglru.coldest(len(ddr_pages), among=ddr_pages)
-                victims = victims[~np.isin(victims, pages)]
-                if victims.size == 0:
+                victim = self.coldest_demotable(protect=pages)
+                if victim.size == 0 or self.demote(victim) == 0:
                     break
-                self.demote(victims[:1])
                 budget += 1
             self.memory.move_page(lpage, NodeKind.DDR)
             self.mglru.track(np.array([lpage]))
             promoted += 1
             budget -= 1
         return promoted
+
+    def coldest_demotable(self, protect: np.ndarray) -> np.ndarray:
+        """The next demotion victim: the coldest DDR-resident page that
+        is neither pinned nor in ``protect`` (empty if there is none).
+
+        Filtering first makes the victim the minimum of the eligible
+        set, which :meth:`MultiGenLru.coldest` finds without a sort.
+        """
+        eligible = self.memory.node_map == 0
+        eligible[protect] = False
+        if self._has_pins:
+            eligible &= self._pins == 0
+        return self.mglru.coldest(1, among=np.flatnonzero(eligible))
 
     def demote(self, pages: np.ndarray) -> int:
         """Migrate logical pages from DDR down to CXL."""

@@ -42,14 +42,6 @@ class Outcome(enum.Enum):
     #: Promoter safety check: DMA-pinned or node-bound page.
     REJECT_PINNED = "reject_pinned"
 
-    @property
-    def is_abort(self) -> bool:
-        return self in (
-            Outcome.ABORT_DIRTY,
-            Outcome.ABORT_INJECTED,
-            Outcome.ABORT_ENOMEM,
-        )
-
 
 @dataclass
 class MigrationRequest:

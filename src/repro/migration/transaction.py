@@ -96,16 +96,6 @@ class TransactionalCopier:
             self.engine.stats.demoted += 1
         self.engine.stats.time_us += self.remap_us
 
-    def _demote_first_victim(self, protect: int) -> Optional[int]:
-        """Pick a demotable MGLRU victim on DDR (never ``protect``)."""
-        ddr_pages = self.memory.pages_on(NodeKind.DDR)
-        if ddr_pages.size == 0:
-            return None
-        for victim in self.mglru.coldest(ddr_pages.size, among=ddr_pages).tolist():
-            if victim != protect and not self._is_pinned(victim):
-                return victim
-        return None
-
     def _ensure_frame(
         self, req: MigrationRequest, dst: NodeKind, result: TransactionResult
     ) -> bool:
@@ -120,9 +110,10 @@ class TransactionalCopier:
             return True
         if dst is not NodeKind.DDR or not self.enomem_fallback:
             return False
-        victim = self._demote_first_victim(protect=req.lpage)
-        if victim is None:
+        victims = self.engine.coldest_demotable(protect=np.array([req.lpage]))
+        if victims.size == 0:
             return False  # no demotable victim → ENOMEM
+        victim = int(victims[0])
         try:
             self._commit_move(victim, NodeKind.CXL)
         except MemoryError:

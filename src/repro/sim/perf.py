@@ -406,10 +406,3 @@ class PerformanceModel:
         )
         u_tail = float(np.quantile(per_epoch_u, 0.95))
         return float(base_us * (1.0 + P99_GAIN * u_tail))
-
-    def throughput_accesses_per_s(self) -> float:
-        total_accesses = sum(
-            e.compute_s / self.compute_per_access_s for e in self.epochs
-        )
-        t = self.execution_time_s
-        return total_accesses / t if t > 0 else 0.0

@@ -389,7 +389,7 @@ def kernels_oracle(seed: int = 0, accesses: int = 60_000) -> OracleReport:
     from repro.cxl.batch import AccessBatch
     from repro.cxl.wac import WordAccessCounter
     from repro.memory.mglru import MultiGenLru
-    from repro.memory.migration import MigrationEngine
+    from repro.memory.migration import MigrationEngine, PinReason
     from repro.memory.tiers import NodeKind, TieredMemory
 
     report = OracleReport(
@@ -461,13 +461,21 @@ def kernels_oracle(seed: int = 0, accesses: int = 60_000) -> OracleReport:
             for part in (memory, mglru, engine):
                 as_reference(part)
         op_rng = np.random.default_rng(seed + 1)
-        translated = []
-        for _ in range(60):
+        translated, victims = [], []
+        for step in range(60):
+            # A few DDR pages pinned over the middle third: a full DDR
+            # then promotes page by page, passing over pinned victims.
+            if step == 20:
+                engine.pin(op_rng.choice(memory.pages_on(NodeKind.DDR), 4,
+                                         replace=False), PinReason.DMA)
+            elif step == 40:
+                engine.unpin(np.arange(num_pages))
             lot = op_rng.integers(0, num_pages, size=48)
             memory.record_epoch_accesses(lot)
             translated.append(memory.translate(
                 (lot.astype(np.uint64) << np.uint64(PAGE_SHIFT)) | words[:48]))
             mglru.record_accesses(lot[memory.node_map[lot] == 0])
+            victims.append(engine.coldest_demotable(protect=lot).tolist())
             engine.promote(op_rng.integers(0, num_pages, size=24))
             if op_rng.random() < 0.3:
                 engine.demote(op_rng.integers(0, num_pages, size=8))
@@ -481,6 +489,7 @@ def kernels_oracle(seed: int = 0, accesses: int = 60_000) -> OracleReport:
              engine.stats.rejected, engine.stats.time_us),
             np.concatenate(translated),
             [node.accesses_total for node in memory.nodes],
+            victims,
         )
     ref_state, fast_state = states[True], states[False]
     report.add("frame_map_mismatches", 0,
@@ -499,6 +508,7 @@ def kernels_oracle(seed: int = 0, accesses: int = 60_000) -> OracleReport:
     report.add("translate_mismatches", 0,
                int((ref_state[7] != fast_state[7]).sum()))
     report.add("node_access_mismatch", 0, int(ref_state[8] != fast_state[8]))
+    report.add("victim_mismatches", 0, _mismatches(ref_state[9], fast_state[9]))
     return report
 
 

@@ -178,6 +178,18 @@ def record_accesses(mglru: MultiGenLru, pages: np.ndarray) -> None:
             mglru._heat[page] += 1.0
 
 
+def coldest(
+    mglru: MultiGenLru, n: int, among: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Sort every tracked candidate by its (generation, heat, page)
+    key and keep the first ``n``."""
+    pages = (range(mglru.num_pages) if among is None
+             else np.asarray(among, dtype=np.int64).tolist())
+    keys = sorted((int(mglru._gen[page]), float(mglru._heat[page]), page)
+                  for page in pages if mglru._gen[page] >= 0)
+    return np.array([page for _, _, page in keys[:max(n, 0)]], dtype=np.int64)
+
+
 def promote(engine: MigrationEngine, pages: np.ndarray) -> int:
     """One demote/promote pair per page."""
     pages = engine._reject_pinned(np.unique(np.asarray(pages, dtype=np.int64)))
@@ -231,7 +243,7 @@ REFERENCE_MODELS: Tuple[Tuple[Any, Dict[str, Callable[..., Any]]], ...] = (
     (ExactTopK, {"_ingest": exact_ingest}),
     (SortedCam, {"offer_batch": offer_batch}),
     ((SpaceSaving, StickySampling), {"update_batch": update_batch}),
-    (MultiGenLru, {"record_accesses": record_accesses}),
+    (MultiGenLru, {"record_accesses": record_accesses, "coldest": coldest}),
     (MigrationEngine, {"promote": promote, "demote": demote}),
     (MigrationPolicy, {"record_hot": record_hot}),
 )

@@ -14,7 +14,6 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from repro.memory.address import PAGE_SIZE
 from repro.workloads.phases import PhaseModel, Stationary
 from repro.workloads.wordmap import WordDensityProfile, WordSelector, addresses_from
 from repro.workloads.zipf import uniform_popularity
@@ -48,10 +47,6 @@ class WorkloadSpec:
     latency_sensitive: bool = False
     paper_footprint_gb: float = 0.0
     mpki: float = 20.0
-
-    @property
-    def footprint_bytes(self) -> int:
-        return self.footprint_pages * PAGE_SIZE
 
 
 class TraceGenerator(abc.ABC):

@@ -181,6 +181,48 @@ class TestPinning:
         }
 
 
+class TestPinnedVictims:
+    """A full DDR pays for a promotion with the coldest *demotable*
+    page: a pinned DDR page is passed over as a victim, not rejected
+    on behalf of a request that never named it."""
+
+    def full_ddr_pinned_coldest(self, reserve=0):
+        mem = TieredMemory(ddr_pages=2 + reserve, cxl_pages=16,
+                           num_logical_pages=8)
+        mem.allocate_all(NodeKind.CXL)
+        eng = MigrationEngine(mem, ddr_reserve_pages=reserve)
+        eng.promote(np.array([0, 1]))
+        eng.mglru.age()
+        eng.mglru.record_accesses(np.array([1]))  # page 0 is the coldest
+        eng.pin(np.array([0]), PinReason.DMA)
+        return mem, eng
+
+    def test_pinned_coldest_page_skipped(self):
+        mem, eng = self.full_ddr_pinned_coldest()
+        assert eng.promote(np.array([2])) == 1
+        assert mem.node_of_page(0) is NodeKind.DDR
+        assert mem.node_of_page(1) is NodeKind.CXL
+        assert mem.node_of_page(2) is NodeKind.DDR
+        assert eng.stats.demoted == 1
+        assert eng.stats.rejected == 0
+        assert eng.stats.rejected_by_reason == {}
+
+    def test_pinned_victim_leaves_reserve_alone(self):
+        mem, eng = self.full_ddr_pinned_coldest(reserve=1)
+        assert eng.promote(np.array([2])) == 1
+        assert mem.nr_pages(NodeKind.DDR) == 2
+        assert mem.node_of_page(1) is NodeKind.CXL
+        assert eng.stats.rejected == 0
+
+    def test_every_ddr_page_pinned_promotes_nothing(self):
+        mem, eng = self.full_ddr_pinned_coldest()
+        eng.pin(np.array([1]), PinReason.NODE_BOUND)
+        assert eng.promote(np.array([2])) == 0
+        assert mem.node_of_page(2) is NodeKind.CXL
+        assert eng.stats.demoted == 0
+        assert eng.stats.rejected == 0
+
+
 class TestStats:
     def test_frame_conservation_through_churn(self):
         """Frames stay unique through heavy promote/demote churn."""

@@ -161,3 +161,32 @@ class TestMglruVictims:
         lru.track(np.asarray(young))
         victims = lru.coldest(len(old))
         assert set(victims.tolist()) == set(old)
+
+    @SETTINGS
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 31), max_size=8),
+                # Repeats give integer heats, so exact float ties occur.
+                st.lists(st.integers(0, 31), max_size=16),
+                st.booleans(),
+            ),
+            max_size=6,
+        ),
+        # Unsorted, with repeats and untracked pages (possibly all).
+        st.lists(st.integers(0, 31), max_size=24),
+    )
+    def test_single_victim_is_first_of_full_order(self, rounds, among):
+        lru = MultiGenLru(32)
+        for tracked, accessed, age in rounds:
+            lru.track(np.asarray(tracked, dtype=np.int64))
+            lru.record_accesses(np.asarray(accessed, dtype=np.int64))
+            if age:
+                lru.age()
+        among = np.asarray(among, dtype=np.int64)
+        # n > len(among) keeps the reference on the full-order path.
+        full = lru.coldest(among.size + 1, among=among)
+        victim = lru.coldest(1, among=among)
+        assert victim.dtype == np.int64
+        assert victim.tolist() == full[:1].tolist()
+        assert lru.coldest(1).tolist() == lru.coldest(33)[:1].tolist()
