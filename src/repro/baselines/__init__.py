@@ -10,7 +10,7 @@ from repro.baselines.base import (
     PolicyDecision,
 )
 from repro.baselines.anb import AutoNumaBalancing
-from repro.baselines.damon import Damon, Region
+from repro.baselines.damon import Damon
 from repro.baselines.ptescan import PteScanner
 from repro.baselines.pebs import PebsSampler
 from repro.baselines.tpp import Tpp
@@ -24,7 +24,6 @@ __all__ = [
     "PolicyDecision",
     "AutoNumaBalancing",
     "Damon",
-    "Region",
     "PteScanner",
     "PebsSampler",
     "Tpp",

@@ -35,8 +35,7 @@ so its costs are *not* scaled under time dilation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -51,19 +50,6 @@ AGGREGATE_COST_US = 15.0
 
 DEFAULT_SAMPLING_INTERVAL_S = 0.005
 DEFAULT_AGGREGATION_INTERVAL_S = 0.1
-
-
-@dataclass
-class Region:
-    """One DAMON region: [start, end) logical pages."""
-
-    start: int
-    end: int
-    nr_accesses: int = 0
-
-    @property
-    def size(self) -> int:
-        return self.end - self.start
 
 
 class Damon(MigrationPolicy):
@@ -115,14 +101,13 @@ class Damon(MigrationPolicy):
         self.access_scale = float(access_scale)
         self._rng = np.random.default_rng(seed)
         n = memory.num_logical_pages
-        bounds = np.linspace(0, n, self.min_nr_regions + 1).astype(int)
-        self.regions: List[Region] = [
-            Region(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a
-        ]
-        # Per-region sample counts live in this array (index-aligned
-        # with self.regions, which only mutates inside _aggregate) and
-        # are materialised into Region.nr_accesses at aggregation time.
-        self._nr_accesses = np.zeros(len(self.regions), dtype=np.int64)
+        # Empty buckets (a footprint under min_nr_regions) are dropped.
+        bounds = np.unique(np.linspace(0, n, self.min_nr_regions + 1).astype(np.int64))
+        # The regions: [starts[i], ends[i]) logical pages, contiguous and
+        # ascending, with the sample count of each in _nr_accesses.  The
+        # three arrays stay index-aligned; only _aggregate reshapes them.
+        self.starts, self.ends = bounds[:-1], bounds[1:]
+        self._nr_accesses = np.zeros(self.starts.size, dtype=np.int64)
         self._sample_debt_s = 0.0
         self._next_aggregate_s = self.aggregation_interval_s
         self._samples_this_window = 0
@@ -144,12 +129,12 @@ class Damon(MigrationPolicy):
         Vectorised: pass p picks one uniform page per region; the bit
         probability follows the page's TLB-missing access rate.
         """
-        if num_passes <= 0 or not self.regions:
+        num_regions = self.starts.size
+        if num_passes <= 0 or not num_regions:
             return
-        starts = np.array([r.start for r in self.regions])
-        sizes = np.array([r.size for r in self.regions])
-        picks = starts[None, :] + (
-            self._rng.random((num_passes, len(self.regions))) * sizes[None, :]
+        sizes = self.ends - self.starts
+        picks = self.starts[None, :] + (
+            self._rng.random((num_passes, num_regions)) * sizes[None, :]
         ).astype(np.int64)
         rate = (
             counts[picks] * self.access_scale * self._tlb_miss_ratio()
@@ -157,75 +142,94 @@ class Damon(MigrationPolicy):
         )
         p_bit = 1.0 - np.exp(-rate * self.sampling_interval_s)
         self._nr_accesses += (self._rng.random(picks.shape) < p_bit).sum(axis=0)
-        total = num_passes * len(self.regions)
+        total = num_passes * num_regions
         self.samples_taken += total
         self._samples_this_window += num_passes
         self.costs.charge(total * SAMPLE_COST_US, "pte_sample")
 
     # ------------------------------------------------------------------
-    # aggregation (merge/split)
+    # aggregation (promote, merge, split)
+
+    def _promote_hot(self, threshold: float) -> None:
+        """Promote the CXL pages of regions scoring ``threshold`` or
+        more, highest score first (ties by address), until
+        ``quota_pages`` pages are taken."""
+        nr = self._nr_accesses
+        order = np.lexsort((self.starts, -nr))
+        hot = order[nr[order] >= threshold]
+        if hot.size == 0 or self.quota_pages <= 0:
+            return
+        # Every page of the hot regions, concatenated in that order.
+        starts = self.starts[hot]
+        sizes = self.ends[hot] - starts
+        cumsizes = np.cumsum(sizes)
+        pages = np.repeat(starts - (cumsizes - sizes), sizes) + np.arange(cumsizes[-1])
+        # Regions are disjoint, so one call appends the same pages in
+        # the same order as one call per region.
+        self.record_hot(pages[self.memory.node_map[pages] == 1][:self.quota_pages])
 
     def _merge_regions(self) -> None:
-        merged: List[Region] = []
-        for region in self.regions:
-            if (
-                merged
-                and abs(merged[-1].nr_accesses - region.nr_accesses)
-                <= self.merge_threshold
-                and len(self.regions) > self.min_nr_regions
-            ):
-                last = merged[-1]
-                total = last.size + region.size
-                last.nr_accesses = (
-                    last.nr_accesses * last.size + region.nr_accesses * region.size
-                ) // total
-                last.end = region.end
+        """Merge each region into its left neighbour's group when its
+        score is within ``merge_threshold`` of the group's running
+        size-weighted floor average.  Whether merging is allowed at all
+        is decided once, on the pre-merge region count."""
+        if self.starts.size <= self.min_nr_regions:
+            return
+        threshold = self.merge_threshold
+        nrs, sizes = self._nr_accesses, self.ends - self.starts
+        firsts, scores = [0], []
+        score, size = int(nrs[0]), int(sizes[0])
+        # lint: disable=PERF001 -- each merge test reads the running
+        # average of the group being grown, so the scan is sequential
+        # (at most max_nr_regions steps per aggregation)
+        for i, nr, region_size in zip(range(1, nrs.size), nrs[1:].tolist(),
+                                      sizes[1:].tolist()):
+            if -threshold <= score - nr <= threshold:
+                total = size + region_size
+                score = (score * size + nr * region_size) // total
+                size = total
             else:
-                merged.append(region)
-        self.regions = merged
+                firsts.append(i)
+                scores.append(score)
+                score, size = nr, region_size
+        scores.append(score)
+        lasts = np.append(np.array(firsts[1:], dtype=np.int64) - 1, nrs.size - 1)
+        self.starts = self.starts[firsts]
+        self.ends = self.ends[lasts]
+        self._nr_accesses = np.array(scores, dtype=np.int64)
 
     def _split_regions(self) -> None:
-        if len(self.regions) * 2 > self.max_nr_regions:
+        """Split every region of two or more pages at a random cut in
+        its middle half (both halves keep its score), unless that would
+        exceed ``max_nr_regions``."""
+        if self.starts.size * 2 > self.max_nr_regions:
             return
-        split: List[Region] = []
-        for region in self.regions:
-            if region.size < 2:
-                split.append(region)
-                continue
-            lo = region.start + max(1, region.size // 4)
-            hi = region.end - max(1, region.size // 4)
-            cut = int(self._rng.integers(lo, max(lo + 1, hi)))
-            split.append(Region(region.start, cut, region.nr_accesses))
-            split.append(Region(cut, region.end, region.nr_accesses))
-        self.regions = split
+        sizes = self.ends - self.starts
+        splits = sizes >= 2
+        if not splits.any():
+            return
+        quarter = np.maximum(1, sizes[splits] // 4)
+        lo = self.starts[splits] + quarter
+        # One draw per split region, in address order: the same stream
+        # (and end state) as one scalar draw per region.
+        cuts = self._rng.integers(lo, np.maximum(lo + 1, self.ends[splits] - quarter))
+        # Each cut lies strictly inside its region and the regions tile
+        # the space, so the new starts are the sorted union and each
+        # region ends where the next one starts.
+        self.starts = np.sort(np.concatenate((self.starts, cuts)))
+        self.ends = np.append(self.starts[1:], self.ends[-1])
+        self._nr_accesses = np.repeat(self._nr_accesses, splits + 1)
 
     def _aggregate(self) -> None:
         """Score regions, promote the hottest under quota, then
         merge + split (the DAMOS hot-page scheme with a size quota)."""
         self.aggregations += 1
         self.costs.charge(AGGREGATE_COST_US, "aggregate")
-        # Materialise the array counts: scoring and merge/split read
-        # Region.nr_accesses.
-        for region, n in zip(self.regions, self._nr_accesses.tolist()):
-            region.nr_accesses = int(n)
         max_samples = max(1, self._samples_this_window)
-        threshold = max(1.0, self.hot_threshold * max_samples)
-        # Highest scoring regions first (quota prioritisation).
-        budget = self.quota_pages
-        for region in sorted(
-            self.regions, key=lambda r: (-r.nr_accesses, r.start)
-        ):
-            if region.nr_accesses < threshold or budget <= 0:
-                break
-            pages = np.arange(region.start, region.end)
-            pages = pages[self.memory.node_map[pages] == 1][:budget]
-            budget -= int(pages.size)
-            self.record_hot(pages)
+        self._promote_hot(max(1.0, self.hot_threshold * max_samples))
         self._merge_regions()
         self._split_regions()
-        for region in self.regions:
-            region.nr_accesses = 0
-        self._nr_accesses = np.zeros(len(self.regions), dtype=np.int64)
+        self._nr_accesses = np.zeros(self.starts.size, dtype=np.int64)
         self._samples_this_window = 0
 
     def _detect(self, pages: np.ndarray, now_s: float, epoch_s: float) -> None:

@@ -1,9 +1,9 @@
 """PERF001: per-element Python iteration over ndarrays in hot layers.
 
-The epoch hot path (``sim/``, ``cxl/``, ``memory/``, ``core/``) flows
-each chunk through vectorized array kernels; a ``for`` loop over
-``arr.tolist()`` in those layers reintroduces a per-access Python loop
-— the exact pattern the vectorized kernels exist to remove, and the
+The epoch hot path (``sim/``, ``cxl/``, ``memory/``, ``core/``, and the
+CPU-driven policies in ``baselines/``) flows each chunk through
+vectorized array kernels; a ``for`` loop over ``arr.tolist()`` in those
+layers reintroduces a per-access Python loop — the exact pattern the vectorized kernels exist to remove, and the
 kind of regression a profile will find months later.
 
 The rule flags any ``for`` statement or comprehension whose iterable
@@ -24,7 +24,7 @@ from repro.lintkit.context import FileContext
 from repro.lintkit.findings import Finding
 
 #: Layers whose loops are the epoch hot path.
-HOT_LAYERS = ("sim", "cxl", "memory", "core")
+HOT_LAYERS = ("sim", "cxl", "memory", "core", "baselines")
 
 
 def _iter_has_tolist(node: ast.expr) -> bool:

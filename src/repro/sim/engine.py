@@ -127,7 +127,7 @@ Stage = Callable[[EpochPolicy, "_EpochState"], None]
 #: On-disk checkpoint format.  Bumped whenever the pickled state's
 #: shape changes incompatibly; ``load_state`` refuses other versions
 #: rather than resuming from state it would misinterpret.
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
 #: Events the default ring-buffer sink keeps (``RunResult.timeline``).
 TIMELINE_CAPACITY = 4096

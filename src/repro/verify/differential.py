@@ -36,8 +36,9 @@ Seven oracle pairs (``repro verify`` / ``tools/run_differential.py``):
   reference model on one shared skewed stream: trackers
   (CM-Sketch/CAM, SpaceSaving, MisraGries, StickySampling, Exact),
   PAC/WAC observe, MGLRU generation updates, address translation,
-  and bulk promote/demote frame placement.  All state comparisons
-  are exact (mismatch counts with zero tolerance).
+  bulk promote/demote frame placement, and DAMON's region promotion,
+  merge and split.  All state comparisons are exact (mismatch counts
+  with zero tolerance).
 * ``fleet`` — a 1-tenant, 2-tier :class:`~repro.fleet.FleetSimulation`
   vs the plain single-run :class:`~repro.sim.engine.Simulation`.  Zero
   tolerance everywhere, down to the frame and node maps: the fleet
@@ -385,6 +386,7 @@ def kernels_oracle(seed: int = 0, accesses: int = 60_000) -> OracleReport:
     the epoch hot path vectorizes; their internal state must match
     exactly afterwards.
     """
+    from repro.baselines.damon import Damon
     from repro.core.trackers import make_hpt
     from repro.cxl.batch import AccessBatch
     from repro.cxl.wac import WordAccessCounter
@@ -509,6 +511,40 @@ def kernels_oracle(seed: int = 0, accesses: int = 60_000) -> OracleReport:
                int((ref_state[7] != fast_state[7]).sum()))
     report.add("node_access_mismatch", 0, int(ref_state[8] != fast_state[8]))
     report.add("victim_mismatches", 0, _mismatches(ref_state[9], fast_state[9]))
+
+    # DAMON region work: several aggregations per epoch over the same
+    # skewed stream, its hot spot moving every epoch.  The small quota
+    # cuts inside a region, and every eighth page starts on DDR, so
+    # promotion must skip it.
+    damons = []
+    for reference in (True, False):
+        memory = TieredMemory(ddr_pages=num_pages // 8, cxl_pages=num_pages,
+                              num_logical_pages=num_pages)
+        memory.allocate_all(NodeKind.CXL)
+        for lpage in range(0, num_pages, 8):
+            memory.move_page(lpage, NodeKind.DDR)
+        damon = Damon(memory, min_nr_regions=8, max_nr_regions=64,
+                      quota_pages=24, seed=seed)
+        if reference:
+            as_reference(damon)
+        for epoch, start in enumerate(range(0, accesses, 8192)):
+            lot = (pages[start:start + 8192].astype(np.int64)
+                   + 131 * epoch) % num_pages
+            damon.on_epoch(lot, now_s=epoch * 0.25, epoch_s=0.25)
+        damons.append(damon)
+    ref, fast = damons
+    report.add("damon_region_mismatches", 0,
+               _mismatches(list(zip(ref.starts.tolist(), ref.ends.tolist())),
+                           list(zip(fast.starts.tolist(), fast.ends.tolist()))))
+    report.add("damon_hot_page_mismatches", 0,
+               _mismatches(ref.hot_pages, fast.hot_pages))
+    report.add("damon_hot_pfn_mismatches", 0,
+               _mismatches(ref.hot_pfns, fast.hot_pfns))
+    report.add("damon_samples_taken", ref.samples_taken, fast.samples_taken)
+    report.add("damon_cost_event_mismatch", 0,
+               int(ref.costs.events != fast.costs.events))
+    report.add("damon_rng_state_mismatch", 0,
+               int(ref._rng.bit_generator.state != fast._rng.bit_generator.state))
     return report
 
 

@@ -5,8 +5,9 @@ what they do on *one* access; MGLRU and ``migrate_pages()`` act on one
 page at a time.  The production pipeline reaches the same end state a
 chunk at a time with array kernels.  This module keeps the literal
 one-at-a-time semantics as plain functions, one per vectorized entry
-point, so the ``engine`` and ``kernels`` oracles, the golden matrix and
-the Hypothesis equivalence suites can hold the kernels to them.
+point (DAMON's region work: one region at a time), so the ``engine``
+and ``kernels`` oracles, the golden matrix and the Hypothesis
+equivalence suites can hold the kernels to them.
 
 :func:`as_reference` binds these functions onto one built component, or
 onto every component of a :class:`~repro.sim.engine.Simulation` before
@@ -25,11 +26,12 @@ against.
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable, Dict, Optional, Tuple, TypeVar
+from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
 import numpy as np
 
 from repro.baselines.base import MigrationPolicy
+from repro.baselines.damon import Damon
 from repro.core.spacesaving import SpaceSaving
 from repro.core.stickysampling import StickySampling
 from repro.core.topk import SortedCam
@@ -231,6 +233,72 @@ def record_hot(policy: MigrationPolicy, logical_pages: np.ndarray) -> None:
 
 
 # ----------------------------------------------------------------------
+# DAMON regions
+
+
+def _regions(damon: Damon) -> List[List[int]]:
+    """The regions as ``[start, end, nr_accesses]`` records."""
+    return [list(region) for region in zip(
+        damon.starts.tolist(), damon.ends.tolist(), damon._nr_accesses.tolist())]
+
+
+def _set_regions(damon: Damon, regions: List[List[int]]) -> None:
+    table = np.array(regions, dtype=np.int64).reshape(-1, 3)
+    damon.starts, damon.ends, damon._nr_accesses = table.T.copy()
+
+
+def promote_hot(damon: Damon, threshold: float) -> None:
+    """Highest score first (ties by address), one ``record_hot`` per
+    region, until a region scores below ``threshold`` or the quota is
+    spent."""
+    budget = damon.quota_pages
+    for start, end, nr in sorted(_regions(damon), key=lambda r: (-r[2], r[0])):
+        if nr < threshold or budget <= 0:
+            break
+        pages = np.arange(start, end)
+        pages = pages[damon.memory.node_map[pages] == 1][:budget]
+        budget -= int(pages.size)
+        damon.record_hot(pages)
+
+
+def merge_regions(damon: Damon) -> None:
+    """Merge each region into the last kept one in place, testing the
+    region count before the pass on every step."""
+    regions = _regions(damon)
+    merged: List[List[int]] = []
+    for region in regions:
+        if (merged
+                and abs(merged[-1][2] - region[2]) <= damon.merge_threshold
+                and len(regions) > damon.min_nr_regions):
+            last = merged[-1]
+            last_size, size = last[1] - last[0], region[1] - region[0]
+            last[2] = (last[2] * last_size + region[2] * size) // (last_size + size)
+            last[1] = region[1]
+        else:
+            merged.append(region)
+    _set_regions(damon, merged)
+
+
+def split_regions(damon: Damon) -> None:
+    """One scalar cut draw per region of two or more pages, in address
+    order."""
+    regions = _regions(damon)
+    if len(regions) * 2 > damon.max_nr_regions:
+        return
+    split: List[List[int]] = []
+    for start, end, nr in regions:
+        size = end - start
+        if size < 2:
+            split.append([start, end, nr])
+            continue
+        lo = start + max(1, size // 4)
+        hi = end - max(1, size // 4)
+        cut = int(damon._rng.integers(lo, max(lo + 1, hi)))
+        split += [[start, cut, nr], [cut, end, nr]]
+    _set_regions(damon, split)
+
+
+# ----------------------------------------------------------------------
 # binding
 
 #: Entry points each component type swaps for its reference model.
@@ -246,6 +314,8 @@ REFERENCE_MODELS: Tuple[Tuple[Any, Dict[str, Callable[..., Any]]], ...] = (
     (MultiGenLru, {"record_accesses": record_accesses, "coldest": coldest}),
     (MigrationEngine, {"promote": promote, "demote": demote}),
     (MigrationPolicy, {"record_hot": record_hot}),
+    (Damon, {"_promote_hot": promote_hot, "_merge_regions": merge_regions,
+             "_split_regions": split_regions}),
 )
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines.damon import Damon, Region
+from repro.baselines.damon import Damon
 from repro.memory.tiers import NodeKind, TieredMemory
 
 
@@ -27,34 +27,33 @@ def run_epochs(damon, pages, epochs=5, epoch_s=0.5):
         now += epoch_s
 
 
+def assert_tiles(damon, num_pages):
+    """The regions cover [0, num_pages) contiguously, in order, with
+    the three region arrays index-aligned."""
+    assert damon.starts.size == damon.ends.size == damon._nr_accesses.size
+    assert damon.starts[0] == 0
+    assert damon.ends[-1] == num_pages
+    assert np.array_equal(damon.starts[1:], damon.ends[:-1])
+    assert (damon.ends > damon.starts).all()
+
+
 class TestRegions:
     def test_initial_region_cover(self):
         _, damon = make()
-        assert len(damon.regions) == 10
-        assert damon.regions[0].start == 0
-        assert damon.regions[-1].end == 1000
-        # Contiguous, non-overlapping:
-        for a, b in zip(damon.regions, damon.regions[1:]):
-            assert a.end == b.start
+        assert damon.starts.size == 10
+        assert_tiles(damon, 1000)
 
     def test_regions_stay_contiguous_through_merge_split(self):
         _, damon = make()
         pages = np.arange(1000)
         run_epochs(damon, pages, epochs=6)
-        assert damon.regions[0].start == 0
-        assert damon.regions[-1].end == 1000
-        for a, b in zip(damon.regions, damon.regions[1:]):
-            assert a.end == b.start
+        assert_tiles(damon, 1000)
 
     def test_region_count_bounded(self):
         _, damon = make(max_nr_regions=40)
         rng = np.random.default_rng(0)
         run_epochs(damon, rng.integers(0, 1000, 5000), epochs=10)
-        assert 10 <= len(damon.regions) <= 40
-
-    def test_region_dataclass(self):
-        r = Region(0, 10, 3)
-        assert r.size == 10
+        assert 10 <= damon.starts.size <= 40
 
 
 class TestSamplingAndPromotion:

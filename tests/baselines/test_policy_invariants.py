@@ -77,9 +77,8 @@ class TestDamonRegionInvariants:
     @given(batches=epochs)
     def test_regions_partition_the_space(self, batches):
         damon = drive(Damon(memory(), seed=1), batches)
-        assert damon.regions[0].start == 0
-        assert damon.regions[-1].end == N_PAGES
-        for a, b in zip(damon.regions, damon.regions[1:]):
-            assert a.end == b.start
-            assert a.size > 0
-        assert len(damon.regions) <= damon.max_nr_regions
+        assert damon.starts[0] == 0
+        assert damon.ends[-1] == N_PAGES
+        assert np.array_equal(damon.starts[1:], damon.ends[:-1])
+        assert (damon.ends > damon.starts).all()
+        assert damon.starts.size <= damon.max_nr_regions

@@ -1,8 +1,8 @@
 """Fixture tests for PERF001: `.tolist()` iteration in hot layers.
 
 The epoch hot path is vectorized; a ``for`` loop over ``arr.tolist()``
-in ``sim/``/``cxl/``/``memory/``/``core/`` reintroduces per-access
-Python iteration.  The per-access reference models live in
+in ``sim/``/``cxl/``/``memory/``/``core/``/``baselines/`` reintroduces
+per-access Python iteration.  The per-access reference models live in
 ``repro.verify`` (a cold layer); in a hot layer every such loop needs a
 fix or an explicit suppression, whatever its function is called.
 """
@@ -28,7 +28,7 @@ def test_perf001_flags_tolist_loop_in_hot_layer(lint_tree):
 
 
 def test_perf001_covers_every_hot_layer(lint_tree):
-    for layer in ("sim", "cxl", "memory", "core"):
+    for layer in ("sim", "cxl", "memory", "core", "baselines"):
         result = lint_tree(
             {f"src/repro/{layer}/mod.py": _HOT_LOOP}, rules=["PERF001"]
         )
@@ -36,7 +36,7 @@ def test_perf001_covers_every_hot_layer(lint_tree):
 
 
 def test_perf001_ignores_cold_layers(lint_tree):
-    for layer in ("baselines", "workloads", "obs", "verify"):
+    for layer in ("workloads", "obs", "verify"):
         result = lint_tree(
             {f"src/repro/{layer}/mod.py": _HOT_LOOP}, rules=["PERF001"]
         )
@@ -50,6 +50,20 @@ def test_perf001_flags_reference_named_loops_in_hot_layers(lint_tree):
                 def _record_accesses_reference(pages):
                     for page in pages.tolist():
                         print(page)
+                """
+        },
+        rules=["PERF001"],
+    )
+    assert rule_ids(result) == ["PERF001"]
+
+
+def test_perf001_flags_tolist_loop_in_a_policy(lint_tree):
+    # The CPU-driven policies are most of a DAMON run's host time.
+    result = lint_tree(
+        {
+            "src/repro/baselines/damon.py": """\
+                def sizes(starts, ends):
+                    return [e - s for s, e in zip(starts.tolist(), ends.tolist())]
                 """
         },
         rules=["PERF001"],

@@ -7,7 +7,9 @@ state — not statistically similar, identical — and these properties
 check that promise on randomly generated streams, including the shapes
 most likely to break a vectorization: empty chunks, all-duplicate
 chunks, streams that saturate hardware counters, and estimate ties
-that stress eviction order.
+that stress eviction order.  DAMON's region work is held to its
+one-region-at-a-time twin the same way: tiny footprints, caps that
+block the split, quotas that cut inside a region, pages already on DDR.
 
 ``derandomize=True`` keeps CI deterministic: examples are derived
 from the property itself, not a random seed.
@@ -17,6 +19,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.damon import Damon
 from repro.core.spacesaving import MisraGries, SpaceSaving
 from repro.core.stickysampling import StickySampling
 from repro.core.topk import SortedCam
@@ -244,3 +247,99 @@ class TestMemoryBatches:
         fast.record_epoch_accesses(pages)
         assert (ref.ddr.accesses_total, ref.cxl.accesses_total) == (
             fast.ddr.accesses_total, fast.cxl.accesses_total)
+
+
+def _damon_pair(num_pages, ddr_pages, **kwargs):
+    """A reference and a production DAMON over identical tiers, with
+    ``ddr_pages`` already resident on DDR."""
+    pair = []
+    ddr = sorted(set(ddr_pages))
+    for reference in (True, False):
+        memory = TieredMemory(ddr_pages=max(1, len(ddr)), cxl_pages=num_pages,
+                              num_logical_pages=num_pages)
+        memory.allocate_all(NodeKind.CXL)
+        for lpage in ddr:
+            memory.move_page(lpage, NodeKind.DDR)
+        damon = Damon(memory, **kwargs)
+        pair.append(as_reference(damon) if reference else damon)
+    return pair
+
+
+def _damon_state(damon):
+    return (damon.starts.tolist(), damon.ends.tolist(),
+            damon._nr_accesses.tolist(), damon.hot_pages, damon.hot_pfns,
+            damon.samples_taken, damon.aggregations, damon.costs.events,
+            damon._rng.bit_generator.state)
+
+
+@st.composite
+def damon_knobs(draw, num_pages):
+    """Region bounds (some caps block every split), merge threshold,
+    a quota small enough to cut inside a region, the seed, and the
+    pages already on DDR."""
+    min_nr = draw(st.integers(2, 12))
+    return dict(
+        min_nr_regions=min_nr,
+        max_nr_regions=draw(st.integers(min_nr, 4 * min_nr)),
+        merge_threshold=draw(st.integers(0, 3)),
+        quota_pages=draw(st.integers(1, 40)),
+        seed=draw(st.integers(0, 2**16)),
+    ), draw(st.lists(st.integers(0, num_pages - 1), max_size=num_pages // 2))
+
+
+@st.composite
+def damon_regions(draw):
+    """An arbitrary region table: sizes (one-page regions included),
+    scores with frequent ties, and the knobs above."""
+    sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=30))
+    nrs = draw(st.lists(st.integers(0, 6), min_size=len(sizes),
+                        max_size=len(sizes)))
+    knobs, ddr = draw(damon_knobs(sum(sizes)))
+    return sizes, nrs, knobs, ddr
+
+
+@st.composite
+def damon_runs(draw):
+    """A footprint (including ones smaller than ``min_nr_regions``), a
+    few epochs of accesses over it, and the knobs above."""
+    num_pages = draw(st.integers(1, 160))
+    knobs, ddr = draw(damon_knobs(num_pages))
+    epochs = draw(st.lists(
+        st.lists(st.integers(0, num_pages - 1), min_size=1, max_size=200),
+        min_size=1, max_size=4))
+    return num_pages, knobs, ddr, epochs
+
+
+class TestDamonRegions:
+    """DAMON's array-held region work ≡ the one-region-at-a-time
+    reference: same regions, same hot-page list, same RNG state."""
+
+    @SETTINGS
+    @given(damon_regions(), st.floats(1.0, 7.0))
+    def test_each_step_matches_reference(self, table, threshold):
+        sizes, nrs, knobs, ddr = table
+        pair = _damon_pair(sum(sizes), ddr, **knobs)
+        ends = np.cumsum(sizes)
+        for damon in pair:
+            damon.starts, damon.ends = ends - np.asarray(sizes), ends
+            damon._nr_accesses = np.asarray(nrs, dtype=np.int64)
+        steps = (("_promote_hot", (threshold,)), ("_merge_regions", ()),
+                 ("_split_regions", ()))
+        for step, args in steps:
+            for damon in pair:
+                getattr(damon, step)(*args)
+            assert _damon_state(pair[0]) == _damon_state(pair[1]), step
+
+    @SETTINGS
+    @given(damon_runs())
+    def test_epochs_match_reference(self, run):
+        num_pages, knobs, ddr, epochs = run
+        pair = _damon_pair(num_pages, ddr, **knobs)
+        for damon in pair:
+            for i, pages in enumerate(epochs):
+                damon.on_epoch(np.asarray(pages, dtype=np.int64),
+                               now_s=0.25 * i, epoch_s=0.25)
+        assert pair[1].aggregations >= 2 * len(epochs)
+        assert _damon_state(pair[0]) == _damon_state(pair[1])
+        assert np.array_equal(pair[1].starts[1:], pair[1].ends[:-1])
+        assert pair[1].ends[-1] == num_pages

@@ -46,6 +46,14 @@ def test_simulation_binds_every_hot_path_component():
         assert "offer_batch" in vars(tracker.cam)
 
 
+def test_damon_simulation_binds_region_twins():
+    config = SimConfig(total_accesses=60_000, chunk_size=15_000, ddr_pages=512,
+                       cxl_pages=4096, pages_per_gb=1024)
+    sim = as_reference(Simulation(build("mcf", seed=0), config, policy="damon"))
+    assert {"record_hot", "_promote_hot", "_merge_regions",
+            "_split_regions"} <= set(vars(sim.epoch_policy))
+
+
 def test_bindings_survive_a_pickle_round_trip():
     sim = pickle.loads(pickle.dumps(as_reference(small_sim())))
     assert sim.memory.translate.args == (sim.memory,)
