@@ -14,7 +14,7 @@ Commands:
   cell's metrics snapshot);
 * ``fleet`` — N tenants co-located on a shared 2- or 3-tier hierarchy
   with QoS bandwidth arbitration and DRAM→CXL→pooled demotion chains,
-  tenants sharded across worker processes with ``--jobs``;
+  stepped in lockstep in one process;
 * ``metrics`` — pretty-print one metrics snapshot, or diff two;
 * ``profile`` — PAC/WAC offline profile (page heat + word sparsity);
 * ``verify`` — the differential oracle pairs (per-access vs chunked
@@ -51,7 +51,6 @@ from repro.sim import (
     SimConfig,
     Simulation,
     TelemetryBus,
-    collect_fleet,
     collect_matrix,
     matrix_means,
     normalized,
@@ -533,15 +532,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fleet(args) -> int:
-    from repro.fleet import MAX_TENANTS, FleetConfig
+    from repro.fleet import MAX_TENANTS, FleetConfig, FleetSimulation
 
     benches = [b.strip() for b in args.bench.split(",") if b.strip()]
     unknown_benches = [b for b in benches if b not in registry.names()]
     if unknown_benches:
         print(f"unknown benchmarks: {', '.join(unknown_benches)}")
-        return 2
-    if args.jobs < 1:
-        print(f"--jobs must be >= 1 (got {args.jobs})")
         return 2
     if args.tenants > MAX_TENANTS:
         print(f"--tenants is capped at {MAX_TENANTS} by the per-tenant "
@@ -564,37 +560,26 @@ def cmd_fleet(args) -> int:
         return 2
     config = _config_from(args)
     config.seed = args.seed
-    with_metrics = bool(args.out) or bool(args.metrics) or bool(args.serve)
-    watchdog = None
-    if args.serve or args.trace:
-        # The live/trace path needs the in-process lockstep fleet: the
-        # server scrapes its merged per-tenant snapshot mid-run and
-        # the tracer collects per-tenant spans.
-        from repro.fleet import FleetSimulation
-
-        fsim = FleetSimulation(
-            fleet,
-            config,
-            obs=Observability(metrics=with_metrics, tracing=False),
-            tenant_metrics=with_metrics,
-            tenant_tracing=bool(args.trace),
-        )
-        watchdog = fsim.watchdog
-        with (_serving(fsim.merged_snapshot, args.serve_port,
-                       args.serve_linger, "per-tenant labelled series")
-              if args.serve else contextlib.nullcontext()):
-            result = fsim.run()
-        if args.trace:
-            trace = merged_chrome_trace(fsim.tenant_spans())
-            with open(args.trace, "w") as fh:
-                json.dump(trace, fh)
-            print(f"fleet chrome trace written to {args.trace} "
-                  f"({len(trace['traceEvents'])} span events, one process "
-                  "row per tenant; load in chrome://tracing)")
-    else:
-        result = collect_fleet(
-            fleet, config, jobs=args.jobs, with_metrics=with_metrics,
-        )
+    live = bool(args.serve or args.record_series or args.slo_rules)
+    with_metrics = bool(args.out or args.metrics) or live
+    fsim = FleetSimulation(
+        fleet,
+        config,
+        obs=Observability(metrics=with_metrics, tracing=False),
+        tenant_metrics=with_metrics,
+        tenant_tracing=bool(args.trace),
+    )
+    with (_serving(fsim.merged_snapshot, args.serve_port,
+                   args.serve_linger, "per-tenant labelled series")
+          if args.serve else contextlib.nullcontext()):
+        result = fsim.run()
+    if args.trace:
+        trace = merged_chrome_trace(fsim.tenant_spans())
+        with open(args.trace, "w") as fh:
+            json.dump(trace, fh)
+        print(f"fleet chrome trace written to {args.trace} "
+              f"({len(trace['traceEvents'])} span events, one process "
+              "row per tenant; load in chrome://tracing)")
     tier_names = list(result.results[0].bandwidth_share)
     rows = []
     for t in result.results:
@@ -625,7 +610,7 @@ def cmd_fleet(args) -> int:
         )
         print(f"invariants    : {checks:.0f} checks, "
               f"{violations:.0f} violations")
-    _print_slo_summary(watchdog)
+    _print_slo_summary(fsim.watchdog)
     if args.out:
         payload = result.as_dict()
         payload["metrics"] = result.metrics
@@ -997,10 +982,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--chunk", type=int, default=16_384)
     fleet.add_argument("--subsample", type=float, default=64.0)
     fleet.add_argument("--seed", type=int, default=1)
-    fleet.add_argument("--jobs", type=int, default=1,
-                       help="worker processes to shard tenants across "
-                            "(bandwidth-coupled fleets run in lockstep "
-                            "regardless)")
     fleet.add_argument("--check-invariants", action="store_true",
                        help="run the per-epoch invariant catalogue in "
                             "every tenant's pipeline")
@@ -1013,7 +994,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--trace", default=None, metavar="FILE",
                        help="write per-tenant pipeline spans as one "
                             "chrome://tracing JSON (one process row per "
-                            "tenant; forces the lockstep path)")
+                            "tenant)")
     add_serve_args(fleet, what="the fleet")
     add_record_args(fleet)
 

@@ -26,10 +26,6 @@ from repro.fleet.sim import (
     FleetResult,
     FleetSimulation,
     TenantResult,
-    TenantShard,
-    assemble_fleet,
-    run_fleet,
-    run_tenant_shard,
 )
 from repro.fleet.topology import (
     MAX_TENANTS,
@@ -46,10 +42,6 @@ __all__ = [
     "FleetResult",
     "FleetSimulation",
     "TenantResult",
-    "TenantShard",
-    "assemble_fleet",
-    "run_fleet",
-    "run_tenant_shard",
     "tenant_node_specs",
     "weighted_partition",
 ]

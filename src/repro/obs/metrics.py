@@ -339,12 +339,11 @@ class MetricsRegistry:
     ) -> None:
         """Fold a registry ``snapshot()`` into this registry.
 
-        The fleet-aggregation primitive: worker processes (sweep
-        cells, fleet tenant shards) ship their picklable snapshot
-        dicts back to the parent, which merges them into one registry
-        — optionally widened by ``extra_labels`` (e.g. ``{"tenant":
-        "3"}``) so same-named series from different workers stay
-        distinct.  Counters and histograms accumulate; gauges take the
+        The fleet-aggregation primitive: sweep cells and fleet
+        tenants each keep their own registry, and the parent merges
+        their snapshot dicts into one registry — optionally widened
+        by ``extra_labels`` (e.g. ``{"tenant": "3"}``) so same-named
+        series from different cells or tenants stay distinct.  Counters and histograms accumulate; gauges take the
         incoming value (last write wins).  No-op on a disabled
         registry.
 

@@ -18,7 +18,6 @@ from repro.sim.engine import (
 from repro.sim.perf import EpochPerf, PerformanceModel
 from repro.sim.sweep import (
     cell_seed,
-    collect_fleet,
     collect_matrix,
     matrix_means,
     normalized,
@@ -49,7 +48,6 @@ __all__ = [
     "EpochPerf",
     "PerformanceModel",
     "cell_seed",
-    "collect_fleet",
     "collect_matrix",
     "matrix_means",
     "normalized",

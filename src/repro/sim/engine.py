@@ -976,8 +976,8 @@ class Simulation:
 
         The only code that runs :attr:`stages`.  Every epoch loop goes
         through it: ``run`` (until the trace budget is spent, then
-        :meth:`finalize`), the fleet's lockstep and sharded tenants,
-        and the service's streams.
+        :meth:`finalize`), the fleet's lockstep tenants, and the
+        service's streams.
         """
         if policy is None:
             policy = self.epoch_policy

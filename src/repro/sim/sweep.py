@@ -23,15 +23,12 @@ from __future__ import annotations
 
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs import Observability
-from repro.sim.config import FleetConfig, SimConfig
+from repro.sim.config import SimConfig
 from repro.sim.engine import M5Options, RunResult, Simulation
 from repro.workloads import registry
-
-if TYPE_CHECKING:
-    from repro.fleet.sim import FleetResult, TenantShard
 
 
 def cell_seed(seed: int, bench: str, tenant: int = 0) -> int:
@@ -201,64 +198,6 @@ def run_matrix(
             policy: normalized(base, row_results[policy]) for policy in policies
         }
     return matrix
-
-
-#: One fleet tenant shard: (fleet, config, tenant, m5_options,
-#: with_metrics).
-_TenantCell = Tuple[FleetConfig, SimConfig, int, Optional[M5Options], bool]
-
-
-def _run_fleet_tenant(cell: _TenantCell) -> "TenantShard":
-    """Process-pool entry point for one fleet tenant shard."""
-    # Lazy import: repro.fleet imports this module for cell_seed, so a
-    # top-level import here would be a cycle.
-    from repro.fleet.sim import run_tenant_shard
-
-    fleet, config, tenant, m5_options, with_metrics = cell
-    return run_tenant_shard(
-        fleet, config, tenant=tenant, m5_options=m5_options,
-        with_metrics=with_metrics,
-    )
-
-
-def collect_fleet(
-    fleet: FleetConfig,
-    config: Optional[SimConfig] = None,
-    m5_options: Optional[M5Options] = None,
-    jobs: int = 1,
-    with_metrics: bool = False,
-) -> "FleetResult":
-    """Run one fleet, sharding tenants across worker processes.
-
-    The fleet twin of :func:`collect_matrix`'s ProcessPoolExecutor
-    path, with the unit of parallelism one *tenant* instead of one
-    matrix cell.  Tenants are only coupled through bandwidth
-    arbitration, so whenever the fleet is uncoupled (every channel
-    ceiling unlimited — the default latency-only model) each tenant
-    runs to completion in its own process and the arbiter is replayed
-    over the recorded demand traces afterwards — bit-identical to the
-    lockstep run for any ``jobs`` (a property the fleet test suite
-    pins).  Coupled fleets (any ceiling > 0, more than one tenant)
-    need every tenant's previous epoch each round, so they fall back
-    to the in-process lockstep :class:`~repro.fleet.FleetSimulation`
-    regardless of ``jobs``.
-    """
-    from repro.fleet.sim import assemble_fleet, is_coupled, run_fleet
-
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    config = config if config is not None else SimConfig()
-    if jobs == 1 or fleet.tenants == 1 or is_coupled(fleet, config):
-        return run_fleet(
-            fleet, config, m5_options=m5_options, with_metrics=with_metrics
-        )
-    cells: List[_TenantCell] = [
-        (fleet, config, tenant, m5_options, with_metrics)
-        for tenant in range(fleet.tenants)
-    ]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        shards = list(pool.map(_run_fleet_tenant, cells))
-    return assemble_fleet(fleet, config, shards, with_metrics=with_metrics)
 
 
 def matrix_means(matrix: Dict[str, Dict[str, float]]) -> Dict[str, float]:

@@ -1,13 +1,13 @@
-"""Fleet end-to-end contracts: golden single-run equivalence, sharded
-== lockstep, tenant isolation, and the noisy-neighbor model."""
+"""Fleet end-to-end contracts: golden single-run equivalence, tenant
+isolation, and the noisy-neighbor model."""
 
 import numpy as np
-import pytest
 
-from repro.fleet import FleetConfig, FleetSimulation, run_fleet, run_tenant_shard
+from repro.fleet import FleetConfig, FleetSimulation
+from repro.obs import Observability
 from repro.sim.config import SimConfig
 from repro.sim.engine import Simulation
-from repro.sim.sweep import cell_seed, collect_fleet
+from repro.sim.sweep import cell_seed
 from repro.verify.differential import (
     _metric_mismatches,
     diff_run_results,
@@ -23,6 +23,15 @@ def small_config(**overrides):
     base = dict(total_accesses=ACCESSES, chunk_size=CHUNK, seed=1)
     base.update(overrides)
     return SimConfig(**base)
+
+
+def run_fleet(fleet, config, with_metrics=False):
+    """One lockstep fleet run; ``with_metrics`` turns on the fleet and
+    per-tenant registries, as ``repro fleet --out`` does."""
+    obs = Observability(metrics=True, tracing=False) if with_metrics else None
+    return FleetSimulation(
+        fleet, config, obs=obs, tenant_metrics=with_metrics
+    ).run()
 
 
 # ----------------------------------------------------------------------
@@ -61,35 +70,6 @@ def test_one_tenant_two_tier_fleet_matches_single_run():
 def test_fleet_oracle_is_green():
     report = fleet_oracle(accesses=ACCESSES, chunk=CHUNK)
     assert report.ok, report.format()
-
-
-# ----------------------------------------------------------------------
-# sharded == lockstep
-
-
-def test_sharded_fleet_matches_lockstep():
-    fleet = FleetConfig(
-        tenants=3, tiers=3, bench="mcf,roms", weights="2,1,1"
-    )
-    config = small_config()
-    lockstep = run_fleet(fleet, config)
-    sharded = collect_fleet(fleet, config, jobs=3)
-    assert sharded.epochs == lockstep.epochs
-    assert sharded.tenant_metrics() == lockstep.tenant_metrics()
-
-
-def test_jobs_one_and_coupled_fleets_run_lockstep():
-    # A bandwidth-coupled fleet cannot shard; collect_fleet must fall
-    # back to lockstep and still agree with run_fleet.
-    fleet = FleetConfig(tenants=2, tiers=2, bench="mcf")
-    config = small_config(cxl_bandwidth_gbps=1.0)
-    direct = run_fleet(fleet, config)
-    via_sweep = collect_fleet(fleet, config, jobs=4)
-    assert via_sweep.tenant_metrics() == direct.tenant_metrics()
-    with pytest.raises(ValueError):
-        run_tenant_shard(fleet, config, tenant=0)
-    with pytest.raises(ValueError):
-        collect_fleet(fleet, config, jobs=0)
 
 
 # ----------------------------------------------------------------------
@@ -166,7 +146,7 @@ def test_fleet_metrics_snapshot_has_tenant_labels():
 
 
 def test_merged_snapshot_carries_per_tenant_labels():
-    from repro.obs import Observability, flatten_snapshot
+    from repro.obs import flatten_snapshot
 
     fleet = FleetConfig(tenants=2, tiers=2, bench="mcf,roms")
     fsim = FleetSimulation(
@@ -188,17 +168,7 @@ def test_merged_snapshot_carries_per_tenant_labels():
     )
 
 
-def test_sharded_fleet_metrics_match_lockstep():
-    fleet = FleetConfig(tenants=2, tiers=2, bench="mcf,roms")
-    config = small_config()
-    lockstep = run_fleet(fleet, config, with_metrics=True)
-    sharded = collect_fleet(fleet, config, jobs=2, with_metrics=True)
-    # Stage timings are wall clock; every other family must agree.
-    assert _metric_mismatches(sharded.metrics, lockstep.metrics) == 0
-
-
 def test_served_fleet_final_snapshot_matches_unserved():
-    from repro.obs import Observability
     from repro.obs.live import ObsServer
 
     fleet = FleetConfig(tenants=2, tiers=2, bench="mcf")
@@ -221,7 +191,6 @@ def test_served_fleet_final_snapshot_matches_unserved():
 
 
 def test_tenant_spans_one_group_per_traced_tenant():
-    from repro.obs import Observability
     from repro.obs.exporters import merged_chrome_trace
 
     fleet = FleetConfig(tenants=2, tiers=2, bench="mcf")
@@ -240,8 +209,6 @@ def test_tenant_spans_one_group_per_traced_tenant():
 
 
 def test_fleet_recorder_and_watchdog_wire_up():
-    from repro.obs import Observability
-
     fleet = FleetConfig(tenants=2, tiers=2, bench="mcf")
     config = small_config(record_series="default", slo_rules="default")
     fsim = FleetSimulation(
@@ -279,8 +246,6 @@ def stage_counts(snapshot, **labels):
 
 
 def test_lockstep_tenant_times_every_epoch():
-    from repro.obs import Observability
-
     fsim = FleetSimulation(
         FleetConfig(tenants=2, tiers=2, bench="mcf"), small_config(),
         obs=Observability(metrics=True, tracing=False),
@@ -293,18 +258,7 @@ def test_lockstep_tenant_times_every_epoch():
         assert counts and set(counts.values()) == {epochs}, counts
 
 
-def test_sharded_tenant_times_every_epoch():
-    shard = run_tenant_shard(
-        FleetConfig(tenants=2, tiers=2, bench="mcf"), small_config(),
-        tenant=1, with_metrics=True,
-    )
-    counts = stage_counts(shard.metrics)
-    assert counts and set(counts.values()) == {shard.epochs}, counts
-
-
 def test_three_tier_tenant_times_its_chain_stage():
-    from repro.obs import Observability
-
     fsim = FleetSimulation(
         FleetConfig(tenants=2, tiers=3, bench="mcf"), small_config(),
         obs=Observability(metrics=True, tracing=False),
@@ -317,8 +271,6 @@ def test_three_tier_tenant_times_its_chain_stage():
 
 
 def test_tenant_trace_nests_the_tick_under_the_migrate_stage():
-    from repro.obs import Observability
-
     fsim = FleetSimulation(
         FleetConfig(tenants=2, tiers=2, bench="mcf"),
         small_config(migration_mode="async"),

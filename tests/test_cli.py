@@ -197,6 +197,88 @@ class TestSweepMetrics:
         assert config.total_accesses == 100_000
 
 
+class TestFleet:
+    def test_slo_rules_apply_without_serve(self, capsys):
+        rc = main([
+            "fleet", "--tenants", "2", "--tiers", "2", "--bench", "mcf",
+            "--accesses", "60000", "--chunk", "15000",
+            "--slo-rules", "default",
+        ])
+        assert rc == 0
+        assert "slo           : all 4 rules green" in capsys.readouterr().out
+
+    @staticmethod
+    def _recording_fleet(monkeypatch):
+        import repro.fleet
+
+        fleets = []
+
+        class Recording(repro.fleet.FleetSimulation):
+            def run(self):
+                fleets.append(self)
+                return super().run()
+
+        monkeypatch.setattr(repro.fleet, "FleetSimulation", Recording)
+        return fleets
+
+    def test_record_series_applies_without_serve(self, monkeypatch):
+        fleets = self._recording_fleet(monkeypatch)
+        rc = main([
+            "fleet", "--tenants", "2", "--tiers", "2", "--bench", "mcf",
+            "--accesses", "60000", "--chunk", "15000",
+            "--record-series", "default",
+        ])
+        assert rc == 0
+        (fsim,) = fleets
+        assert fsim.recorder is not None
+        assert fsim.recorder.rows == fsim.result.epochs
+        assert any(c.startswith("fleet_tenant_slowdown")
+                   for c in fsim.recorder.columns())
+        assert fsim.watchdog is None
+
+    def test_check_invariants_prints_fleet_totals(self, monkeypatch, capsys):
+        fleets = self._recording_fleet(monkeypatch)
+        rc = main([
+            "fleet", "--tenants", "3", "--tiers", "3",
+            "--bench", "mcf,roms", "--accesses", "60000",
+            "--chunk", "15000", "--check-invariants",
+        ])
+        assert rc == 0
+        results = [t.result for t in fleets[0].result.results]
+        checks = sum(r.extra["invariant_checks"] for r in results)
+        assert checks > 0
+        assert all(r.extra["invariant_violations"] == 0 for r in results)
+        assert (f"invariants    : {checks:.0f} checks, 0 violations"
+                in capsys.readouterr().out)
+
+    def test_out_rows_match_fleet_simulation(self, tmp_path):
+        import json
+
+        from repro.fleet import FleetConfig, FleetSimulation
+        from repro.sim import SimConfig
+
+        path = tmp_path / "fleet.json"
+        rc = main([
+            "fleet", "--tenants", "3", "--tiers", "3",
+            "--bench", "mcf,roms", "--accesses", "60000",
+            "--chunk", "15000", "--out", str(path),
+        ])
+        assert rc == 0
+        written = json.loads(path.read_text())["tenant_metrics"]
+        expected = FleetSimulation(
+            FleetConfig(tenants=3, tiers=3, bench="mcf,roms"),
+            SimConfig(total_accesses=60_000, chunk_size=15_000,
+                      trace_subsample=64.0, checkpoints=1, seed=1),
+        ).run().tenant_metrics()
+        assert written == expected
+
+    def test_jobs_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fleet", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+
 class TestCompare:
     def test_compare_policies(self, capsys):
         rc = main([

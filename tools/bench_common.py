@@ -1,8 +1,7 @@
 """Shared plumbing for the ``tools/bench_*.py`` micro-harnesses.
 
 Each bench script records a JSON document at the repo root (picked up
-as a CI artifact); the host context and the record writer live here so
-``bench_sweep.py`` and ``bench_engine.py`` stay in lockstep.
+as a CI artifact); the host context and the record writer live here.
 """
 
 from __future__ import annotations
@@ -15,15 +14,6 @@ from typing import Any, Dict
 def cpu_count() -> int:
     """Logical CPUs on this host (always at least 1)."""
     return os.cpu_count() or 1
-
-
-def max_possible_speedup(jobs: int) -> int:
-    """Parallelism ceiling for a ``jobs``-worker leg.
-
-    The ceiling is ``min(jobs, cores)``: a single-core host cannot show
-    wall-clock speedup regardless of how many workers are requested.
-    """
-    return min(int(jobs), cpu_count())
 
 
 def write_record(path: str, record: Dict[str, Any]) -> None:
