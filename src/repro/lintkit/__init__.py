@@ -17,9 +17,9 @@ differential oracles) can only check *after* a simulation has run:
 * **registry drift** (``DRIFT001``–``DRIFT003``) — ``SimConfig``
   knobs, telemetry event names, and metric families stay in sync with
   the checked-in registries under ``docs/registries/``;
-* **crash safety** (``CRASH001``–``CRASH003``) — checkpoint artifacts
-  flow through tmp + ``os.replace`` with the manifest replaced last,
-  and fsync-before-replace (advisory);
+* **crash safety** (``CRASH001``, ``CRASH003``) — checkpoint files
+  flow through tmp + ``os.replace``, and fsync-before-replace
+  (advisory);
 * **pickle safety** (``PICKLE001``–``PICKLE002``) — classes reachable
   from the checkpoint pickles carry no OS resources or lambdas.
 

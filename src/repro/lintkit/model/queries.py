@@ -67,34 +67,53 @@ class GraphQueries:
         expression mentions bare ``self`` (``pickle.dump(self, fh)``,
         ``pickle.dump({"streams": self._streams}, fh)`` does NOT make
         ``C`` a root — but any project class instantiated inside the
-        payload does, via its own attr edges).
+        payload does, via its own attr edges).  A call to a project
+        helper that pickles one of its parameters
+        (``write_checkpoint(path, kind, {"sim": self})``) counts as a
+        dump of that argument.
         """
+        helpers = self._pickling_helpers()
         roots: List[Tuple["ClassInfo", str]] = []
         for info in self.model.functions.values():
             for site in info.calls:
-                if site.external not in ("pickle.dump", "pickle.dumps"):
+                if site.external in _DUMPS:
+                    payload = site.node.args[0] if site.node.args else None
+                else:
+                    payload = next((
+                        _call_arg(site.node, *helpers[callee])
+                        for callee in site.candidates if callee in helpers
+                    ), None)
+                if payload is None:
                     continue
-                if not site.node.args:
-                    continue
-                payload = site.node.args[0]
                 for cls, label in self._payload_classes(info, payload):
                     roots.append((cls, label or info.qualname))
         return roots
+
+    def _pickling_helpers(self) -> Dict[str, Tuple[int, str]]:
+        """{function qualname: (position, name)} of the parameter each
+        project function passes to ``pickle.dump``/``pickle.dumps``."""
+        helpers: Dict[str, Tuple[int, str]] = {}
+        for info in self.model.functions.values():
+            params = [a.arg for a in info.node.args.args]
+            for site in info.calls:
+                if site.external not in _DUMPS or not site.node.args:
+                    continue
+                names = {
+                    node.id
+                    for expr in _expanded(info, site.node.args[0])
+                    for node in ast.walk(expr) if isinstance(node, ast.Name)
+                }
+                for index, name in enumerate(params):
+                    if name != "self" and name in names:
+                        helpers[info.qualname] = (index, name)
+        return helpers
 
     def _payload_classes(
         self, info, payload: ast.expr
     ) -> List[Tuple["ClassInfo", Optional[str]]]:
         """Project classes pickled by ``payload`` inside ``info``."""
         out: List[Tuple["ClassInfo", Optional[str]]] = []
-        seen_exprs: List[ast.expr] = [payload]
-        # One level of local-variable expansion: payload = {...}; dump(payload)
-        if isinstance(payload, ast.Name):
-            for node in ast.walk(info.node):
-                if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                    target = node.targets[0]
-                    if isinstance(target, ast.Name) and \
-                            target.id == payload.id:
-                        seen_exprs.append(node.value)
+        seen_exprs = _expanded(info, payload)
         for expr in seen_exprs:
             for node in ast.walk(expr):
                 # bare self => the owning class is pickled wholesale
@@ -169,6 +188,29 @@ class GraphQueries:
                     prov[cls.qualname] = label
                     frontier.append(cls)
         return prov
+
+
+_DUMPS = ("pickle.dump", "pickle.dumps")
+
+
+def _expanded(info, payload: ast.expr) -> List[ast.expr]:
+    """``payload`` plus, for a bare name, every expression assigned to
+    it in ``info`` (one level: ``payload = {...}; dump(payload)``)."""
+    exprs = [payload]
+    if isinstance(payload, ast.Name):
+        for node in ast.walk(info.node):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target = node.targets[0]
+                if isinstance(target, ast.Name) and target.id == payload.id:
+                    exprs.append(node.value)
+    return exprs
+
+
+def _call_arg(call: ast.Call, index: int, name: str) -> Optional[ast.expr]:
+    """The argument ``call`` binds to parameter ``index``/``name``."""
+    if index < len(call.args):
+        return call.args[index]
+    return next((kw.value for kw in call.keywords if kw.arg == name), None)
 
 
 def _mentions_bare_self(expr: ast.expr) -> bool:

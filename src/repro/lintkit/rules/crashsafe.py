@@ -1,12 +1,12 @@
 """CRASH rules — crash-safe persistence protocols.
 
-The service checkpoint/resume layer survives SIGKILL because every
-durable artifact follows one protocol: write to a temp path in the
-same directory, flush + ``os.fsync``, then ``os.replace`` onto the
-final name — and the manifest (the commit record naming the other
-artifacts) is replaced *last*.  These rules encode that protocol over
-the project model's durable-write/replace summaries, so deleting any
-step of it anywhere in the tree is caught statically.
+Every checkpoint (a run's ``Simulation.save_state``, the service's
+``service.ckpt``) is one file published by one protocol: write to a
+temp path in the same directory, flush + ``os.fsync``, then
+``os.replace`` onto the final name.  Readers see the old file or the
+new one, never a torn one.  These rules encode that protocol over the
+project model's durable-write/replace summaries, so deleting any step
+of it anywhere in the tree is caught statically.
 
 A write is *checkpoint-scoped* when its path tokens or its enclosing
 function's name mention ``checkpoint``/``ckpt``/``manifest``/
@@ -17,10 +17,6 @@ plots, logs have no atomicity contract).
   directly on the final path (no temp token), or a temp write in a
   function that never ``os.replace``s anything: a crash mid-write
   leaves a torn artifact (or never publishes one).
-* **CRASH002** (error) — manifest-last ordering: in a function that
-  publishes several artifacts, the ``os.replace`` whose destination
-  is the manifest must be the final one, else a crash between
-  replaces leaves a manifest naming artifacts that don't exist yet.
 * **CRASH003** (note, advisory — never gates the exit code) — a
   checkpoint-scoped function publishes via ``os.replace`` but neither
   it nor anything it calls runs ``os.fsync``: rename durability
@@ -83,43 +79,6 @@ class AtomicPublishRule(Rule):
                         write.node,
                         f"`{info.name}` writes a checkpoint temp file but "
                         "never publishes it with `os.replace`",
-                    )
-
-
-@register
-class ManifestLastRule(Rule):
-    id = "CRASH002"
-    title = "manifest replaced before its artifacts"
-    severity = Severity.ERROR
-    fix_hint = (
-        "publish data artifacts first and `os.replace` the manifest "
-        "last — the manifest is the commit record"
-    )
-
-    def check_project(self, project: Project) -> Iterable[Finding]:
-        model = get_model(project)
-        for info in model.functions.values():
-            if len(info.replaces) < 2:
-                continue
-            manifest_lines = [
-                r.node.lineno
-                for r in info.replaces
-                if any("manifest" in t for t in r.dst_tokens)
-            ]
-            if not manifest_lines:
-                continue
-            first_manifest = min(manifest_lines)
-            for replace in info.replaces:
-                if any("manifest" in t for t in replace.dst_tokens):
-                    continue
-                if replace.node.lineno > first_manifest:
-                    yield self.finding(
-                        info.ctx,
-                        replace.node,
-                        f"`{info.name}` publishes an artifact *after* the "
-                        "manifest replace on line "
-                        f"{first_manifest}; a crash in between commits a "
-                        "manifest naming files that do not exist",
                     )
 
 

@@ -7,7 +7,6 @@ resume bit-identically after a kill.
 """
 
 from repro.service.daemon import (
-    SERVICE_CHECKPOINT_FORMAT,
     Service,
     ServiceConfig,
     ServiceStream,
@@ -17,7 +16,6 @@ from repro.service.daemon import (
 from repro.service.streams import StreamEmpty, StreamWorkload
 
 __all__ = [
-    "SERVICE_CHECKPOINT_FORMAT",
     "Service",
     "ServiceConfig",
     "ServiceStream",

@@ -12,39 +12,43 @@ merged per-stream metrics are served live through
 :class:`~repro.obs.live.ObsServer` under a ``stream`` label.
 
 Checkpoint/resume: every ``checkpoint_every`` scheduler rounds the
-service persists each live stream's full engine state
-(:meth:`~repro.sim.Simulation.save_state`), the results of already
-finished streams, and a ``manifest.json`` recording the round counter
-and each source's chunk ordinal.  The manifest is written *last* and
-atomically, so a kill at any instant leaves the previous complete
-checkpoint set behind.  Resuming re-opens each source, repositions it
-with :meth:`~repro.workloads.TraceReader.skip`, and continues; with
-complete (sealed) sources the resumed service's final per-stream
-results are bit-identical to an uninterrupted run — the scheduler has
-no wall-clock inputs, so the only nondeterminism possible is a source
-that was still growing.
+service persists its whole state — the round counter, both configs,
+the results of already finished streams, and each live stream's
+engine state and source chunk ordinal — as one ``service.ckpt``
+envelope (:func:`~repro.sim.engine.write_checkpoint`).  One atomic
+replace publishes all of it, so a kill at any instant leaves either
+the previous checkpoint or the new one.  Resuming re-opens each
+source, repositions it with :meth:`~repro.workloads.TraceReader.skip`,
+and continues; with complete (sealed) sources the resumed service's
+final per-stream results are bit-identical to an uninterrupted run —
+the scheduler has no wall-clock inputs, so the only nondeterminism
+possible is a source that was still growing.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import pickle
+import dataclasses
 import signal
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.obs import MetricsRegistry, Observability
 from repro.service.streams import StreamWorkload
 from repro.sim.config import SimConfig
-from repro.sim.engine import CheckpointError, RunResult, Simulation
+from repro.sim.engine import (
+    CheckpointError,
+    RunResult,
+    Simulation,
+    read_checkpoint,
+    write_checkpoint,
+)
 from repro.workloads.base import DEFAULT_CHUNK, WorkloadSpec
 from repro.workloads.traceio import TraceReader, V2_MAGIC, load_trace
 
-#: On-disk manifest format of a service checkpoint directory.
-SERVICE_CHECKPOINT_FORMAT = 1
+#: The one file a service checkpoint directory holds.
+CHECKPOINT_FILE = "service.ckpt"
 
 
 @dataclass
@@ -70,7 +74,7 @@ class StreamSpec:
             raise ValueError("stream name must be non-empty")
         if "/" in self.name or self.name in (".", ".."):
             raise ValueError(f"stream name {self.name!r} must be a plain "
-                             "label (it names checkpoint files)")
+                             "label, not a path")
         if self.budget < 1:
             raise ValueError("stream budget must be positive")
 
@@ -85,7 +89,7 @@ class ServiceConfig:
             overflow queue, nothing is dropped).
         checkpoint_every: scheduler rounds between checkpoints
             (0 disables).
-        checkpoint_dir: directory the checkpoint set lives in.
+        checkpoint_dir: directory the checkpoint file lives in.
         poll_interval_s: sleep between rounds when no stream made
             progress (all buffers empty, sources still in flight).
         max_rounds: stop after this many rounds even with streams
@@ -116,7 +120,7 @@ class _ArraySource:
     Presents a materialised address array as a sequence of fixed-size
     chunks with the same ``read_next``/``skip``/``chunks_read``
     bookkeeping as :class:`~repro.workloads.TraceReader`, so the
-    service's ingest and manifest logic handles both formats
+    service's ingest and checkpoint logic handles both formats
     identically.  Always :attr:`complete` — a ``.npz`` exists only
     once its capture finished.
     """
@@ -195,8 +199,8 @@ class ServiceStream:
     # -- restore path ---------------------------------------------------
 
     @classmethod
-    def _restored(cls, spec: StreamSpec, sim: Simulation,
-                  chunks_read: int) -> "ServiceStream":
+    def _restored(cls, spec: StreamSpec, chunks_read: int, sim: Simulation,
+                  st) -> "ServiceStream":
         stream = cls.__new__(cls)
         stream.spec = spec
         stream.source = open_source(spec.trace,
@@ -209,8 +213,7 @@ class ServiceStream:
                 "had consumed (trace truncated or replaced?)"
             )
         stream.sim = sim
-        stream.st = sim._resume_state
-        sim._resume_state = None
+        stream.st = st
         stream.policy = sim.epoch_policy
         stream.result = None
         return stream
@@ -316,48 +319,20 @@ class Service:
         ``config_overrides`` replace individual :class:`ServiceConfig`
         fields for the resumed session (e.g. ``max_rounds=0`` to run a
         previously round-capped service to completion); everything the
-        engine state depends on comes from the manifest.
+        engine state depends on comes from the checkpoint.
         """
-        ckpt_dir = Path(checkpoint_dir)
-        manifest_path = ckpt_dir / "manifest.json"
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except OSError as exc:
-            raise CheckpointError(
-                f"cannot read service manifest {manifest_path}: {exc}"
-            ) from exc
-        if manifest.get("format") != SERVICE_CHECKPOINT_FORMAT:
-            raise CheckpointError(
-                f"unsupported service checkpoint format "
-                f"{manifest.get('format')!r}"
-            )
+        state = read_checkpoint(Path(checkpoint_dir) / CHECKPOINT_FILE,
+                                "service")
         service = cls.__new__(cls)
-        service.sim_config = SimConfig(**manifest["sim_config"])
-        service.config = ServiceConfig(
-            **{**manifest["config"], **config_overrides}
-        )
-        service.round = int(manifest["round"])
-        service.checkpoints_written = int(manifest["checkpoints_written"])
+        service.sim_config = state["sim_config"]
+        service.config = dataclasses.replace(state["config"],
+                                             **config_overrides)
+        service.round = state["round"]
+        service.checkpoints_written = state["checkpoints_written"]
         service._stop_requested = False
-        service.results = {}
-        results_path = ckpt_dir / "results.pkl"
-        if results_path.exists():
-            with open(results_path, "rb") as fh:
-                service.results = pickle.load(fh)
-        service.streams = []
-        for entry in manifest["streams"]:
-            spec = StreamSpec(**entry["spec"])
-            if entry["finished"]:
-                if spec.name not in service.results:
-                    raise CheckpointError(
-                        f"stream {spec.name!r} is marked finished but "
-                        "its result is missing from results.pkl"
-                    )
-                continue
-            sim = Simulation.load_state(ckpt_dir / entry["checkpoint"])
-            service.streams.append(
-                ServiceStream._restored(spec, sim, entry["chunks_read"])
-            )
+        service.results = state["results"]
+        service.streams = [ServiceStream._restored(*entry)
+                           for entry in state["streams"]]
         service._init_metrics()
         return service
 
@@ -452,51 +427,31 @@ class Service:
     # checkpointing
 
     def checkpoint(self) -> Path:
-        """Persist the full service state; manifest lands last.
+        """Persist the whole service state as one file.
 
-        Write order is the crash-safety argument: per-stream engine
-        checkpoints and the results pickle are written (each one
-        fsynced and atomically replaced) *before* the manifest
-        replaces its predecessor, so ``manifest.json`` only ever
-        names files that are already complete and durable on disk.
+        ``service.ckpt`` holds the round counter, both configs, the
+        finished streams' results, and one ``(spec, chunks_read, sim,
+        epoch_state)`` tuple per live stream, published by a single
+        atomic replace.  Only those tuples are pickled, never a
+        :class:`ServiceStream` or the service itself: sources hold
+        open file handles, and profilers wrap methods on those
+        instances.
         """
         ckpt_dir = Path(self.config.checkpoint_dir)
         ckpt_dir.mkdir(parents=True, exist_ok=True)
-        entries = []
-        for stream in self.streams:
-            entry = {
-                "spec": asdict(stream.spec),
-                "finished": stream.finished,
-                "chunks_read": int(stream.source.chunks_read),
-                "checkpoint": f"{stream.name}.ckpt",
-            }
-            if not stream.finished:
-                stream.sim.save_state(ckpt_dir / entry["checkpoint"],
-                                      stream.st)
-            entries.append(entry)
-        tmp = ckpt_dir / "results.pkl.tmp"
-        with open(tmp, "wb") as fh:
-            pickle.dump(self.results, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, ckpt_dir / "results.pkl")
+        path = ckpt_dir / CHECKPOINT_FILE
         self.checkpoints_written += 1
-        manifest = {
-            "format": SERVICE_CHECKPOINT_FORMAT,
+        write_checkpoint(path, "service", {
             "round": self.round,
             "checkpoints_written": self.checkpoints_written,
-            "sim_config": _sim_config_dict(self.sim_config),
-            "config": asdict(self.config),
-            "streams": entries,
-        }
-        tmp = ckpt_dir / "manifest.json.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(manifest, indent=2))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, ckpt_dir / "manifest.json")
+            "sim_config": self.sim_config,
+            "config": self.config,
+            "results": self.results,
+            "streams": [(s.spec, s.source.chunks_read, s.sim, s.st)
+                        for s in self.active_streams],
+        })
         self._mx_ckpts.inc()
-        return ckpt_dir / "manifest.json"
+        return path
 
     def close(self) -> None:
         for stream in self.streams:
@@ -508,11 +463,3 @@ class Service:
     def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
         self.close()
 
-
-def _sim_config_dict(cfg: SimConfig) -> Dict[str, object]:
-    """A JSON-roundtrippable SimConfig dict.
-
-    The derived scale factors are materialised by ``__post_init__``,
-    so ``asdict`` already reproduces the exact configuration.
-    """
-    return asdict(cfg)

@@ -7,7 +7,7 @@ from).  The split matters for checkpointing: the buffer and its
 bookkeeping live inside the stream's :class:`~repro.sim.Simulation`
 object graph and pickle with it, while the source (an open file
 handle) stays outside and is re-opened and repositioned from the
-service manifest on resume.
+chunk count in the service checkpoint on resume.
 
 Backpressure reuses the bounded-queue discipline of the migration
 subsystem: :meth:`StreamWorkload.feed` accepts chunks only while the

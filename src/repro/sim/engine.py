@@ -124,10 +124,12 @@ ALL_POLICIES = BASELINE_POLICIES + M5_POLICIES
 #: the epoch state.
 Stage = Callable[[EpochPolicy, "_EpochState"], None]
 
-#: On-disk checkpoint format.  Bumped whenever the pickled state's
-#: shape changes incompatibly; ``load_state`` refuses other versions
-#: rather than resuming from state it would misinterpret.
-CHECKPOINT_FORMAT_VERSION = 3
+#: On-disk checkpoint envelope format, shared by every checkpoint kind
+#: (:meth:`Simulation.save_state`, the ``repro serve`` service
+#: checkpoint).  Bumped whenever the pickled state's shape changes
+#: incompatibly; :func:`read_checkpoint` refuses other versions rather
+#: than resuming from state it would misinterpret.
+CHECKPOINT_FORMAT_VERSION = 4
 
 #: Events the default ring-buffer sink keeps (``RunResult.timeline``).
 TIMELINE_CAPACITY = 4096
@@ -135,6 +137,66 @@ TIMELINE_CAPACITY = 4096
 
 class CheckpointError(RuntimeError):
     """A checkpoint could not be written or read back."""
+
+
+def write_checkpoint(
+    path: "str | os.PathLike", kind: str, payload: Dict[str, object]
+) -> None:
+    """Publish one checkpoint envelope, atomically and durably.
+
+    The envelope is ``payload`` plus its ``format`` and ``kind``,
+    pickled to ``<path>.tmp``, fsynced, then ``os.replace``d onto
+    ``path``.  A crash at any instant leaves either the previous
+    checkpoint or this one, never a torn file, and power loss after
+    the replace cannot publish an empty one.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.tmp"
+    envelope = {"format": CHECKPOINT_FORMAT_VERSION, "kind": kind, **payload}
+    try:
+        with open(tmp, "wb") as fh:
+            pickle.dump(envelope, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except Exception:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def read_checkpoint(path: "str | os.PathLike", kind: str) -> Dict[str, object]:
+    """Load one :func:`write_checkpoint` envelope of the given ``kind``.
+
+    The format is checked before the kind, so a file from an older
+    build reports its format.  Every failure (unreadable or truncated
+    file, foreign pickle, other format or kind) raises
+    :class:`CheckpointError`.
+    """
+    try:
+        with open(os.fspath(path), "rb") as fh:
+            envelope = pickle.load(fh)
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    except (EOFError, pickle.UnpicklingError) as exc:
+        raise CheckpointError(
+            f"checkpoint {path} is truncated or corrupt: {exc}"
+        ) from exc
+    if not isinstance(envelope, dict):
+        raise CheckpointError(f"{path} is not a checkpoint")
+    version = envelope.get("format")
+    if version != CHECKPOINT_FORMAT_VERSION:
+        raise CheckpointError(
+            f"checkpoint format {version!r} is not supported "
+            f"(this build reads format {CHECKPOINT_FORMAT_VERSION}); "
+            "re-create the checkpoint with this version"
+        )
+    if envelope.get("kind") != kind:
+        raise CheckpointError(
+            f"{path} is a {envelope.get('kind')!r} checkpoint, "
+            f"not a {kind!r} one"
+        )
+    return envelope
 
 
 @dataclass
@@ -850,10 +912,7 @@ class Simulation:
         ring, the metrics registry, and the epoch state — so every
         cross-reference (the policy's view of the tiers, the
         controller's attached trackers) survives intact.  The write is
-        atomic and durable (tmp + ``os.fsync`` + ``os.replace``): a
-        crash mid-checkpoint leaves the previous checkpoint, never a
-        torn file, and power loss after the replace cannot publish an
-        empty one.
+        atomic and durable (:func:`write_checkpoint`).
 
         Checkpointing a run with *tracing* enabled is refused: spans
         hold wall-clock state that cannot meaningfully resume.  The
@@ -872,26 +931,13 @@ class Simulation:
         # compared against *any* uninterrupted twin.  Cadence is
         # visible via :attr:`checkpoints_written` instead.
         self.checkpoints_written += 1
-        payload = {
-            "format": CHECKPOINT_FORMAT_VERSION,
+        write_checkpoint(path, "simulation", {
             "benchmark": self.workload.spec.name,
             "policy": self.policy_name,
             "epoch": st.epoch,
             "sim": self,
             "epoch_state": st,
-        }
-        path = os.fspath(path)
-        tmp = f"{path}.tmp"
-        try:
-            with open(tmp, "wb") as fh:
-                pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except Exception:
-            with contextlib.suppress(OSError):
-                os.remove(tmp)
-            raise
+        })
 
     @classmethod
     def load_state(cls, path: "str | os.PathLike") -> "Simulation":
@@ -903,17 +949,7 @@ class Simulation:
         — the ``resume`` oracle in ``repro verify`` enforces exactly
         this.
         """
-        with open(os.fspath(path), "rb") as fh:
-            payload = pickle.load(fh)
-        if not isinstance(payload, dict) or "sim" not in payload:
-            raise CheckpointError(f"{path} is not a simulation checkpoint")
-        version = payload.get("format")
-        if version != CHECKPOINT_FORMAT_VERSION:
-            raise CheckpointError(
-                f"checkpoint format {version!r} is not supported "
-                f"(this build reads format {CHECKPOINT_FORMAT_VERSION}); "
-                "re-create the checkpoint with this version"
-            )
+        payload = read_checkpoint(path, "simulation")
         sim: "Simulation" = payload["sim"]
         sim._resume_state = payload["epoch_state"]
         return sim

@@ -383,7 +383,7 @@ class TraceReader:
         """Skip complete chunks without decompressing; returns skipped.
 
         Resume uses this to reposition a stream source at the chunk
-        ordinal recorded in a checkpoint manifest.
+        ordinal recorded in a service checkpoint.
         """
         skipped = 0
         for _ in range(int(n_chunks)):

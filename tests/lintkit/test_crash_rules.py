@@ -1,7 +1,8 @@
 """Bad/good fixture pairs for the CRASH crash-safety rule family,
 plus the regression harness proving the rules guard the *real*
-``service/daemon.py`` checkpoint protocol: re-introducing the bugs the
-protocol fixed (in a scratch copy) must light the rules up."""
+checkpoint writer, ``write_checkpoint`` in ``sim/engine.py``:
+re-introducing the bugs the protocol fixed (in a temp copy) must
+light the rules up."""
 
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from repro.lintkit import lint_project, load_project
 from tests.lintkit.conftest import messages, rule_ids
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-CRASH = ["CRASH001", "CRASH002", "CRASH003"]
+CRASH = ["CRASH001", "CRASH003"]
 
 
 # ----------------------------------------------------------------------
@@ -125,71 +126,6 @@ def test_crash001_every_temp_marker_counts_as_a_temp_path(lint_tree, suffix):
 
 
 # ----------------------------------------------------------------------
-# CRASH002 — manifest-last ordering
-
-
-_MANIFEST_FIRST = """
-    import json
-    import os
-
-    def checkpoint(ckpt_dir, manifest, results):
-        tmp = os.path.join(ckpt_dir, "manifest.json.tmp")
-        with open(tmp, "w") as fh:
-            json.dump(manifest, fh)
-        os.replace(tmp, os.path.join(ckpt_dir, "manifest.json"))
-        tmp2 = os.path.join(ckpt_dir, "results.json.tmp")
-        with open(tmp2, "w") as fh:
-            json.dump(results, fh)
-        os.replace(tmp2, os.path.join(ckpt_dir, "results.json"))
-"""
-
-
-def test_crash002_flags_artifact_replaced_after_manifest(lint_tree):
-    result = lint_tree(
-        {"src/repro/svc/daemon.py": _MANIFEST_FIRST}, rules=["CRASH002"]
-    )
-    assert rule_ids(result) == ["CRASH002"]
-    (msg,) = messages(result)
-    assert "manifest" in msg
-
-
-def test_crash002_quiet_when_manifest_is_last(lint_tree):
-    result = lint_tree({
-        "src/repro/svc/daemon.py": """
-            import json
-            import os
-
-            def checkpoint(ckpt_dir, manifest, results):
-                tmp2 = os.path.join(ckpt_dir, "results.json.tmp")
-                with open(tmp2, "w") as fh:
-                    json.dump(results, fh)
-                os.replace(tmp2, os.path.join(ckpt_dir, "results.json"))
-                tmp = os.path.join(ckpt_dir, "manifest.json.tmp")
-                with open(tmp, "w") as fh:
-                    json.dump(manifest, fh)
-                os.replace(tmp, os.path.join(ckpt_dir, "manifest.json"))
-        """,
-    }, rules=["CRASH002"])
-    assert result.findings == []
-
-
-def test_crash002_single_manifest_replace_has_no_ordering(lint_tree):
-    result = lint_tree({
-        "src/repro/svc/daemon.py": """
-            import json
-            import os
-
-            def checkpoint(ckpt_dir, manifest):
-                tmp = os.path.join(ckpt_dir, "manifest.json.tmp")
-                with open(tmp, "w") as fh:
-                    json.dump(manifest, fh)
-                os.replace(tmp, os.path.join(ckpt_dir, "manifest.json"))
-        """,
-    }, rules=["CRASH002"])
-    assert result.findings == []
-
-
-# ----------------------------------------------------------------------
 # CRASH003 — fsync-before-replace (advisory note)
 
 
@@ -250,65 +186,43 @@ def test_crash003_ignores_replace_outside_checkpoint_scope(lint_tree):
 
 
 # ----------------------------------------------------------------------
-# the real daemon.py, guarded: deleting the PR-9 crash-safety
-# protocol from a scratch copy must be caught
+# the real checkpoint writer, guarded: deleting a step of the
+# crash-safety protocol from a temp copy must be caught
 
 
-def _lint_scratch_daemon(tmp_path, transform):
-    source = (REPO_ROOT / "src/repro/service/daemon.py").read_text()
+def _lint_mutated_engine(tmp_path, transform):
+    source = (REPO_ROOT / "src/repro/sim/engine.py").read_text()
     mutated = transform(source)
-    assert mutated != source, "transform matched nothing — daemon.py changed?"
-    scratch = tmp_path / "src/repro/service/daemon.py"
-    scratch.parent.mkdir(parents=True)
-    scratch.write_text(mutated)
+    assert mutated != source, "transform matched nothing — engine.py changed?"
+    copy = tmp_path / "src/repro/sim/engine.py"
+    copy.parent.mkdir(parents=True)
+    copy.write_text(mutated)
     project = load_project([str(tmp_path)], root=str(tmp_path))
     return lint_project(project, only_rules=CRASH)
 
 
-def test_real_daemon_checkpoint_is_clean(tmp_path):
-    result = _lint_scratch_daemon(tmp_path, lambda s: s + "\n# scratch\n")
+def test_real_checkpoint_writer_is_clean(tmp_path):
+    result = _lint_mutated_engine(tmp_path, lambda s: s + "\n# copy\n")
     assert result.findings == []
 
 
-def test_swapping_replace_order_breaks_manifest_last(tmp_path):
-    # Re-introduce the ordering bug: manifest published before the
-    # results pickle (swap the two os.replace destinations).
-    def swap(source):
-        return (
-            source
-            .replace('os.replace(tmp, ckpt_dir / "results.pkl")', "@@")
-            .replace(
-                'os.replace(tmp, ckpt_dir / "manifest.json")',
-                'os.replace(tmp, ckpt_dir / "results.pkl")',
-            )
-            .replace("@@", 'os.replace(tmp, ckpt_dir / "manifest.json")')
-        )
-
-    result = _lint_scratch_daemon(tmp_path, swap)
-    assert "CRASH002" in rule_ids(result)
-
-
 def test_removing_fsync_is_flagged_as_advisory(tmp_path):
-    result = _lint_scratch_daemon(
+    result = _lint_mutated_engine(
         tmp_path, lambda s: s.replace("os.fsync(fh.fileno())", "pass")
     )
     assert "CRASH003" in rule_ids(result)
 
 
-def test_writing_manifest_directly_breaks_atomic_publish(tmp_path):
-    # Re-introduce the torn-manifest bug: drop tmp + replace and land
-    # the manifest straight on its final path.
+def test_writing_checkpoint_directly_breaks_atomic_publish(tmp_path):
+    # Re-introduce the torn-checkpoint bug: drop tmp + replace and
+    # land the pickle straight on its final path.
     def direct(source):
         return (
             source
-            .replace('tmp = ckpt_dir / "manifest.json.tmp"', "")
-            .replace(
-                'with open(tmp, "w", encoding="utf-8") as fh:',
-                'with open(ckpt_dir / "manifest.json", "w", '
-                'encoding="utf-8") as fh:',
-            )
-            .replace('os.replace(tmp, ckpt_dir / "manifest.json")', "")
+            .replace('tmp = f"{path}.tmp"', "")
+            .replace('with open(tmp, "wb") as fh:', 'with open(path, "wb") as fh:')
+            .replace("os.replace(tmp, path)", "")
         )
 
-    result = _lint_scratch_daemon(tmp_path, direct)
+    result = _lint_mutated_engine(tmp_path, direct)
     assert "CRASH001" in rule_ids(result)

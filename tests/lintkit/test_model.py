@@ -1,10 +1,15 @@
 """Unit tests for the project model: symbol table, summaries, and
 call-graph/reachability queries, on synthetic fake-project trees."""
 
+from pathlib import Path
+
 import pytest
 
+from repro.lintkit import load_project
 from repro.lintkit.model import get_model, module_name_for
 from tests.lintkit.conftest import build_project
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def model_of(tmp_path, files):
@@ -217,6 +222,44 @@ def test_pickle_roots_bare_self_and_attr_payloads(tmp_path):
     # save_state pickles bare self => Holder is a root; save_partial
     # pickles only a dict attribute => no extra class root.
     assert root_quals == ["repro.a.ckpt.Holder"]
+
+
+def test_pickle_roots_follow_a_pickling_helper(tmp_path):
+    # The envelope is pickled by a module-level helper; the class that
+    # passes itself in is still a root, whichever way the argument
+    # is bound.
+    model = model_of(tmp_path, {
+        "src/repro/a/ckpt.py": """
+            import pickle
+
+            def write_checkpoint(path, kind, payload):
+                envelope = {"kind": kind, **payload}
+                with open(path, "wb") as fh:
+                    pickle.dump(envelope, fh)
+
+            class Holder:
+                def save_state(self, path):
+                    write_checkpoint(path, "holder", {"sim": self})
+
+            class Other:
+                def save_state(self, path):
+                    write_checkpoint(path, kind="other", payload=self)
+
+            class Bystander:
+                def save_state(self, path):
+                    write_checkpoint(path, "x", {"n": 1})
+        """,
+    })
+    roots = model.queries.pickle_roots()
+    assert sorted({cls.qualname for cls, _ in roots}) == [
+        "repro.a.ckpt.Holder", "repro.a.ckpt.Other",
+    ]
+
+
+def test_real_tree_pickles_the_simulation():
+    project = load_project([str(REPO_ROOT / "src")], root=str(REPO_ROOT))
+    roots = get_model(project).queries.pickle_roots()
+    assert "repro.sim.engine.Simulation" in {cls.qualname for cls, _ in roots}
 
 
 def test_reachable_classes_provenance_and_custom_pickle_opacity(tmp_path):

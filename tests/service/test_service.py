@@ -8,12 +8,13 @@ never interrupted (and never checkpointed).
 """
 
 import dataclasses
-import json
 import os
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.service import (
     Service,
@@ -23,7 +24,7 @@ from repro.service import (
     StreamWorkload,
     open_source,
 )
-from repro.sim import CheckpointError, SimConfig
+from repro.sim import CheckpointError, SimConfig, Simulation
 from repro.verify.differential import _metric_mismatches
 from repro.workloads import TraceWriter, record, save_trace, uniform_workload
 
@@ -295,67 +296,164 @@ class TestServiceCheckpointResume:
         with pytest.raises(CheckpointError, match="holds only"):
             Service.resume(ckpt_dir)
 
-    def test_resume_rejects_missing_manifest(self, tmp_path):
-        with pytest.raises(CheckpointError, match="manifest"):
+    def test_resume_rejects_missing_checkpoint(self, tmp_path):
+        with pytest.raises(CheckpointError, match="cannot read"):
             Service.resume(tmp_path / "nowhere")
 
     def test_resume_rejects_unknown_format(self, tmp_path):
         ckpt_dir = tmp_path / "ckpt"
         ckpt_dir.mkdir()
-        (ckpt_dir / "manifest.json").write_text(json.dumps({"format": 99}))
-        with pytest.raises(CheckpointError, match="format"):
+        with open(ckpt_dir / "service.ckpt", "wb") as fh:
+            pickle.dump({"format": 99, "kind": "service"}, fh)
+        with pytest.raises(CheckpointError, match="format 99 "):
             Service.resume(ckpt_dir)
 
-    def test_resume_detects_missing_finished_result(self, tmp_path):
+    def test_resume_rejects_a_simulation_checkpoint(self, tmp_path):
+        ckpt_dir = tmp_path / "ckpt"
+        ckpt_dir.mkdir()
+        path = write_v2(tmp_path, "s.rtrace", 2, seed=7)
+        with Service([StreamSpec("s", str(path))], sim_cfg()) as svc:
+            stream = svc.streams[0]
+            stream.sim.save_state(ckpt_dir / "service.ckpt", stream.st)
+        with pytest.raises(CheckpointError, match="'simulation' checkpoint"):
+            Service.resume(ckpt_dir)
+
+    def test_resume_restores_finished_results(self, tmp_path):
         ckpt_dir = tmp_path / "ckpt"
         tiny = write_v2(tmp_path, "tiny.rtrace", 1, seed=4)
         big = write_v2(tmp_path, "big.rtrace", 10, seed=5)
-        cfg = ServiceConfig(checkpoint_every=1, checkpoint_dir=str(ckpt_dir),
-                            max_rounds=3)
         specs = [StreamSpec("tiny", str(tiny), budget=2 * CHUNK),
                  StreamSpec("big", str(big), budget=CHUNK)]
+        with Service(specs, sim_cfg()) as svc:
+            baseline = svc.run()
+        cfg = ServiceConfig(checkpoint_every=1, checkpoint_dir=str(ckpt_dir),
+                            max_rounds=3)
         with Service(specs, sim_cfg(), cfg) as svc:
             svc.run()
             assert "tiny" in svc.results  # drained and finalized
-        os.remove(ckpt_dir / "results.pkl")
-        with pytest.raises(CheckpointError, match="missing"):
-            Service.resume(ckpt_dir)
+        resumed = Service.resume(ckpt_dir, max_rounds=0)
+        with resumed:
+            assert set(resumed.results) == {"tiny"}
+            assert [s.name for s in resumed.streams] == ["big"]
+            results = resumed.run()
+        assert_results_bit_identical(baseline, results)
 
-    def test_checkpoint_writes_manifest_last(self, tmp_path):
+    def test_checkpoint_is_one_file(self, tmp_path):
         ckpt_dir = tmp_path / "ckpt"
         path = write_v2(tmp_path, "s.rtrace", 4, seed=6)
         cfg = ServiceConfig(checkpoint_every=1, checkpoint_dir=str(ckpt_dir),
-                            max_rounds=1)
+                            max_rounds=2)
         with Service([StreamSpec("s", str(path))], sim_cfg(), cfg) as svc:
             svc.run()
-        manifest = json.loads((ckpt_dir / "manifest.json").read_text())
-        for entry in manifest["streams"]:
-            # Everything the manifest names already exists on disk.
-            assert (ckpt_dir / entry["checkpoint"]).exists()
-        assert (ckpt_dir / "results.pkl").exists()
-        assert not list(ckpt_dir.glob("*.tmp"))
+        assert svc.checkpoints_written == 2
+        assert sorted(p.name for p in ckpt_dir.iterdir()) == ["service.ckpt"]
 
-    def test_checkpoint_fsyncs_every_artifact(self, tmp_path, monkeypatch):
-        """Each checkpoint artifact — per-stream engine state, the
-        results pickle, and the manifest — is fsynced before its
-        atomic publish, so a power cut cannot leave a manifest that
-        names files whose bytes never reached the disk."""
-        synced = []
-        real_fsync = os.fsync
+    def test_checkpoint_fsyncs_before_its_one_replace(self, tmp_path,
+                                                      monkeypatch):
+        """The checkpoint's bytes reach the disk before ``os.replace``
+        publishes them, so a power cut cannot publish an empty file."""
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
 
-        def counting_fsync(fd):
-            synced.append(fd)
+        def logging_fsync(fd):
+            calls.append("fsync")
             return real_fsync(fd)
 
-        monkeypatch.setattr(os, "fsync", counting_fsync)
+        def logging_replace(src, dst):
+            calls.append("replace")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", logging_fsync)
+        monkeypatch.setattr(os, "replace", logging_replace)
         ckpt_dir = tmp_path / "ckpt"
         path = write_v2(tmp_path, "s.rtrace", 4, seed=6)
         cfg = ServiceConfig(checkpoint_every=1, checkpoint_dir=str(ckpt_dir),
                             max_rounds=1)
         with Service([StreamSpec("s", str(path))], sim_cfg(), cfg) as svc:
             svc.run()
-        # At least the stream snapshot, results.pkl, and manifest.json.
-        assert len(synced) >= 3
+        assert calls == ["fsync", "replace"]
+
+    def test_kill_after_every_replace_resumes_bit_identical(
+        self, tmp_path, monkeypatch
+    ):
+        """A kill right after any ``os.replace`` of a checkpointing run
+        resumes bit-identically.  The small ingest buffer makes
+        ``chunks_read`` differ between checkpoints, so a resume that
+        paired one checkpoint's engine state with another's chunk
+        count would consume chunks twice and diverge."""
+        baseline = self.run_uninterrupted(tmp_path)
+        cfg = dict(buffer_capacity=2 * CHUNK, checkpoint_every=2,
+                   max_rounds=4)
+        real_replace = os.replace
+        replaces = []
+
+        def counting_replace(src, dst):
+            real_replace(src, dst)
+            replaces.append(dst)
+            if len(replaces) == kill_at:
+                raise Killed
+
+        monkeypatch.setattr(os, "replace", counting_replace)
+        kill_at = 0
+        with Service(TestServiceRun.specs(tmp_path), sim_cfg(),
+                     ServiceConfig(checkpoint_dir=str(tmp_path / "count"),
+                                   **cfg)) as svc:
+            svc.run()
+        total, failures = len(replaces), {}
+        for kill_at in range(1, total + 1):
+            replaces.clear()
+            ckpt_dir = tmp_path / f"kill{kill_at}"
+            with pytest.raises(Killed):
+                with Service(TestServiceRun.specs(tmp_path), sim_cfg(),
+                             ServiceConfig(checkpoint_dir=str(ckpt_dir),
+                                           **cfg)) as svc:
+                    svc.run()
+            try:
+                with Service.resume(ckpt_dir, max_rounds=0) as resumed:
+                    assert_results_bit_identical(baseline, resumed.run())
+            except (AssertionError, CheckpointError) as exc:
+                failures[kill_at] = str(exc).splitlines()[0]
+        assert failures == {}
+
+
+class Killed(BaseException):
+    """A kill injected right after an ``os.replace``."""
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(tmp_path_factory):
+    """{kind: bytes} of one service and one simulation checkpoint."""
+    root = tmp_path_factory.mktemp("ckpt")
+    cfg = ServiceConfig(checkpoint_every=1, checkpoint_dir=str(root),
+                        max_rounds=1)
+    with Service(TestServiceRun.specs(root), sim_cfg(), cfg) as svc:
+        svc.run()
+        stream = svc.streams[0]
+        stream.sim.save_state(root / "sim.ckpt", stream.st)
+    return {"service": (root / "service.ckpt").read_bytes(),
+            "simulation": (root / "sim.ckpt").read_bytes()}
+
+
+class TestCheckpointTruncation:
+    """Every cut of a checkpoint file fails loudly with
+    :class:`CheckpointError`, never a raw unpickling error."""
+
+    @pytest.mark.parametrize("kind", ["simulation", "service"])
+    @settings(max_examples=60, deadline=None)
+    @given(cut=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+    def test_every_truncation_raises_checkpoint_error(
+        self, kind, cut, checkpoint_bytes, tmp_path_factory
+    ):
+        data = checkpoint_bytes[kind]
+        ckpt_dir = tmp_path_factory.getbasetemp() / f"cut-{kind}"
+        ckpt_dir.mkdir(exist_ok=True)
+        truncated = ckpt_dir / "service.ckpt"
+        truncated.write_bytes(data[:int(cut * len(data))])
+        with pytest.raises(CheckpointError, match="truncated"):
+            if kind == "simulation":
+                Simulation.load_state(truncated)
+            else:
+                Service.resume(ckpt_dir)
 
 
 class TestServiceTailsLiveSource:

@@ -125,8 +125,8 @@ class TestCheckpointMechanics:
         # Format 1 pickled an async engine that tallied outcomes per
         # transaction; this build folds them per tick.  Format 2 pickled
         # DAMON's regions as a list of Region records; this build holds
-        # them in arrays.
-        for version in (CHECKPOINT_FORMAT_VERSION + 1, 1, 2):
+        # them in arrays.  Format 3 had no envelope ``kind``.
+        for version in (CHECKPOINT_FORMAT_VERSION + 1, 1, 2, 3):
             path = tmp_path / f"v{version}.ckpt"
             with open(path, "wb") as fh:
                 pickle.dump({"format": version, "sim": object()}, fh)

@@ -345,6 +345,17 @@ class TestRunCheckpointResume:
         assert main(["run", "--resume", str(tmp_path / "no.ckpt")]) == 2
         assert "cannot resume" in capsys.readouterr().out
 
+    def test_resume_truncated_checkpoint_errors(self, capsys, tmp_path):
+        ckpt = tmp_path / "run.ckpt"
+        assert main([
+            "run", "--bench", "mcf", "--accesses", "40000", "--chunk",
+            "20000", "--checkpoint", str(ckpt), "--checkpoint-every", "1",
+        ]) == 0
+        ckpt.write_bytes(ckpt.read_bytes()[:-100])
+        capsys.readouterr()
+        assert main(["run", "--resume", str(ckpt)]) == 2
+        assert "truncated" in capsys.readouterr().out
+
 
 class TestServeCommand:
     @staticmethod
@@ -408,6 +419,19 @@ class TestServeCommand:
         res = json.loads(res_out.read_text())
         assert res["unfinished"] == []
         assert res["streams"] == base["streams"]
+
+    def test_serve_resume_truncated_checkpoint_errors(self, capsys,
+                                                      tmp_path):
+        p1, _ = self.make_traces(tmp_path)
+        ckpt_dir = tmp_path / "ckpt"
+        assert self.serve("--stream", f"a={p1}", "--checkpoint-dir",
+                          str(ckpt_dir), "--checkpoint-every", "1",
+                          "--max-rounds", "1") == 0
+        ckpt = ckpt_dir / "service.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes()[: ckpt.stat().st_size // 2])
+        capsys.readouterr()
+        assert main(["serve", "--no-http", "--resume", str(ckpt_dir)]) == 2
+        assert "truncated" in capsys.readouterr().out
 
     def test_serve_requires_streams(self, capsys):
         assert main(["serve", "--no-http"]) == 2

@@ -9,7 +9,7 @@ kill/resume acceptance properties end to end:
    the per-stream results.
 3. Daemon: the same service with checkpointing on and the live HTTP
    endpoint up.  Scrape ``/metrics`` mid-run and require per-stream
-   (``stream=``-labelled) series; wait for a complete checkpoint set;
+   (``stream=``-labelled) series; wait for the first checkpoint;
    then **SIGKILL** the daemon — no graceful shutdown, exactly the
    crash the checkpoint format must survive.
 4. Resume: ``repro serve --resume`` from the checkpoint directory,
@@ -141,7 +141,7 @@ def main() -> int:
         print(f"   metrics endpoint: {url}")
 
         # Mid-run scrape: per-stream labelled series must be there.
-        manifest = os.path.join(ckpt_dir, "manifest.json")
+        checkpoint = os.path.join(ckpt_dir, "service.ckpt")
         body = ""
         while time.monotonic() < deadline:
             if daemon.poll() is not None:
@@ -152,7 +152,7 @@ def main() -> int:
             except OSError:
                 time.sleep(0.05)
                 continue
-            if (os.path.exists(manifest)
+            if (os.path.exists(checkpoint)
                     and 'stream="alpha"' in body
                     and 'stream="beta"' in body
                     and "service_rounds_total" in body):
@@ -171,18 +171,16 @@ def main() -> int:
             daemon.kill()
         daemon.stdout.close()
 
-    with open(manifest) as fh:
-        killed_round = json.load(fh)["round"]
-    print(f"   checkpoint set at round {killed_round}")
-
     print("== resume: run the killed service to completion")
     resume_out = os.path.join(args.out, "resumed.json")
     proc = repro("serve", "--no-http", "--resume", ckpt_dir,
                  "--max-rounds", "0", "--out", resume_out)
     if proc.returncode != 0:
         fail(f"resume failed:\n{proc.stdout}\n{proc.stderr}")
-    if "resumed service from" not in proc.stdout:
+    banner = re.search(r"resumed service from .* \(round (\d+),", proc.stdout)
+    if banner is None:
         fail(f"resume banner missing:\n{proc.stdout}")
+    print(f"   resumed from the checkpoint of round {banner.group(1)}")
     with open(resume_out) as fh:
         resumed = json.load(fh)
     if resumed["unfinished"]:
