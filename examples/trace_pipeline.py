@@ -1,4 +1,4 @@
-"""The trace pipeline: capture → cache-filter → store → replay.
+"""The trace pipeline: record → cache-filter → store → read back.
 
 The paper's §7.1 tracker study feeds the simulator with
 "cache-filtered and time-stamped addresses to DRAM" collected via
@@ -6,9 +6,10 @@ Intel Pin + Ramulator.  This example is that pipeline end to end:
 
 1. generate a raw access stream;
 2. filter it through the LLC model (only misses reach DRAM — this is
-   what the CXL controller's trackers actually see);
-3. persist it as .npz and reload it;
-4. replay it through two tracker designs and compare their picks.
+   what the CXL controller's trackers actually see) while recording
+   it to a trace file;
+3. read the stored trace back;
+4. feed it through two tracker designs and compare their picks.
 
 Usage::
 
@@ -23,50 +24,52 @@ import numpy as np
 from repro.analysis import tracker_ratio
 from repro.cache import SetAssociativeCache
 from repro.core.trackers import CmSketchTopK, SpaceSavingTopK
-from repro.workloads import ReplayWorkload, build, capture, save_trace
+from repro.workloads import TraceReader, build, record
+
+#: Addresses per tracker feed.
+SLICE = 65_536
 
 
 def main() -> None:
     bench = "roms"
     wl = build(bench, seed=1)
-
-    # 1-2. capture with LLC filtering (CAT: 4 of 15 ways, Table 3).
+    # CAT: 4 of 15 ways (Table 3).
     llc = SetAssociativeCache(
         capacity_bytes=6 * 1024 * 1024, ways=15, allocated_ways=4
     )
     raw_accesses = 200_000
-    trace = capture(wl, raw_accesses, llc=llc)
+    with tempfile.TemporaryDirectory() as tmp:
+        # 1-2. record with LLC filtering.
+        path = record(wl, raw_accesses, Path(tmp) / f"{bench}.rtrace",
+                      llc=llc, metadata={"llc_ways": 4})
+        # 3. read back.
+        with TraceReader(path) as reader:
+            trace = reader.read_all()
+        size_kib = path.stat().st_size / 1024
     print(f"raw accesses     : {raw_accesses}")
     print(f"LLC hit rate     : {llc.hit_rate:.2%}")
     print(f"DRAM trace length: {trace.size} "
           f"({trace.size / raw_accesses:.0%} of raw)")
+    print(f"stored + read    : {size_kib:.0f} KiB")
 
-    # 3. store + reload.
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / f"{bench}.npz"
-        save_trace(path, trace, wl.spec, metadata={"llc_ways": 4})
-        replay = ReplayWorkload.from_file(path)
-        print(f"stored + reloaded: {path.stat().st_size / 1024:.0f} KiB")
-
-        # 4. replay through both tracker designs.
-        pages = (replay.trace(trace.size) >> np.uint64(12)).astype(np.int64)
-        truth = {int(k): int(v)
-                 for k, v in zip(*np.unique(pages, return_counts=True))}
-        for label, tracker in (
-            ("CM-Sketch 32K", CmSketchTopK(5, num_counters=32 * 1024)),
-            ("Space-Saving 50", SpaceSavingTopK(5, capacity=50)),
-        ):
-            replay.restart()
-            identified, seen = [], set()
-            for chunk in replay.chunks(trace.size, 65_536):
-                tracker.observe(chunk)
-                for key, _ in tracker.query():
-                    if key not in seen:
-                        seen.add(key)
-                        identified.append(key)
-            score = tracker_ratio(truth, identified, k=len(identified))
-            print(f"{label:16s}: access-count ratio {score:.3f} "
-                  f"({len(identified)} pages identified)")
+    # 4. feed both tracker designs.
+    pages = (trace >> np.uint64(12)).astype(np.int64)
+    truth = {int(k): int(v)
+             for k, v in zip(*np.unique(pages, return_counts=True))}
+    for label, tracker in (
+        ("CM-Sketch 32K", CmSketchTopK(5, num_counters=32 * 1024)),
+        ("Space-Saving 50", SpaceSavingTopK(5, capacity=50)),
+    ):
+        identified, seen = [], set()
+        for start in range(0, trace.size, SLICE):
+            tracker.observe(trace[start:start + SLICE])
+            for key, _ in tracker.query():
+                if key not in seen:
+                    seen.add(key)
+                    identified.append(key)
+        score = tracker_ratio(truth, identified, k=len(identified))
+        print(f"{label:16s}: access-count ratio {score:.3f} "
+              f"({len(identified)} pages identified)")
 
 
 if __name__ == "__main__":

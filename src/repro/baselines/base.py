@@ -16,9 +16,9 @@ promotions first, then watermark demotions via
 state behind the pipeline's back (the M5 manager, whose in-kernel
 Promoter *is* the migration path, is the documented exception).
 
-:class:`MigrationPolicy` remains the base class for the CPU-driven
-detectors; its legacy per-epoch feed ``on_epoch(pages, now_s,
-epoch_s)`` is still accepted for direct detector-level tests.
+:class:`MigrationPolicy` is the base class for the CPU-driven
+detectors; :meth:`MigrationPolicy.observe` feeds one epoch's pages to a
+detector without the rest of the pipeline.
 """
 
 from __future__ import annotations
@@ -211,18 +211,12 @@ class MigrationPolicy(abc.ABC):
         self._detect(np.asarray(pages, dtype=np.int64), float(now_s), float(epoch_s))
         self.page_table.tlb.age()
 
-    def on_epoch(self, view, now_s: Optional[float] = None, epoch_s: float = 1.0):
+    def on_epoch(self, view: EpochView) -> PolicyDecision:
         """Run the policy stage of one pipeline epoch.
 
-        Given an :class:`EpochView`, this is the :class:`EpochPolicy`
-        entry point: feed the detector and return a
-        :class:`PolicyDecision`.  The legacy detector-level signature
-        ``on_epoch(pages, now_s, epoch_s)`` is still accepted (it only
-        feeds the detector and returns ``None``).
+        The :class:`EpochPolicy` entry point: feed the detector with the
+        epoch's accesses and return a :class:`PolicyDecision`.
         """
-        if not isinstance(view, EpochView):
-            self.observe(view, 0.0 if now_s is None else now_s, epoch_s)
-            return None
         self.observe(view.lpages, view.now_s, view.epoch_s)
         decision = PolicyDecision(overhead_us=self.costs.epoch_us)
         if view.migrate:

@@ -278,12 +278,14 @@ def cmd_run(args) -> int:
               f"{sim.config.checkpoint_path})")
     if result.access_count_ratio is not None:
         print(f"access-count ratio: {result.access_count_ratio:.3f}")
-    if getattr(args, "check_invariants", False):
+    # Read the run's own config: on --resume the run-shape flags are
+    # parser defaults, not the checkpointed run's settings.
+    if sim.config.check_invariants:
         checks = result.extra.get("invariant_checks", 0.0)
         violations = result.extra.get("invariant_violations", 0.0)
         print(f"invariants    : {checks:.0f} checks, "
               f"{violations:.0f} violations")
-    if args.migration_mode == "async":
+    if sim.config.migration_mode == "async":
         ex = result.extra
         print(f"async queue   : enqueued {ex.get('mig_enqueued', 0):.0f}, "
               f"committed {ex.get('mig_committed', 0):.0f}, "
@@ -890,8 +892,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--stream", action="append", default=[],
                        metavar="NAME=TRACE[,policy=P][,budget=N]",
-                       help="add one stream fed from TRACE (v2 stream or "
-                            "v1 .npz); repeatable")
+                       help="add one stream fed from TRACE (a chunked "
+                            "trace stream, possibly still being written); "
+                            "repeatable")
     serve.add_argument("--chunk", type=int, default=16_384,
                        help="engine epoch size in accesses")
     serve.add_argument("--seed", type=int, default=1)
@@ -1026,9 +1029,11 @@ def build_parser() -> argparse.ArgumentParser:
                                 "resume",
                         help="comma-separated oracle names to run")
     verify.add_argument("--bench", default="mcf",
-                        help="benchmark for the migration oracle")
+                        help="benchmark for the migration, engine, fleet "
+                             "and resume oracles")
     verify.add_argument("--policy", default="m5-hpt", choices=ALL_POLICIES,
-                        help="policy for the migration oracle")
+                        help="policy for the migration, engine, fleet "
+                             "and resume oracles")
     verify.add_argument("--accesses", type=int, default=400_000)
     verify.add_argument("--chunk", type=int, default=16_384)
     verify.add_argument("--seed", type=int, default=1)

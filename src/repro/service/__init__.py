@@ -11,7 +11,6 @@ from repro.service.daemon import (
     ServiceConfig,
     ServiceStream,
     StreamSpec,
-    open_source,
 )
 from repro.service.streams import StreamEmpty, StreamWorkload
 
@@ -22,5 +21,4 @@ __all__ = [
     "StreamSpec",
     "StreamEmpty",
     "StreamWorkload",
-    "open_source",
 ]

@@ -3,10 +3,10 @@
 A :class:`Service` multiplexes N concurrent trace streams onto the
 epoch engine: every stream is its own :class:`~repro.sim.Simulation`
 (own policy, own metrics registry, own telemetry ring) fed from a
-trace file — the chunked v2 streaming format by preference, which the
-daemon can tail while a producer is still appending, or a v1 ``.npz``
-capture.  A deterministic round-robin scheduler drives each stream up
-to its per-round access *budget*, ingestion applies the bounded-queue
+chunked trace stream (:class:`~repro.workloads.TraceReader`), which
+the daemon can tail while a producer is still appending.  A
+deterministic round-robin scheduler drives each stream up to its
+per-round access *budget*, ingestion applies the bounded-queue
 backpressure discipline (:mod:`repro.service.streams`), and the
 merged per-stream metrics are served live through
 :class:`~repro.obs.live.ObsServer` under a ``stream`` label.
@@ -44,8 +44,7 @@ from repro.sim.engine import (
     read_checkpoint,
     write_checkpoint,
 )
-from repro.workloads.base import DEFAULT_CHUNK, WorkloadSpec
-from repro.workloads.traceio import TraceReader, V2_MAGIC, load_trace
+from repro.workloads.traceio import TraceReader
 
 #: The one file a service checkpoint directory holds.
 CHECKPOINT_FILE = "service.ckpt"
@@ -57,7 +56,7 @@ class StreamSpec:
 
     Attributes:
         name: unique stream label (appears on every metric series).
-        trace: path to the source trace (v2 stream or v1 ``.npz``).
+        trace: path to the source trace stream.
         policy: page-migration policy this stream runs.
         budget: accesses the scheduler drives per round — the
             per-stream fairness knob (a stream with twice the budget
@@ -114,62 +113,6 @@ class ServiceConfig:
             raise ValueError("poll_interval_s must be non-negative")
 
 
-class _ArraySource:
-    """A v1 (in-memory) trace behind the v2 reader's duck type.
-
-    Presents a materialised address array as a sequence of fixed-size
-    chunks with the same ``read_next``/``skip``/``chunks_read``
-    bookkeeping as :class:`~repro.workloads.TraceReader`, so the
-    service's ingest and checkpoint logic handles both formats
-    identically.  Always :attr:`complete` — a ``.npz`` exists only
-    once its capture finished.
-    """
-
-    def __init__(self, addresses, spec: WorkloadSpec,
-                 chunk_size: int = DEFAULT_CHUNK) -> None:
-        self._addresses = addresses
-        self.spec = spec
-        self.chunk_size = int(chunk_size)
-        self.chunks_read = 0
-
-    @property
-    def complete(self) -> bool:
-        return True
-
-    @property
-    def total_addresses(self) -> int:
-        return int(self._addresses.size)
-
-    def read_next(self):
-        start = self.chunks_read * self.chunk_size
-        if start >= self._addresses.size:
-            return None
-        self.chunks_read += 1
-        return self._addresses[start:start + self.chunk_size]
-
-    def skip(self, n_chunks: int) -> int:
-        total = -(-self._addresses.size // self.chunk_size)
-        skipped = min(int(n_chunks), total - self.chunks_read)
-        self.chunks_read += skipped
-        return skipped
-
-    def close(self) -> None:
-        pass
-
-
-def open_source(
-    path: Union[str, Path], chunk_size: int = DEFAULT_CHUNK
-) -> Union[TraceReader, _ArraySource]:
-    """Open a trace file as an incremental source (format-detected)."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        magic = fh.read(len(V2_MAGIC))
-    if magic == V2_MAGIC:
-        return TraceReader(path)
-    addresses, spec, _ = load_trace(path)
-    return _ArraySource(addresses, spec, chunk_size=chunk_size)
-
-
 class ServiceStream:
     """One live stream: source → buffer → engine, plus bookkeeping."""
 
@@ -180,7 +123,7 @@ class ServiceStream:
         buffer_capacity: int,
     ) -> None:
         self.spec = spec
-        self.source = open_source(spec.trace, chunk_size=sim_config.chunk_size)
+        self.source = TraceReader(spec.trace)
         workload = StreamWorkload(self.source.spec, capacity=buffer_capacity)
         self.sim = Simulation(
             workload,
@@ -203,8 +146,7 @@ class ServiceStream:
                   st) -> "ServiceStream":
         stream = cls.__new__(cls)
         stream.spec = spec
-        stream.source = open_source(spec.trace,
-                                    chunk_size=sim.config.chunk_size)
+        stream.source = TraceReader(spec.trace)
         skipped = stream.source.skip(chunks_read)
         if skipped != chunks_read:
             raise CheckpointError(

@@ -1,13 +1,14 @@
 """Stream ingestion for the service daemon.
 
-A service stream couples a *source* (a trace file — v2 streaming
-format or v1 ``.npz`` — possibly still being written) to a *buffer*
-(:class:`StreamWorkload`, the bounded FIFO the epoch engine consumes
-from).  The split matters for checkpointing: the buffer and its
-bookkeeping live inside the stream's :class:`~repro.sim.Simulation`
-object graph and pickle with it, while the source (an open file
-handle) stays outside and is re-opened and repositioned from the
-chunk count in the service checkpoint on resume.
+A service stream couples a *source* (a chunked trace stream read by
+:class:`~repro.workloads.TraceReader`, possibly still being written)
+to a *buffer* (:class:`StreamWorkload`, the bounded FIFO the epoch
+engine consumes from).  The split matters for checkpointing: the
+buffer and its bookkeeping live inside the stream's
+:class:`~repro.sim.Simulation` object graph and pickle with it, while
+the source (an open file handle) stays outside and is re-opened and
+repositioned from the chunk count in the service checkpoint on
+resume.
 
 Backpressure reuses the bounded-queue discipline of the migration
 subsystem: :meth:`StreamWorkload.feed` accepts chunks only while the
@@ -83,7 +84,7 @@ class StreamWorkload(TraceGenerator):
         """Enqueue one ingested chunk; False = full, try next round.
 
         All-or-nothing (a trace chunk is the transfer unit, mirroring
-        the v2 file format), so a refused chunk is simply re-offered
+        the trace file format), so a refused chunk is simply re-offered
         after the engine drains the buffer.  A chunk is refused only
         when the buffer already holds at least ``capacity`` addresses;
         one chunk may overshoot the capacity, which keeps progress

@@ -395,11 +395,6 @@ class Simulation:
         self.async_engine: Optional[AsyncMigrationEngine] = None
         self._write_rng = None
         self._promoter_dropped_prev = 0
-        #: Replay workloads count wrap-arounds; the engine surfaces
-        #: the total (RunResult.extra + replay.wrap telemetry) so a
-        #: truncated capture never replays silently as periodic.
-        self._tracks_wraps = hasattr(workload, "wraps")
-        self._replay_wraps_prev = 0
         #: Epoch state restored by :meth:`load_state`; ``run`` resumes
         #: from it instead of starting fresh.
         self._resume_state: Optional[_EpochState] = None
@@ -663,17 +658,6 @@ class Simulation:
         st.remaining -= take
         st.chunk = self.workload.chunk(take)
         st.lpages = (st.chunk >> np.uint64(PAGE_SHIFT)).astype(np.int64)
-        if self._tracks_wraps:
-            wraps = self.workload.wraps
-            if wraps > self._replay_wraps_prev:
-                self.telemetry.publish(
-                    "replay.wrap",
-                    st.epoch,
-                    st.now_s,
-                    wraps=wraps - self._replay_wraps_prev,
-                    total_wraps=wraps,
-                )
-                self._replay_wraps_prev = wraps
         if self.async_engine is not None:
             # Later stages (Promoter, the tick) tag queue entries with
             # the current epoch; deltas feed the enqueue telemetry.
@@ -1070,8 +1054,6 @@ class Simulation:
             self.result.extra["slo_breaches"] = float(
                 self.watchdog.breaches_total
             )
-        if self._tracks_wraps:
-            self.result.extra["replay_wraps"] = float(self.workload.wraps)
         if self.obs.metrics_on:
             self.result.metrics = self.obs.snapshot()
         return self.result

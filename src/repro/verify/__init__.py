@@ -12,12 +12,12 @@ Four layers guard the repro's trackers and migration paths (see
   every vectorized hot-path kernel, bound onto a component or a whole
   simulation by :func:`as_reference`.
 * :mod:`repro.verify.differential` — paired-configuration oracles
-  (``repro verify`` / ``tools/run_differential.py``): per-access vs
-  chunked sketch, PAC cache vs direct mode, instant vs async-unlimited
-  migration, reference models vs production pipeline (bit-exact),
-  per-kernel reference vs production state, a 1-tenant, 2-tier fleet
-  vs the single-run engine, and checkpoint-resumed vs uninterrupted
-  runs (bit-exact), diffed with per-field tolerances.
+  (``repro verify``): per-access vs chunked sketch, PAC cache vs
+  direct mode, instant vs async-unlimited migration, reference models
+  vs production pipeline (bit-exact), per-kernel reference vs
+  production state, a 1-tenant, 2-tier fleet vs the single-run engine,
+  and checkpoint-resumed vs uninterrupted runs (bit-exact), diffed
+  with per-field tolerances.
 * ``tests/verify/`` — Hypothesis property suites encoding the paper's
   analytical guarantees (CM-Sketch never underestimates, Space-Saving
   overestimates within N/K, exact-oracle CAM selection, MGLRU victim

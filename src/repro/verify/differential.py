@@ -8,7 +8,7 @@ path the pipeline actually runs, and the two must agree — exactly
 where the docstrings promise identical state, within a tolerance where
 only the aggregate behaviour is guaranteed.
 
-Seven oracle pairs (``repro verify`` / ``tools/run_differential.py``):
+Seven oracle pairs, all run by ``repro verify``:
 
 * ``sketch`` — a :class:`~repro.core.trackers.CmSketchTopK` ingesting
   one access at a time (:func:`~repro.verify.reference.as_exact_sequence`,
@@ -530,7 +530,7 @@ def kernels_oracle(seed: int = 0, accesses: int = 60_000) -> OracleReport:
         for epoch, start in enumerate(range(0, accesses, 8192)):
             lot = (pages[start:start + 8192].astype(np.int64)
                    + 131 * epoch) % num_pages
-            damon.on_epoch(lot, now_s=epoch * 0.25, epoch_s=0.25)
+            damon.observe(lot, now_s=epoch * 0.25, epoch_s=0.25)
         damons.append(damon)
     ref, fast = damons
     report.add("damon_region_mismatches", 0,
@@ -693,7 +693,7 @@ def resume_oracle(
     return report
 
 
-#: The registry the CLI and ``tools/run_differential.py`` iterate.
+#: The registry ``repro verify`` iterates.
 ORACLES = {
     "sketch": sketch_oracle,
     "pac": pac_oracle,

@@ -31,16 +31,11 @@ from repro.workloads.zipf import (
     zipf_popularity,
 )
 from repro.workloads.traceio import (
-    ReplayWorkload,
     TraceCorruptError,
-    TraceExhausted,
     TraceFormatError,
     TraceReader,
     TraceWriter,
-    capture,
-    load_trace,
     record,
-    save_trace,
 )
 from repro.workloads.ycsb import SlabAllocator, YcsbMix, YcsbWorkload
 from repro.workloads import gap_exec
@@ -78,9 +73,7 @@ __all__ = [
     "spatially_clustered",
     "uniform_popularity",
     "zipf_popularity",
-    "ReplayWorkload",
     "TraceCorruptError",
-    "TraceExhausted",
     "TraceFormatError",
     "TraceReader",
     "TraceWriter",
@@ -88,10 +81,7 @@ __all__ = [
     "YcsbMix",
     "YcsbWorkload",
     "gap_exec",
-    "capture",
-    "load_trace",
     "record",
-    "save_trace",
     "registry",
     "MEMORY_INTENSIVE",
     "SCALABILITY_SET",

@@ -26,19 +26,19 @@ def make(pages=64, ddr=16):
 class TestScanning:
     def test_scan_unmaps_window(self):
         _, anb = make()
-        anb.on_epoch(np.array([0]), now_s=0.0)
+        anb.observe(np.array([0]), now_s=0.0)
         assert anb.pages_unmapped == 8
         assert anb.scan_windows == 1
 
     def test_scan_cursor_advances(self):
         _, anb = make()
-        anb.on_epoch(np.array([0]), now_s=0.0)
-        anb.on_epoch(np.array([0]), now_s=1.0)
+        anb.observe(np.array([0]), now_s=0.0)
+        anb.observe(np.array([0]), now_s=1.0)
         assert anb.pages_unmapped == 16
 
     def test_multiple_due_windows_caught_up(self):
         _, anb = make()
-        anb.on_epoch(np.array([0]), now_s=3.5)
+        anb.observe(np.array([0]), now_s=3.5)
         assert anb.scan_windows == 4  # t=0,1,2,3
 
     def test_only_cxl_pages_unmapped(self):
@@ -46,12 +46,12 @@ class TestScanning:
         window0 = list(range(anb._scan_cursor, anb._scan_cursor + 8))
         on_ddr = window0[0] % mem.num_logical_pages
         mem.move_page(on_ddr, NodeKind.DDR)
-        anb.on_epoch(np.array([0]), now_s=0.0)
+        anb.observe(np.array([0]), now_s=0.0)
         assert anb.pages_unmapped == 7
 
     def test_scan_costs_charged(self):
         _, anb = make()
-        anb.on_epoch(np.array([0]), now_s=0.0)
+        anb.observe(np.array([0]), now_s=0.0)
         assert anb.costs.events.get("unmap", 0) > 0
         assert anb.costs.events.get("tlb_shootdown", 0) > 0
 
@@ -59,38 +59,38 @@ class TestScanning:
 class TestFaultPromotion:
     def test_faulting_page_identified(self):
         _, anb = make()
-        anb.on_epoch(np.array([0]), now_s=0.0)  # unmap window
+        anb.observe(np.array([0]), now_s=0.0)  # unmap window
         window = np.nonzero(~anb.page_table.present)[0]
-        anb.on_epoch(window[:2], now_s=0.5)
+        anb.observe(window[:2], now_s=0.5)
         assert set(window[:2]) <= set(anb.hot_pages)
         assert anb.faults_handled == 2
 
     def test_untouched_unmapped_pages_not_identified(self):
         _, anb = make()
-        anb.on_epoch(np.array([0]), now_s=0.0)
+        anb.observe(np.array([0]), now_s=0.0)
         window = np.nonzero(~anb.page_table.present)[0]
         untouched = window[-1]
-        anb.on_epoch(window[:1], now_s=0.5)
+        anb.observe(window[:1], now_s=0.5)
         assert untouched not in anb.hot_pages
 
     def test_one_bit_of_recency(self):
         """Observation 1: a page touched once and a page touched 1000
         times after unmapping are indistinguishable to ANB."""
         _, anb = make()
-        anb.on_epoch(np.array([0]), now_s=0.0)
+        anb.observe(np.array([0]), now_s=0.0)
         window = np.nonzero(~anb.page_table.present)[0]
         warm, hot = window[0], window[1]
-        anb.on_epoch(np.concatenate([[warm], [hot] * 1000]), now_s=0.5)
+        anb.observe(np.concatenate([[warm], [hot] * 1000]), now_s=0.5)
         # Both identified, in page order — no intensity signal.
         assert warm in anb.hot_pages
         assert hot in anb.hot_pages
 
     def test_fault_cost_charged(self):
         _, anb = make()
-        anb.on_epoch(np.array([0]), now_s=0.0)
+        anb.observe(np.array([0]), now_s=0.0)
         window = np.nonzero(~anb.page_table.present)[0]
         anb.costs.begin_epoch()
-        anb.on_epoch(window[:3], now_s=0.5)
+        anb.observe(window[:3], now_s=0.5)
         assert anb.costs.events["hinting_fault"] == pytest.approx(
             3 * FAULT_COST_US
         )
@@ -103,11 +103,11 @@ class TestFaultPromotion:
             mem, page_table=pt, scan_window_pages=64, scan_period_s=1.0,
             two_touch=True, adaptive=False, seed=0,
         )
-        anb.on_epoch(np.array([]), now_s=0.0)
-        anb.on_epoch(np.array([5]), now_s=0.1)  # first fault
+        anb.observe(np.array([]), now_s=0.0)
+        anb.observe(np.array([5]), now_s=0.1)  # first fault
         assert 5 not in anb.hot_pages
-        anb.on_epoch(np.array([]), now_s=1.0)   # re-unmap (window = all)
-        anb.on_epoch(np.array([5]), now_s=1.1)  # second fault
+        anb.observe(np.array([]), now_s=1.0)   # re-unmap (window = all)
+        anb.observe(np.array([5]), now_s=1.1)  # second fault
         assert 5 in anb.hot_pages
 
 
@@ -121,15 +121,15 @@ class TestAdaptivity:
         initial = anb.scan_period_s
         # Never touch anything: no faults, no novelty -> back off.
         for t in range(60):
-            anb.on_epoch(np.array([0]), now_s=float(t))
+            anb.observe(np.array([0]), now_s=float(t))
         assert anb.scan_period_s > initial
         assert anb.scan_period_s <= MAX_SCAN_PERIOD_S
 
     def test_migration_candidates_fifo(self):
         _, anb = make()
-        anb.on_epoch(np.array([0]), now_s=0.0)
+        anb.observe(np.array([0]), now_s=0.0)
         window = np.nonzero(~anb.page_table.present)[0]
-        anb.on_epoch(window, now_s=0.5)
+        anb.observe(window, now_s=0.5)
         first = anb.migration_candidates(2)
         second = anb.migration_candidates(100)
         assert len(first) == 2

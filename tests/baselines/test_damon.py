@@ -23,7 +23,7 @@ def make(pages=1000, **kwargs):
 def run_epochs(damon, pages, epochs=5, epoch_s=0.5):
     now = 0.0
     for _ in range(epochs):
-        damon.on_epoch(pages, now_s=now, epoch_s=epoch_s)
+        damon.observe(pages, now_s=now, epoch_s=epoch_s)
         now += epoch_s
 
 
@@ -97,7 +97,7 @@ class TestSamplingAndPromotion:
     def test_quota_bounds_promotions_per_aggregation(self):
         _, damon = make(quota_pages=16, min_nr_regions=10, max_nr_regions=10)
         hot = np.tile(np.arange(500), 40)
-        damon.on_epoch(hot, now_s=0.0, epoch_s=0.15)
+        damon.observe(hot, now_s=0.0, epoch_s=0.15)
         assert len(damon.hot_pages) <= 16
 
     def test_only_cxl_pages_promoted(self):

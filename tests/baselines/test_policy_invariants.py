@@ -27,7 +27,7 @@ def memory():
 def drive(policy, batches):
     now = 0.0
     for batch in batches:
-        policy.on_epoch(np.array(batch), now_s=now, epoch_s=0.5)
+        policy.observe(np.array(batch), now_s=now, epoch_s=0.5)
         now += 0.5
     return policy
 

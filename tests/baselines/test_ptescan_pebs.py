@@ -28,20 +28,20 @@ class TestPteScanner:
     def test_persistent_pages_identified(self):
         _, scanner = self.make()
         for t in range(1, 5):
-            scanner.on_epoch(np.array([7, 9]), now_s=float(t))
+            scanner.observe(np.array([7, 9]), now_s=float(t))
         assert {7, 9} <= set(scanner.hot_pages)
 
     def test_one_epoch_pages_not_identified(self):
         _, scanner = self.make()
-        scanner.on_epoch(np.array([7]), now_s=1.0)
-        scanner.on_epoch(np.array([50]), now_s=2.0)
+        scanner.observe(np.array([7]), now_s=1.0)
+        scanner.observe(np.array([50]), now_s=2.0)
         assert 7 not in scanner.hot_pages
 
     def test_intensity_blind(self):
         """The access bit is Boolean: 1000 touches look like 1."""
         _, scanner = self.make()
         for t in range(1, 4):
-            scanner.on_epoch(np.array([7] * 1000 + [9]), now_s=float(t))
+            scanner.observe(np.array([7] * 1000 + [9]), now_s=float(t))
         assert 7 in scanner.hot_pages
         assert 9 in scanner.hot_pages
 
@@ -49,14 +49,14 @@ class TestPteScanner:
         _, small = self.make(pages=128)
         mem_l = memory(1024)
         large = PteScanner(mem_l, scan_period_s=1.0)
-        small.on_epoch(np.array([0]), now_s=1.0)
-        large.on_epoch(np.array([0]), now_s=1.0)
+        small.observe(np.array([0]), now_s=1.0)
+        large.observe(np.array([0]), now_s=1.0)
         assert large.costs.total_us > small.costs.total_us
 
     def test_window_resets(self):
         _, scanner = self.make(hot_epochs=2, window_epochs=2)
-        scanner.on_epoch(np.array([7]), now_s=1.0)
-        scanner.on_epoch(np.array([7]), now_s=2.0)
+        scanner.observe(np.array([7]), now_s=1.0)
+        scanner.observe(np.array([7]), now_s=2.0)
         assert scanner._epochs_in_window == 0  # window rolled over
 
     def test_validation(self):
@@ -80,28 +80,28 @@ class TestPebsSampler:
         rng = np.random.default_rng(1)
         stream = np.concatenate([np.full(5000, 7), rng.integers(0, 256, 5000)])
         rng.shuffle(stream)
-        pebs.on_epoch(stream, now_s=0.0)
+        pebs.observe(stream, now_s=0.0)
         assert 7 in pebs.hot_pages
 
     def test_sampling_rate_thins_stream(self):
         _, pebs = self.make(sample_period=100)
-        pebs.on_epoch(np.zeros(10_000, dtype=np.int64), now_s=0.0)
+        pebs.observe(np.zeros(10_000, dtype=np.int64), now_s=0.0)
         assert 50 < pebs.samples_taken < 200
 
     def test_interrupt_cost_scales_with_rate(self):
         _, aggressive = self.make(sample_period=10)
         _, relaxed = self.make(sample_period=1000)
         stream = np.arange(20_000) % 256
-        aggressive.on_epoch(stream, now_s=0.0)
-        relaxed.on_epoch(stream, now_s=0.0)
+        aggressive.observe(stream, now_s=0.0)
+        relaxed.observe(stream, now_s=0.0)
         assert aggressive.costs.total_us > relaxed.costs.total_us
         assert aggressive.interrupts > relaxed.interrupts
 
     def test_cooling_halves_counts(self):
         _, pebs = self.make(cooling_interval_s=0.5)
-        pebs.on_epoch(np.full(1000, 5), now_s=0.0)
+        pebs.observe(np.full(1000, 5), now_s=0.0)
         before = pebs._sample_counts[5]
-        pebs.on_epoch(np.array([0]), now_s=1.0)
+        pebs.observe(np.array([0]), now_s=1.0)
         assert pebs._sample_counts[5] == before // 2
 
     def test_validation(self):
@@ -114,7 +114,7 @@ class TestNoMigration:
     def test_never_identifies(self):
         mem = memory(64)
         none = NoMigration(mem)
-        none.on_epoch(np.arange(64), now_s=0.0)
+        none.observe(np.arange(64), now_s=0.0)
         assert not none.hot_pages
         assert none.epoch_overhead_us == 0.0
 

@@ -22,32 +22,32 @@ def make(pages=64, ddr=16, **kw):
 class TestTwoTouch:
     def test_cold_first_fault_not_promoted(self):
         _, tpp = make()
-        tpp.on_epoch(np.array([]), now_s=0.0)      # unmap all
-        tpp.on_epoch(np.array([5]), now_s=10.0)    # idle page faults
+        tpp.observe(np.array([]), now_s=0.0)      # unmap all
+        tpp.observe(np.array([5]), now_s=10.0)    # idle page faults
         assert 5 not in tpp.hot_pages
 
     def test_active_page_fault_promoted(self):
         _, tpp = make()
-        tpp.on_epoch(np.array([5]), now_s=0.0)     # page is active
-        tpp.on_epoch(np.array([]), now_s=1.0)      # unmap all
-        tpp.on_epoch(np.array([5]), now_s=1.5)     # fault on active page
+        tpp.observe(np.array([5]), now_s=0.0)     # page is active
+        tpp.observe(np.array([]), now_s=1.0)      # unmap all
+        tpp.observe(np.array([5]), now_s=1.5)     # fault on active page
         assert 5 in tpp.hot_pages
         assert tpp.refault_promotions == 1
 
     def test_stale_activity_not_promoted(self):
         _, tpp = make(refault_window_s=0.5)
-        tpp.on_epoch(np.array([5]), now_s=0.0)     # active long ago
-        tpp.on_epoch(np.array([]), now_s=10.0)     # unmap all
-        tpp.on_epoch(np.array([5]), now_s=10.3)    # fault, activity stale
+        tpp.observe(np.array([5]), now_s=0.0)     # active long ago
+        tpp.observe(np.array([]), now_s=10.0)     # unmap all
+        tpp.observe(np.array([5]), now_s=10.3)    # fault, activity stale
         assert 5 not in tpp.hot_pages
 
 
 class TestRateLimit:
     def test_promotions_bounded_by_budget(self):
         _, tpp = make(promotion_rate_pages_s=2.0)
-        tpp.on_epoch(np.arange(32), now_s=0.0)      # pages active
-        tpp.on_epoch(np.array([]), now_s=1.0)       # unmap all
-        tpp.on_epoch(np.arange(32), now_s=1.5)      # 32 active faults, budget ~4
+        tpp.observe(np.arange(32), now_s=0.0)      # pages active
+        tpp.observe(np.array([]), now_s=1.0)       # unmap all
+        tpp.observe(np.arange(32), now_s=1.5)      # 32 active faults, budget ~4
         assert 0 < len(tpp.hot_pages) <= 5
 
 

@@ -20,13 +20,19 @@ from repro.service import (
     Service,
     ServiceConfig,
     StreamEmpty,
+    ServiceStream,
     StreamSpec,
     StreamWorkload,
-    open_source,
 )
 from repro.sim import CheckpointError, SimConfig, Simulation
 from repro.verify.differential import _metric_mismatches
-from repro.workloads import TraceWriter, record, save_trace, uniform_workload
+from repro.workloads import (
+    TraceCorruptError,
+    TraceReader,
+    TraceWriter,
+    record,
+    uniform_workload,
+)
 
 CHUNK = 4096
 
@@ -43,7 +49,7 @@ def sim_cfg(**kw):
     return SimConfig(**defaults)
 
 
-def write_v2(tmp_path, name, n_chunks, seed):
+def write_trace(tmp_path, name, n_chunks, seed):
     wl = uniform_workload(footprint_pages=2048, seed=seed)
     return record(wl, n_chunks * CHUNK, tmp_path / name, chunk_size=CHUNK)
 
@@ -113,10 +119,12 @@ class TestStreamWorkload:
             self.wl(capacity=0)
 
 
-class TestOpenSource:
-    def test_v2_source(self, tmp_path):
-        path = write_v2(tmp_path, "s.rtrace", 3, seed=1)
-        src = open_source(path, chunk_size=CHUNK)
+class TestStreamSource:
+    def test_source_reads_and_skips_the_trace(self, tmp_path):
+        path = write_trace(tmp_path, "s.rtrace", 3, seed=1)
+        stream = ServiceStream(StreamSpec("s", str(path)), sim_cfg(),
+                               buffer_capacity=1 << 20)
+        src = stream.source
         first = src.read_next()
         assert first.size == CHUNK
         assert src.chunks_read == 1
@@ -127,24 +135,22 @@ class TestOpenSource:
         # footer, so completeness is observable only at the end.
         assert src.complete
         assert src.total_addresses == 3 * CHUNK
-        src.close()
+        stream.close()
 
-    def test_v1_source(self, tmp_path):
-        wl = uniform_workload(footprint_pages=64, seed=2)
-        trace = wl.trace(2 * CHUNK + 100)
-        path = save_trace(tmp_path / "s.npz", trace, wl.spec)
-        src = open_source(path, chunk_size=CHUNK)
-        assert src.complete
-        assert src.total_addresses == trace.size
-        parts = []
-        while True:
-            chunk = src.read_next()
-            if chunk is None:
-                break
-            parts.append(chunk)
-        assert np.array_equal(np.concatenate(parts), trace)
-        assert src.chunks_read == 3
-        assert src.skip(5) == 0  # already at the end
+    def test_damaged_sealed_trace_fails_instead_of_waiting(self, tmp_path):
+        """A flipped length bit in a sealed trace is corruption, not an
+        in-flight append the service would poll for forever."""
+        path = write_trace(tmp_path, "s.rtrace", 3, seed=1)
+        with TraceReader(path) as r:
+            r.read_next()
+            second = r._fh.tell()
+        data = bytearray(path.read_bytes())
+        data[second + 4] ^= 0x01  # high byte of chunk 1's length
+        path.write_bytes(bytes(data))
+        cfg = ServiceConfig(max_rounds=50, poll_interval_s=0.0)
+        with Service([StreamSpec("s", str(path))], sim_cfg(), cfg) as svc:
+            with pytest.raises(TraceCorruptError):
+                svc.run()
 
 
 class TestValidation:
@@ -164,13 +170,13 @@ class TestValidation:
             ServiceConfig(poll_interval_s=-1)
 
     def test_service_rejects_duplicate_names(self, tmp_path):
-        path = write_v2(tmp_path, "s.rtrace", 1, seed=1)
+        path = write_trace(tmp_path, "s.rtrace", 1, seed=1)
         specs = [StreamSpec("a", str(path)), StreamSpec("a", str(path))]
         with pytest.raises(ValueError, match="duplicate"):
             Service(specs, sim_cfg())
 
     def test_service_rejects_engine_level_checkpointing(self, tmp_path):
-        path = write_v2(tmp_path, "s.rtrace", 1, seed=1)
+        path = write_trace(tmp_path, "s.rtrace", 1, seed=1)
         cfg = sim_cfg(checkpoint_every=2, checkpoint_path="/tmp/x.ckpt")
         with pytest.raises(ValueError, match="owns checkpointing"):
             Service([StreamSpec("a", str(path))], cfg)
@@ -183,8 +189,8 @@ class TestValidation:
 class TestServiceRun:
     @staticmethod
     def specs(tmp_path):
-        p1 = write_v2(tmp_path, "one.rtrace", 12, seed=21)
-        p2 = write_v2(tmp_path, "two.rtrace", 8, seed=22)
+        p1 = write_trace(tmp_path, "one.rtrace", 12, seed=21)
+        p2 = write_trace(tmp_path, "two.rtrace", 8, seed=22)
         return [
             StreamSpec("one", str(p1), policy="m5-hpt", budget=2 * CHUNK),
             StreamSpec("two", str(p2), policy="anb", budget=CHUNK),
@@ -284,7 +290,7 @@ class TestServiceCheckpointResume:
 
     def test_resume_rejects_truncated_source(self, tmp_path):
         ckpt_dir = tmp_path / "ckpt"
-        path = write_v2(tmp_path, "s.rtrace", 6, seed=3)
+        path = write_trace(tmp_path, "s.rtrace", 6, seed=3)
         cfg = ServiceConfig(checkpoint_every=1, checkpoint_dir=str(ckpt_dir),
                             max_rounds=2)
         spec = StreamSpec("s", str(path), budget=2 * CHUNK)
@@ -292,8 +298,26 @@ class TestServiceCheckpointResume:
             svc.run()
         # Replace the trace with a shorter one: the checkpoint has
         # consumed more chunks than the file now holds.
-        write_v2(tmp_path, "s.rtrace", 1, seed=3)
+        write_trace(tmp_path, "s.rtrace", 1, seed=3)
         with pytest.raises(CheckpointError, match="holds only"):
+            Service.resume(ckpt_dir)
+
+    def test_resume_rejects_a_damaged_source(self, tmp_path):
+        """Repositioning walks the consumed blocks: a damaged length
+        field there is corruption, not "the trace got shorter"."""
+        ckpt_dir = tmp_path / "ckpt"
+        path = write_trace(tmp_path, "s.rtrace", 6, seed=3)
+        cfg = ServiceConfig(checkpoint_every=1, checkpoint_dir=str(ckpt_dir),
+                            max_rounds=2)
+        spec = StreamSpec("s", str(path), budget=2 * CHUNK)
+        with Service([spec], sim_cfg(), cfg) as svc:
+            svc.run()
+        with TraceReader(path) as r:
+            first = r._fh.tell()
+        data = bytearray(path.read_bytes())
+        data[first + 4] ^= 0x01  # high byte of chunk 0's length
+        path.write_bytes(bytes(data))
+        with pytest.raises(TraceCorruptError, match="sealed"):
             Service.resume(ckpt_dir)
 
     def test_resume_rejects_missing_checkpoint(self, tmp_path):
@@ -311,7 +335,7 @@ class TestServiceCheckpointResume:
     def test_resume_rejects_a_simulation_checkpoint(self, tmp_path):
         ckpt_dir = tmp_path / "ckpt"
         ckpt_dir.mkdir()
-        path = write_v2(tmp_path, "s.rtrace", 2, seed=7)
+        path = write_trace(tmp_path, "s.rtrace", 2, seed=7)
         with Service([StreamSpec("s", str(path))], sim_cfg()) as svc:
             stream = svc.streams[0]
             stream.sim.save_state(ckpt_dir / "service.ckpt", stream.st)
@@ -320,8 +344,8 @@ class TestServiceCheckpointResume:
 
     def test_resume_restores_finished_results(self, tmp_path):
         ckpt_dir = tmp_path / "ckpt"
-        tiny = write_v2(tmp_path, "tiny.rtrace", 1, seed=4)
-        big = write_v2(tmp_path, "big.rtrace", 10, seed=5)
+        tiny = write_trace(tmp_path, "tiny.rtrace", 1, seed=4)
+        big = write_trace(tmp_path, "big.rtrace", 10, seed=5)
         specs = [StreamSpec("tiny", str(tiny), budget=2 * CHUNK),
                  StreamSpec("big", str(big), budget=CHUNK)]
         with Service(specs, sim_cfg()) as svc:
@@ -340,7 +364,7 @@ class TestServiceCheckpointResume:
 
     def test_checkpoint_is_one_file(self, tmp_path):
         ckpt_dir = tmp_path / "ckpt"
-        path = write_v2(tmp_path, "s.rtrace", 4, seed=6)
+        path = write_trace(tmp_path, "s.rtrace", 4, seed=6)
         cfg = ServiceConfig(checkpoint_every=1, checkpoint_dir=str(ckpt_dir),
                             max_rounds=2)
         with Service([StreamSpec("s", str(path))], sim_cfg(), cfg) as svc:
@@ -366,7 +390,7 @@ class TestServiceCheckpointResume:
         monkeypatch.setattr(os, "fsync", logging_fsync)
         monkeypatch.setattr(os, "replace", logging_replace)
         ckpt_dir = tmp_path / "ckpt"
-        path = write_v2(tmp_path, "s.rtrace", 4, seed=6)
+        path = write_trace(tmp_path, "s.rtrace", 4, seed=6)
         cfg = ServiceConfig(checkpoint_every=1, checkpoint_dir=str(ckpt_dir),
                             max_rounds=1)
         with Service([StreamSpec("s", str(path))], sim_cfg(), cfg) as svc:

@@ -341,6 +341,25 @@ class TestRunCheckpointResume:
             (line,) = [l for l in full.splitlines() if l.startswith(key)]
             assert line in resumed
 
+    def test_resume_prints_the_checkpointed_runs_summary_lines(
+        self, capsys, tmp_path
+    ):
+        """The invariants and async-queue lines follow the restored
+        run's config, not the (default) flags of the resuming call."""
+        ckpt = tmp_path / "c.ckpt"
+        assert main([
+            "run", "--bench", "mcf", "--policy", "m5-hpt",
+            "--accesses", "200000", "--chunk", "20000",
+            "--migration-mode", "async", "--check-invariants",
+            "--checkpoint", str(ckpt), "--checkpoint-every", "4",
+        ]) == 0
+        full = capsys.readouterr().out
+        assert main(["run", "--resume", str(ckpt)]) == 0
+        resumed = capsys.readouterr().out
+        for key in ("invariants", "async queue"):
+            (line,) = [l for l in full.splitlines() if l.startswith(key)]
+            assert line in resumed
+
     def test_resume_missing_file_errors(self, capsys, tmp_path):
         assert main(["run", "--resume", str(tmp_path / "no.ckpt")]) == 2
         assert "cannot resume" in capsys.readouterr().out
@@ -432,6 +451,31 @@ class TestServeCommand:
         capsys.readouterr()
         assert main(["serve", "--no-http", "--resume", str(ckpt_dir)]) == 2
         assert "truncated" in capsys.readouterr().out
+
+    def test_serve_rejects_an_older_trace_format(self, capsys, tmp_path):
+        from repro.workloads.traceio import TRACE_MAGIC
+
+        p1, _ = self.make_traces(tmp_path)
+        old = tmp_path / "old.rtrace"
+        old.write_bytes(b"RTRACE02" + p1.read_bytes()[len(TRACE_MAGIC):])
+        assert self.serve("--stream", f"a={old}") == 2
+        out = capsys.readouterr().out
+        assert "cannot start service" in out
+        assert "version 2" in out
+
+    def test_serve_fails_on_a_damaged_sealed_trace(self, tmp_path):
+        """Instead of polling forever for data that will never come."""
+        from repro.workloads import TraceCorruptError, TraceReader
+
+        p1, _ = self.make_traces(tmp_path)
+        with TraceReader(p1) as r:
+            first = r._fh.tell()
+        data = bytearray(p1.read_bytes())
+        data[first + 4] ^= 0x01  # high byte of chunk 0's length
+        p1.write_bytes(bytes(data))
+        with pytest.raises(TraceCorruptError):
+            self.serve("--stream", f"a={p1}", "--max-rounds", "50",
+                       "--poll-interval", "0")
 
     def test_serve_requires_streams(self, capsys):
         assert main(["serve", "--no-http"]) == 2

@@ -337,8 +337,8 @@ class TestDamonRegions:
         pair = _damon_pair(num_pages, ddr, **knobs)
         for damon in pair:
             for i, pages in enumerate(epochs):
-                damon.on_epoch(np.asarray(pages, dtype=np.int64),
-                               now_s=0.25 * i, epoch_s=0.25)
+                damon.observe(np.asarray(pages, dtype=np.int64),
+                              now_s=0.25 * i, epoch_s=0.25)
         assert pair[1].aggregations >= 2 * len(epochs)
         assert _damon_state(pair[0]) == _damon_state(pair[1])
         assert np.array_equal(pair[1].starts[1:], pair[1].ends[:-1])

@@ -1,70 +1,30 @@
-"""Tests for trace capture, storage, and replay."""
+"""Tests for trace recording, storage and reading back."""
+
+import json
+import struct
+import tempfile
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.cache import SetAssociativeCache
 from repro.workloads import (
-    ReplayWorkload,
     TraceCorruptError,
-    TraceExhausted,
     TraceFormatError,
     TraceReader,
     TraceWriter,
-    capture,
-    load_trace,
     record,
-    save_trace,
     uniform_workload,
 )
+from repro.workloads.traceio import TRACE_MAGIC
 
 
-class TestCapture:
-    def test_capture_without_filter(self):
-        wl = uniform_workload(footprint_pages=64, seed=1)
-        trace = capture(wl, 5000)
-        assert trace.size == 5000
-        assert trace.dtype == np.uint64
-
-    def test_capture_with_llc_filter_shrinks(self):
-        wl = uniform_workload(footprint_pages=16, seed=1)
-        llc = SetAssociativeCache(capacity_bytes=64 * 512, ways=8)
-        trace = capture(wl, 5000, llc=llc)
-        assert 0 < trace.size < 5000
-
-    def test_capture_matches_direct_trace(self):
-        wl1 = uniform_workload(footprint_pages=64, seed=2)
-        wl2 = uniform_workload(footprint_pages=64, seed=2)
-        assert np.array_equal(capture(wl1, 2000), wl2.trace(2000))
-
-
-class TestSaveLoad:
-    def test_roundtrip(self, tmp_path):
-        wl = uniform_workload(footprint_pages=64, seed=3)
-        trace = wl.trace(3000)
-        path = save_trace(tmp_path / "t.npz", trace, wl.spec,
-                          metadata={"note": "test"})
-        loaded, spec, meta = load_trace(path)
-        assert np.array_equal(loaded, trace)
-        assert spec == wl.spec
-        assert meta["note"] == "test"
-
-    def test_version_check(self, tmp_path):
-        import json
-
-        wl = uniform_workload(footprint_pages=8, seed=0)
-        header = {"version": 999, "spec": {}, "metadata": {}}
-        np.savez_compressed(
-            tmp_path / "bad.npz",
-            addresses=wl.trace(10),
-            header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
-        )
-        with pytest.raises(ValueError):
-            load_trace(tmp_path / "bad.npz")
-
-
-class TestV2Stream:
-    """The chunked, append-only v2 trace format."""
+class TestTraceStream:
+    """The chunked, append-only trace format."""
 
     @staticmethod
     def chunks_of(n_chunks, chunk_size=256, seed=7):
@@ -74,7 +34,8 @@ class TestV2Stream:
     def test_write_read_roundtrip(self, tmp_path):
         wl, chunks = self.chunks_of(4)
         path = tmp_path / "t.rtrace"
-        with TraceWriter(path, wl.spec, metadata={"note": "v2"}) as w:
+        meta = {"llc": {"ways": 4, "bytes": 6 << 20}, "tags": ["a", "b"]}
+        with TraceWriter(path, wl.spec, metadata=meta) as w:
             for c in chunks:
                 w.append(c)
         with TraceReader(path) as r:
@@ -84,7 +45,7 @@ class TestV2Stream:
             assert r.complete
             assert r.total_addresses == 4 * 256
             assert r.spec == wl.spec
-            assert r.metadata["note"] == "v2"
+            assert r.metadata == meta
 
     def test_tail_readable_while_writing(self, tmp_path):
         """The service tails a file its producer has not sealed yet."""
@@ -136,15 +97,13 @@ class TestV2Stream:
         file handle: the constructor raises *after* closing it."""
         import builtins
 
-        from repro.workloads.traceio import V2_MAGIC
-
         wl, chunks = self.chunks_of(1)
         path = tmp_path / "ok.rtrace"
         with TraceWriter(path, wl.spec) as w:
             w.append(chunks[0])
         bad = tmp_path / "truncated.rtrace"
-        # Valid magic, then the file ends mid header-length word.
-        bad.write_bytes(path.read_bytes()[: len(V2_MAGIC) + 2])
+        # Valid magic, then the file ends mid header block.
+        bad.write_bytes(path.read_bytes()[: len(TRACE_MAGIC) + 2])
 
         opened = []
         real_open = builtins.open
@@ -225,180 +184,263 @@ class TestV2Stream:
         with TraceReader(path) as r:
             assert np.array_equal(r.read_all(), chunks[0])
 
-    def test_load_trace_autodetects_v2(self, tmp_path):
-        wl, chunks = self.chunks_of(3)
-        path = tmp_path / "auto.rtrace"
-        with TraceWriter(path, wl.spec, metadata={"fmt": 2}) as w:
-            for c in chunks:
-                w.append(c)
-        addresses, spec, meta = load_trace(path)
-        assert np.array_equal(addresses, np.concatenate(chunks))
-        assert spec == wl.spec
-        assert meta["fmt"] == 2
-
-    def test_load_trace_on_in_flight_file_loads_prefix(self, tmp_path):
+    def test_in_flight_file_reads_its_prefix(self, tmp_path):
         wl, chunks = self.chunks_of(2)
         path = tmp_path / "prefix.rtrace"
         writer = TraceWriter(path, wl.spec)
         writer.append(chunks[0])
-        addresses, _, _ = load_trace(path)  # before close: prefix only
-        assert np.array_equal(addresses, chunks[0])
+        with TraceReader(path) as r:  # before close: prefix only
+            assert np.array_equal(r.read_all(), chunks[0])
+            assert not r.complete
         writer.close()
+
+    def test_footer_without_tail_is_in_flight(self, tmp_path):
+        """A writer killed mid-close leaves the footer but no tail: the
+        file is not sealed yet, so the reader waits rather than fails."""
+        wl, chunks = self.chunks_of(2)
+        path = tmp_path / "closing.rtrace"
+        with TraceWriter(path, wl.spec) as w:
+            for c in chunks:
+                w.append(c)
+        path.write_bytes(path.read_bytes()[:-3])
+        with TraceReader(path) as r:
+            assert np.array_equal(r.read_all(), np.concatenate(chunks))
+            assert r.read_next() is None
+            assert not r.complete
+
+    def test_closed_writer_and_reader_refuse_io(self, tmp_path):
+        wl, chunks = self.chunks_of(1)
+        path = tmp_path / "closed.rtrace"
+        writer = TraceWriter(path, wl.spec)
+        writer.close()
+        writer.close()  # idempotent
+        with pytest.raises(ValueError, match="closed"):
+            writer.append(chunks[0])
+        reader = TraceReader(path)
+        reader.close()
+        with pytest.raises(ValueError, match="closed"):
+            reader.read_next()
 
     def test_reader_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "not_a_trace"
         path.write_bytes(b"GARBAGE!" * 4)
         with pytest.raises(TraceFormatError):
             TraceReader(path)
-        with pytest.raises(TraceFormatError):
-            load_trace(path)
 
-    def test_record_streams_to_v2(self, tmp_path):
+    def test_record_streams_to_a_trace(self, tmp_path):
         wl = uniform_workload(footprint_pages=64, seed=9)
         twin = uniform_workload(footprint_pages=64, seed=9)
         path = record(wl, 2048, tmp_path / "rec.rtrace", chunk_size=512)
-        addresses, spec, _ = load_trace(path)
+        with TraceReader(path) as r:
+            addresses = r.read_all()
+            assert r.spec == wl.spec
+            assert r.complete
         # Draw the twin with the same chunking: the generator's RNG
         # stream depends on per-draw sizes.
         expect = np.concatenate([twin.trace(512) for _ in range(4)])
         assert np.array_equal(addresses, expect)
-        assert spec == wl.spec
 
     def test_record_with_llc_filter(self, tmp_path):
         wl = uniform_workload(footprint_pages=16, seed=9)
         llc = SetAssociativeCache(capacity_bytes=64 * 512, ways=8)
         path = record(wl, 5000, tmp_path / "filt.rtrace", llc=llc)
-        addresses, _, _ = load_trace(path)
-        assert 0 < addresses.size < 5000
-
-    def test_replay_from_v2_file(self, tmp_path):
-        wl = uniform_workload(footprint_pages=32, seed=5)
-        twin = uniform_workload(footprint_pages=32, seed=5)
-        path = record(wl, 500, tmp_path / "rp.rtrace")
-        replay = ReplayWorkload.from_file(path)
-        assert np.array_equal(replay.trace(500), twin.trace(500))
+        with TraceReader(path) as r:
+            assert 0 < r.read_all().size < 5000
 
 
-class TestReplay:
-    def test_replays_exactly(self):
-        wl = uniform_workload(footprint_pages=64, seed=4)
-        trace = wl.trace(1000)
-        replay = ReplayWorkload(trace, wl.spec)
-        assert np.array_equal(replay.trace(1000), trace)
-
-    def test_wraps_around(self):
-        trace = np.arange(10, dtype=np.uint64) << np.uint64(6)
-        replay = ReplayWorkload(trace, uniform_workload(footprint_pages=8).spec)
-        out = replay.trace(25)
-        assert np.array_equal(out[:10], trace)
-        assert np.array_equal(out[10:20], trace)
-
-    def test_restart(self):
-        trace = np.arange(10, dtype=np.uint64) << np.uint64(6)
-        replay = ReplayWorkload(trace, uniform_workload(footprint_pages=8).spec)
-        a = replay.trace(7)
-        replay.restart()
-        b = replay.trace(7)
-        assert np.array_equal(a, b)
-
-    def test_from_file(self, tmp_path):
-        wl = uniform_workload(footprint_pages=32, seed=5)
-        trace = wl.trace(500)
-        path = save_trace(tmp_path / "r.npz", trace, wl.spec)
-        replay = ReplayWorkload.from_file(path)
-        assert np.array_equal(replay.trace(500), trace)
-        assert replay.spec.footprint_pages == 32
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            ReplayWorkload(np.empty(0, dtype=np.uint64),
-                           uniform_workload(footprint_pages=8).spec)
-
-    def test_replay_drivable_by_engine(self):
-        """A stored trace can drive a full simulation."""
-        from repro.sim import SimConfig, Simulation
-
-        wl = uniform_workload(footprint_pages=256, seed=6)
-        replay = ReplayWorkload(wl.trace(30_000), wl.spec)
-        cfg = SimConfig(total_accesses=60_000, chunk_size=30_000,
-                        ddr_pages=64, checkpoints=1, migrate=False)
-        result = Simulation(replay, cfg, policy="none").run()
-        assert result.execution_time_s > 0
+def write_sealed(path, n_chunks=2, chunk_size=256, metadata=None):
+    """A sealed trace; returns its chunks and each chunk block's offset."""
+    wl = uniform_workload(footprint_pages=128, seed=11)
+    chunks = [wl.trace(chunk_size) for _ in range(n_chunks)]
+    offsets = []
+    with TraceWriter(path, wl.spec, metadata=metadata) as w:
+        for c in chunks:
+            offsets.append(w._fh.tell())
+            w.append(c)
+    return wl, chunks, offsets
 
 
-class TestReplayWraps:
-    """Regression: wrapping used to be silent — a truncated capture
-    replayed as a plausible periodic workload with no trace of it."""
+class TestDamagedTraces:
+    """A damaged trace raises a named error; it never reads back as a
+    shorter or different workload."""
 
-    @staticmethod
-    def replay(n=10, strict=False):
-        trace = np.arange(n, dtype=np.uint64) << np.uint64(6)
-        spec = uniform_workload(footprint_pages=8).spec
-        return ReplayWorkload(trace, spec, strict=strict)
+    @pytest.mark.parametrize("chunk", [0, 1])
+    def test_sealed_file_with_overlong_block_raises(self, tmp_path, chunk):
+        """A flipped bit in the high byte of a chunk's length field must
+        not read as an in-flight append: that is a silent short read,
+        and a ``repro serve`` stream that never drains."""
+        path = tmp_path / "t.rtrace"
+        _, _, offsets = write_sealed(path)
+        data = bytearray(path.read_bytes())
+        data[offsets[chunk] + 4] ^= 0x01  # kind(1) | len(4, LE) | ...
+        path.write_bytes(bytes(data))
+        with TraceReader(path) as r:
+            with pytest.raises(TraceCorruptError, match="sealed"):
+                r.read_all()
+        with TraceReader(path) as r:
+            with pytest.raises(TraceCorruptError, match="sealed"):
+                r.skip(2)
 
-    def test_wraps_counter_counts_passes(self):
-        replay = self.replay(10)
-        assert replay.wraps == 0
-        replay.trace(25)  # 0..9, 0..9, 0..4
-        assert replay.wraps == 2
-        replay.trace(5)  # 5..9: reaches the end exactly, no wrap
-        assert replay.wraps == 2
-        replay.trace(1)  # 0 again: the wrap happens on this read
-        assert replay.wraps == 3
+    def test_unsealed_file_with_overlong_block_is_in_flight(self, tmp_path):
+        """Without the tail the same bytes are indistinguishable from a
+        writer that has not finished the block yet."""
+        path = tmp_path / "t.rtrace"
+        _, chunks, offsets = write_sealed(path)
+        data = bytearray(path.read_bytes()[:-16])  # drop the tail
+        data[offsets[1] + 4] ^= 0x01
+        path.write_bytes(bytes(data))
+        with TraceReader(path) as r:
+            assert np.array_equal(r.read_all(), chunks[0])
+            assert not r.complete
 
-    def test_exact_consumption_is_not_a_wrap(self):
-        replay = self.replay(10)
-        replay.trace(10)
-        assert replay.wraps == 0
-        assert replay.remaining == 10  # position wrapped to 0
+    def test_every_header_bit_flip_raises(self, tmp_path):
+        """The magic and the header block are checksummed or checked:
+        no single flipped bit reads back as a different spec."""
+        path = tmp_path / "t.rtrace"
+        _, _, offsets = write_sealed(path, metadata={"llc_ways": 4})
+        good = path.read_bytes()
+        bad = tmp_path / "bad.rtrace"
+        for pos in range(offsets[0]):
+            for bit in range(8):
+                data = bytearray(good)
+                data[pos] ^= 1 << bit
+                bad.write_bytes(bytes(data))
+                with pytest.raises(TraceFormatError):
+                    TraceReader(bad).close()
 
-    def test_restart_resets_wraps(self):
-        replay = self.replay(10)
-        replay.trace(25)
-        replay.restart()
-        assert replay.wraps == 0
-        assert replay.remaining == 10
+    def test_tail_must_point_at_the_footer(self, tmp_path):
+        path = tmp_path / "t.rtrace"
+        write_sealed(path)
+        data = bytearray(path.read_bytes())
+        data[-16] ^= 0x01  # low byte of the tail's footer offset
+        path.write_bytes(bytes(data))
+        with TraceReader(path) as r:
+            with pytest.raises(TraceCorruptError, match="tail"):
+                r.read_all()
 
-    def test_strict_raises_instead_of_wrapping(self):
-        replay = self.replay(10, strict=True)
-        replay.trace(7)
-        with pytest.raises(TraceExhausted):
-            replay.chunk(4)  # only 3 remain
-        # Exact consumption stays legal in strict mode.
-        out = replay.chunk(3)
-        assert out.size == 3
-        assert replay.wraps == 0
+    def test_chunk_relabelled_as_footer_raises(self, tmp_path):
+        """The chunk's CRC still matches; its payload is no index."""
+        path = tmp_path / "t.rtrace"
+        _, _, offsets = write_sealed(path)
+        data = bytearray(path.read_bytes())
+        data[offsets[1]] = 0x02
+        path.write_bytes(bytes(data))
+        with TraceReader(path) as r:
+            with pytest.raises(TraceCorruptError, match="footer"):
+                r.read_all()
 
-    def test_engine_surfaces_wraps_in_result_and_timeline(self):
-        from repro.sim import SimConfig, Simulation
+    def test_footer_relabelled_as_chunk_raises(self, tmp_path):
+        path = tmp_path / "t.rtrace"
+        write_sealed(path)
+        data = bytearray(path.read_bytes())
+        (footer,) = struct.unpack("<Q", data[-16:-8])
+        data[footer] = 0x01
+        path.write_bytes(bytes(data))
+        with TraceReader(path) as r:
+            with pytest.raises(TraceCorruptError, match="declares"):
+                r.read_all()
 
-        wl = uniform_workload(footprint_pages=256, seed=6)
-        replay = ReplayWorkload(wl.trace(30_000), wl.spec)
-        cfg = SimConfig(total_accesses=90_000, chunk_size=30_000,
-                        ddr_pages=64, checkpoints=1, migrate=False)
-        result = Simulation(replay, cfg, policy="none").run()
-        assert result.extra["replay_wraps"] == 2.0
-        wrap_events = [e for e in result.timeline
-                       if e["stage"] == "replay.wrap"]
-        assert [e["total_wraps"] for e in wrap_events] == [1, 2]
+    def test_footer_must_index_the_chunks_before_it(self, tmp_path):
+        """A footer indexing more chunks than precede it means a block
+        went missing, even though every block left checks out."""
+        wl = uniform_workload(footprint_pages=8, seed=0)
+        path = tmp_path / "t.rtrace"
+        with TraceWriter(path, wl.spec) as w:
+            w.append(wl.trace(64))
+            w._index.append(dict(w._index[0]))
+            w.chunks_written += 1
+        with TraceReader(path) as r:
+            with pytest.raises(TraceCorruptError, match="precede"):
+                r.read_all()
 
-    def test_engine_reports_zero_wraps_when_trace_suffices(self):
-        from repro.sim import SimConfig, Simulation
+    def test_checksummed_header_without_a_spec_raises(self, tmp_path):
+        """A header block with a valid CRC but no spec is malformed,
+        not a ``KeyError``."""
+        wl = uniform_workload(footprint_pages=8, seed=0)
+        path = tmp_path / "t.rtrace"
+        with TraceWriter(path, wl.spec) as w:
+            w._fh.seek(len(TRACE_MAGIC))
+            w._fh.truncate()
+            body = json.dumps({"metadata": {}}).encode()
+            w._write_block(0x03, body, len(body))
+        with pytest.raises(TraceCorruptError, match="malformed header"):
+            TraceReader(path)
 
-        wl = uniform_workload(footprint_pages=256, seed=6)
-        replay = ReplayWorkload(wl.trace(30_000), wl.spec)
-        cfg = SimConfig(total_accesses=30_000, chunk_size=15_000,
-                        ddr_pages=64, checkpoints=1, migrate=False)
-        result = Simulation(replay, cfg, policy="none").run()
-        assert result.extra["replay_wraps"] == 0.0
-        assert not any(e["stage"] == "replay.wrap" for e in result.timeline)
+    @pytest.mark.parametrize("version", [2, 99])
+    def test_other_format_versions_are_named(self, tmp_path, version):
+        wl = uniform_workload(footprint_pages=8, seed=0)
+        header = json.dumps({"version": version,
+                             "spec": wl.spec.__dict__,
+                             "metadata": {}}).encode()
+        path = tmp_path / "old.rtrace"
+        path.write_bytes(b"RTRACE%02d" % version
+                         + struct.pack("<I", len(header)) + header)
+        with pytest.raises(TraceFormatError,
+                           match=f"version {version} is not supported"):
+            TraceReader(path)
 
-    def test_engine_strict_replay_aborts_on_exhaustion(self):
-        from repro.sim import SimConfig, Simulation
 
-        wl = uniform_workload(footprint_pages=256, seed=6)
-        replay = ReplayWorkload(wl.trace(30_000), wl.spec, strict=True)
-        cfg = SimConfig(total_accesses=60_000, chunk_size=30_000,
-                        ddr_pages=64, checkpoints=1, migrate=False)
-        with pytest.raises(TraceExhausted):
-            Simulation(replay, cfg, policy="none").run()
+@lru_cache(maxsize=1)
+def _fuzz_subject():
+    """Bytes of a small sealed trace plus what it must read back as."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.rtrace"
+        wl, chunks, _ = write_sealed(path, n_chunks=3, chunk_size=64,
+                                     metadata={"llc_ways": 4})
+        return path.read_bytes(), np.concatenate(chunks), wl.spec
+
+
+class TestByteFlipFuzz:
+    @settings(max_examples=400)
+    @given(data=st.data())
+    def test_one_flipped_byte_fails_loudly_or_reads_identically(self, data):
+        blob, addresses, spec = _fuzz_subject()
+        pos = data.draw(st.integers(0, len(blob) - 1), label="pos")
+        xor = data.draw(st.integers(1, 255), label="xor")
+        damaged = bytearray(blob)
+        damaged[pos] ^= xor
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.rtrace"
+            path.write_bytes(bytes(damaged))
+            try:
+                with TraceReader(path) as r:
+                    got = r.read_all()
+                    read = (r.complete, r.spec, r.metadata)
+            except TraceFormatError:
+                return
+        assert read == (True, spec, {"llc_ways": 4})
+        assert np.array_equal(got, addresses)
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_one_flipped_byte_fails_loudly_or_skips_whole(self, data):
+        """The resume path repositions with ``skip``, which checks CRCs
+        but decodes nothing: it too must not stop short silently."""
+        blob, addresses, _ = _fuzz_subject()
+        pos = data.draw(st.integers(0, len(blob) - 1), label="pos")
+        xor = data.draw(st.integers(1, 255), label="xor")
+        damaged = bytearray(blob)
+        damaged[pos] ^= xor
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.rtrace"
+            path.write_bytes(bytes(damaged))
+            try:
+                with TraceReader(path) as r:
+                    skipped = (r.skip(10), r.complete, r.total_addresses)
+            except TraceFormatError:
+                return
+        assert skipped == (3, True, addresses.size)
+
+
+def test_trace_pipeline_example_prints_its_figures(capsys):
+    """``examples/trace_pipeline.py``: record roms through the LLC
+    model, read it back, and feed both tracker designs."""
+    import runpy
+
+    example = Path(__file__).resolve().parents[2] / "examples" / "trace_pipeline.py"
+    runpy.run_path(str(example), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "LLC hit rate     : 54.40%" in out
+    assert "DRAM trace length: 91209 " in out
+    assert "CM-Sketch 32K   : access-count ratio 0.975" in out
+    assert "Space-Saving 50 : access-count ratio 0.150" in out

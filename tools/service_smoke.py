@@ -4,7 +4,7 @@
 Drives the real CLI the way an operator would and checks the
 kill/resume acceptance properties end to end:
 
-1. Record two v2 streaming traces with ``repro.workloads.record``.
+1. Record two traces with ``repro.workloads.record``.
 2. Baseline: ``repro serve`` both streams uninterrupted, ``--out``
    the per-stream results.
 3. Daemon: the same service with checkpointing on and the live HTTP
@@ -99,7 +99,7 @@ def main() -> int:
     args = parser.parse_args()
     os.makedirs(args.out, exist_ok=True)
 
-    print("== recording v2 traces")
+    print("== recording traces")
     paths = record_traces(args.out)
 
     print("== baseline: uninterrupted service")
