@@ -56,7 +56,7 @@ from repro.sim import (
     normalized,
     run_matrix,
 )
-from repro.workloads import registry
+from repro.workloads import TraceFormatError, registry
 
 
 def _config_from(args) -> SimConfig:
@@ -340,7 +340,7 @@ def cmd_serve(args) -> int:
             overrides["poll_interval_s"] = args.poll_interval
         try:
             service = Service.resume(args.resume, **overrides)
-        except (OSError, CheckpointError) as exc:
+        except (OSError, CheckpointError, TraceFormatError) as exc:
             print(f"cannot resume service from {args.resume}: {exc}")
             return 2
         print(f"resumed service from {args.resume} "

@@ -252,25 +252,38 @@ class TraceReader:
         file has nothing in flight, so a partial block there raises.
         """
         start = self._fh.tell()
-        head = self._fh.read(_BLOCK.size)
-        if len(head) == _BLOCK.size:
-            kind, comp_len, crc, count = _BLOCK.unpack(head)
-            payload = self._fh.read(comp_len)
-            if len(payload) == comp_len:
-                if zlib.crc32(payload) != crc:
-                    raise TraceCorruptError(
-                        f"{self.path}: CRC mismatch in the block at byte "
-                        f"{start}"
-                    )
-                return kind, count, payload
+        block = self._try_block(start)
+        if block is not None:
+            return block
         footer = self._sealed_footer()
-        if footer is not None:
+        if footer is None:
+            self._fh.seek(start)
+            return None
+        # The writer may have sealed the file after the short read:
+        # read once more, now that nothing can still be in flight.
+        self._fh.seek(start)
+        block = self._try_block(start)
+        if block is None:
             raise TraceCorruptError(
                 f"{self.path}: the block at byte {start} runs past the end "
                 f"of a sealed trace (footer at byte {footer})"
             )
-        self._fh.seek(start)
-        return None
+        return block
+
+    def _try_block(self, start: int) -> Optional[Tuple[int, int, bytes]]:
+        """The CRC-checked block at ``start``, or ``None`` if it is short."""
+        head = self._fh.read(_BLOCK.size)
+        if len(head) < _BLOCK.size:
+            return None
+        kind, comp_len, crc, count = _BLOCK.unpack(head)
+        payload = self._fh.read(comp_len)
+        if len(payload) < comp_len:
+            return None
+        if zlib.crc32(payload) != crc:
+            raise TraceCorruptError(
+                f"{self.path}: CRC mismatch in the block at byte {start}"
+            )
+        return kind, count, payload
 
     def _inflate(self, payload: bytes, what: str) -> bytes:
         try:

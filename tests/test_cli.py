@@ -463,19 +463,21 @@ class TestServeCommand:
         assert "cannot start service" in out
         assert "version 2" in out
 
-    def test_serve_fails_on_a_damaged_sealed_trace(self, tmp_path):
-        """Instead of polling forever for data that will never come."""
-        from repro.workloads import TraceCorruptError, TraceReader
+    def test_serve_resume_over_an_older_trace_format_errors(self, capsys,
+                                                            tmp_path):
+        from repro.workloads.traceio import TRACE_MAGIC
 
         p1, _ = self.make_traces(tmp_path)
-        with TraceReader(p1) as r:
-            first = r._fh.tell()
-        data = bytearray(p1.read_bytes())
-        data[first + 4] ^= 0x01  # high byte of chunk 0's length
-        p1.write_bytes(bytes(data))
-        with pytest.raises(TraceCorruptError):
-            self.serve("--stream", f"a={p1}", "--max-rounds", "50",
-                       "--poll-interval", "0")
+        ckpt_dir = tmp_path / "ckpt"
+        assert self.serve("--stream", f"a={p1}", "--checkpoint-dir",
+                          str(ckpt_dir), "--checkpoint-every", "1",
+                          "--max-rounds", "1") == 0
+        p1.write_bytes(b"RTRACE02" + p1.read_bytes()[len(TRACE_MAGIC):])
+        capsys.readouterr()
+        assert main(["serve", "--no-http", "--resume", str(ckpt_dir)]) == 2
+        out = capsys.readouterr().out
+        assert "cannot resume service" in out
+        assert "version 2" in out
 
     def test_serve_requires_streams(self, capsys):
         assert main(["serve", "--no-http"]) == 2

@@ -72,6 +72,34 @@ class TestTraceStream:
         assert reader.total_addresses == 3 * 256
         reader.close()
 
+    @pytest.mark.parametrize("more_chunks", [0, 1])
+    def test_seal_between_short_read_and_seal_check(
+            self, tmp_path, monkeypatch, more_chunks):
+        """A reader polling at EOF gets a short read; if the producer
+        seals the file before the reader looks for the tail, the block
+        at that offset is now whole and must be read, not rejected."""
+        wl, chunks = self.chunks_of(1 + more_chunks)
+        path = tmp_path / "live.rtrace"
+        writer = TraceWriter(path, wl.spec)
+        writer.append(chunks[0])
+        reader = TraceReader(path)
+        assert np.array_equal(reader.read_next(), chunks[0])
+        sealed_footer = TraceReader._sealed_footer
+
+        def seal_first(self):
+            for chunk in chunks[1:]:
+                writer.append(chunk)
+            writer.close()
+            return sealed_footer(self)
+
+        monkeypatch.setattr(TraceReader, "_sealed_footer", seal_first)
+        for chunk in chunks[1:]:
+            assert np.array_equal(reader.read_next(), chunk)
+        assert reader.read_next() is None
+        assert reader.complete
+        assert reader.total_addresses == len(chunks) * 256
+        reader.close()
+
     def test_torn_tail_is_in_flight_not_error(self, tmp_path):
         """A half-written block (crashed writer) must read as a clean
         prefix, never as corruption."""
