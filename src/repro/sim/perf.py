@@ -361,15 +361,6 @@ class PerformanceModel:
         total = self.execution_time_s
         return self.overhead_time_s / total if total > 0 else 0.0
 
-    def interference_utilisation(self) -> float:
-        """Fraction of core time stolen from the application by policy
-        work *and* migration bursts — what a latency-sensitive
-        workload's tail actually sees."""
-        total = self.execution_time_s
-        if total <= 0:
-            return 0.0
-        return (self.overhead_time_s + self.migration_time_s) / total
-
     def p99_latency_us(self) -> float:
         """p99 request latency for latency-sensitive workloads.
 

@@ -60,10 +60,15 @@ import numpy as np
 
 from repro.core.trackers import CmSketchTopK
 from repro.cxl.pac import PageAccessCounter
-from repro.memory.address import PAGE_SHIFT, PAGE_SIZE, AddressRegion
+from repro.memory.address import PAGE_SHIFT, PAGE_SIZE, WORD_SHIFT, AddressRegion
 from repro.sim.config import SimConfig
 from repro.sim.engine import RunResult, Simulation
-from repro.verify.reference import as_exact_sequence, as_reference
+from repro.verify.reference import (
+    as_exact_sequence,
+    as_reference,
+    batch_digest,
+    batch_digest_ordered,
+)
 from repro.workloads import registry
 
 
@@ -410,6 +415,20 @@ def kernels_oracle(seed: int = 0, accesses: int = 60_000) -> OracleReport:
         + (words << np.uint64(6))
     )
     chunks = [addresses[s:s + 8192] for s in range(0, accesses, 8192)]
+
+    # AccessBatch digest: one word sort plus run reductions vs one
+    # np.unique per shift, values and dtypes.  Odd chunks ask for the
+    # page digest first, so both memo orders run.
+    digest_mismatches = 0
+    for i, chunk in enumerate(chunks):
+        batch = AccessBatch(chunk, region=region)
+        for shift in ((PAGE_SHIFT, WORD_SHIFT) if i % 2 else (WORD_SHIFT, PAGE_SHIFT)):
+            pairs = [*zip(batch_digest(chunk, shift), batch._digest(shift)),
+                     *zip(batch_digest_ordered(chunk, shift),
+                          batch.unique_keys_ordered(shift))]
+            digest_mismatches += sum(
+                a.dtype != b.dtype or not np.array_equal(a, b) for a, b in pairs)
+    report.add("batch_digest_mismatches", 0, digest_mismatches)
 
     # Trackers: every algorithm, page and word granularity.
     for algorithm in ("cm-sketch", "space-saving", "misra-gries",

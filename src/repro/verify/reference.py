@@ -123,6 +123,26 @@ def observe_batch(snoop: Any, batch: AccessBatch) -> None:
     snoop.observe(batch.addresses)
 
 
+def batch_digest(
+    addresses: np.ndarray, shift: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The :class:`AccessBatch` digest by ``np.unique``: (unique keys
+    ascending, first index, multiplicities) of ``PA >> shift``, one
+    stable sort per shift."""
+    keys = np.asarray(addresses, dtype=np.uint64) >> np.uint64(shift)
+    return np.unique(keys, return_index=True, return_counts=True)
+
+
+def batch_digest_ordered(
+    addresses: np.ndarray, shift: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`batch_digest`'s keys and multiplicities in
+    first-appearance order."""
+    uniques, first, counts = batch_digest(addresses, shift)
+    order = np.argsort(first, kind="stable")
+    return uniques[order], counts[order]
+
+
 # ----------------------------------------------------------------------
 # trackers
 

@@ -38,7 +38,6 @@ from repro.workloads.traceio import (
     record,
 )
 from repro.workloads.ycsb import SlabAllocator, YcsbMix, YcsbWorkload
-from repro.workloads import gap_exec
 from repro.workloads import registry
 from repro.workloads.registry import (
     MEMORY_INTENSIVE,
@@ -80,7 +79,6 @@ __all__ = [
     "SlabAllocator",
     "YcsbMix",
     "YcsbWorkload",
-    "gap_exec",
     "record",
     "registry",
     "MEMORY_INTENSIVE",

@@ -126,11 +126,6 @@ class TestPerformanceModel:
             idle.record_epoch(10_000, 10_000, 0.0, 0.0)
         assert busy.p99_latency_us() > idle.p99_latency_us()
 
-    def test_interference_utilisation(self):
-        perf = PerformanceModel(self.cfg(), spec())
-        perf.record_epoch(1000, 0, overhead_us=10.0, migration_us=0.0)
-        assert perf.interference_utilisation() > perf.overhead_utilisation() - 1e-12
-
 
 class TestBandwidthCeilings:
     def test_unlimited_by_default(self):

@@ -11,12 +11,14 @@ that stress eviction order.  DAMON's region work is held to its
 one-region-at-a-time twin the same way: tiny footprints, caps that
 block the split, quotas that cut inside a region, pages already on DDR.
 
-``derandomize=True`` keeps CI deterministic: examples are derived
-from the property itself, not a random seed.
+The Hypothesis profile (``tests/conftest.py``) decides randomness:
+tier-1 derandomizes, so CI replays the same examples on every run, and
+``HYPOTHESIS_PROFILE=explore`` searches randomly.
 """
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.damon import Damon
@@ -27,13 +29,14 @@ from repro.core.trackers import make_hpt
 from repro.cxl.batch import AccessBatch
 from repro.cxl.pac import PageAccessCounter
 from repro.cxl.wac import WordAccessCounter
-from repro.memory.address import PAGE_SHIFT, PAGE_SIZE, AddressRegion
+from repro.memory.address import PAGE_SHIFT, PAGE_SIZE, WORD_SHIFT, AddressRegion
 from repro.memory.mglru import MultiGenLru
 from repro.memory.migration import MigrationEngine
 from repro.memory.tiers import NodeKind, TieredMemory
 from repro.verify import as_reference
+from repro.verify.reference import batch_digest, batch_digest_ordered
 
-SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
+SETTINGS = settings(max_examples=60, deadline=None)
 
 # Narrow key spaces force duplicates and counter saturation; min_size=0
 # includes the empty chunk.
@@ -182,6 +185,59 @@ class TestSnoopCounterBatches:
             fast.observe_batch(batch)
         assert np.array_equal(ref.counts(), fast.counts())
         assert ref.total_accesses == fast.total_accesses
+
+
+U64_MAX = 2**64 - 1
+
+
+@st.composite
+def digest_batches(draw):
+    """uint64 address batches with heavy duplicates: a few base
+    addresses (anywhere, within four pages of ``2**64 - 1``, or near
+    zero), each reused with offsets inside one page, so many words of
+    one page and repeats of one word both occur."""
+    bases = draw(st.lists(
+        st.one_of(st.integers(0, U64_MAX),
+                  st.integers(U64_MAX - 4 * PAGE_SIZE, U64_MAX),
+                  st.integers(0, 4 * PAGE_SIZE)),
+        min_size=1, max_size=6))
+    picks = draw(st.lists(
+        st.tuples(st.integers(0, len(bases) - 1),
+                  st.integers(0, PAGE_SIZE - 1)),
+        min_size=0, max_size=300))
+    addresses = [(bases[i] + offset) & U64_MAX for i, offset in picks]
+    return np.array(addresses, dtype=np.uint64)
+
+
+class TestBatchDigest:
+    """The one-sort AccessBatch digest ≡ one np.unique per shift, in
+    values and dtypes, whichever granularity is asked for first."""
+
+    @SETTINGS
+    @given(digest_batches(), st.booleans())
+    @example(np.empty(0, dtype=np.uint64), True)
+    @example(np.empty(0, dtype=np.uint64), False)
+    @example(np.array([U64_MAX], dtype=np.uint64), True)
+    @example(np.array([U64_MAX], dtype=np.uint64), False)
+    def test_matches_np_unique(self, addresses, page_first):
+        batch = AccessBatch(addresses)
+        shifts = (PAGE_SHIFT, WORD_SHIFT) if page_first else (WORD_SHIFT, PAGE_SHIFT)
+        for shift in shifts:
+            got = (*batch.unique_keys(shift), batch._digest(shift)[1],
+                   *batch.unique_keys_ordered(shift))
+            keys, first, counts = batch_digest(addresses, shift)
+            want = (keys, counts, first, *batch_digest_ordered(addresses, shift))
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("shift", range(WORD_SHIFT))
+    def test_shift_below_a_word_raises(self, shift):
+        batch = AccessBatch(np.arange(64, dtype=np.uint64))
+        with pytest.raises(ValueError, match="finer than a word"):
+            batch.unique_keys(shift)
+        with pytest.raises(ValueError, match="finer than a word"):
+            batch.unique_keys_ordered(shift)
 
 
 def _tiered(reference):

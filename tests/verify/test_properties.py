@@ -6,8 +6,9 @@ CM-Sketch never underestimates, Space-Saving overestimates by at most
 N/K, the sorted CAM fed exact counts reproduces the exact top-K, and
 MGLRU victim selection stays within its candidate set.
 
-``derandomize=True`` keeps CI deterministic: examples are derived from
-the property itself, not a random seed.
+The Hypothesis profile (``tests/conftest.py``) decides randomness:
+tier-1 derandomizes, so CI replays the same examples on every run, and
+``HYPOTHESIS_PROFILE=explore`` searches randomly.
 """
 
 import collections
@@ -22,7 +23,7 @@ from repro.core.topk import SortedCam
 from repro.core.trackers import ExactTopK
 from repro.memory.mglru import MultiGenLru
 
-SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
+SETTINGS = settings(max_examples=60, deadline=None)
 
 streams = st.lists(st.integers(0, 200), min_size=1, max_size=400)
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.memory.address import PAGE_SIZE
 from repro.workloads.graph import preferential_attachment
-from repro.workloads.gap_exec import (
+from gap_exec import (
     GraphAddressMap,
     bfs_trace,
     connected_components_trace,
