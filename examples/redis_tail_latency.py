@@ -8,6 +8,11 @@ migration reaches equilibrium), and M5 with the HWT-driven Nominator
 wins because it picks useful pages with virtually no overhead
 (Guideline 4).
 
+This model's DAMON does not hurt: its region sampling is cheaper than
+the kernel's, so its p99 improves on no migration (EXPERIMENTS.md,
+known deviation 1).  M5 with the HWT-driven Nominator still has the
+best p99.
+
 Usage::
 
     python examples/redis_tail_latency.py

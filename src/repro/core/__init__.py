@@ -3,19 +3,16 @@ model, and the M5-manager policy stack."""
 
 from repro.core.sketch import CountMinSketch
 from repro.core.spacesaving import MisraGries, SpaceSaving
-from repro.core.stickysampling import StickySampling
 from repro.core.topk import SortedCam
 from repro.core.trackers import (
     CmSketchTopK,
     ExactTopK,
     MisraGriesTopK,
     SpaceSavingTopK,
-    StickySamplingTopK,
     TopKTracker,
     make_hpt,
     make_hwt,
 )
-from repro.core.hugepage import HugeEntry, HugePageAggregator, make_huge_hpt
 from repro.core import hwcost
 from repro.core.manager import (
     Elector,
@@ -30,19 +27,14 @@ __all__ = [
     "CountMinSketch",
     "MisraGries",
     "SpaceSaving",
-    "StickySampling",
     "SortedCam",
     "CmSketchTopK",
     "ExactTopK",
     "MisraGriesTopK",
     "SpaceSavingTopK",
-    "StickySamplingTopK",
     "TopKTracker",
     "make_hpt",
     "make_hwt",
-    "HugeEntry",
-    "HugePageAggregator",
-    "make_huge_hpt",
     "hwcost",
     "Elector",
     "M5Manager",

@@ -5,9 +5,9 @@ hardware counterparts are CAMs; the vectorized ingest still has to update
 those dicts from numpy arrays without a per-key Python loop.  This
 module provides the one primitive they all need: add an array of
 weights into a count dict, preserving the dict's existing insertion
-order (several summaries give insertion order semantics — e.g. Sticky
-Sampling consumes RNG draws in dict order at epoch boundaries) and
-appending unseen keys in array order.
+order (a summary iterated afterwards must see its keys in the order
+the per-key loop would leave them) and appending unseen keys in array
+order.
 """
 
 from __future__ import annotations

@@ -1,6 +1,5 @@
 """M5-manager (paper §5.2): Monitor, Nominator, Elector, Promoter."""
 
-from repro.core.manager.autotune import AdaptiveElector
 from repro.core.manager.elector import (
     Elector,
     ElectorDecision,
@@ -21,7 +20,6 @@ from repro.core.manager.nominator import (
 from repro.core.manager.promoter import ProcFile, PromotionReport, Promoter
 
 __all__ = [
-    "AdaptiveElector",
     "Elector",
     "ElectorDecision",
     "exp_fscale",

@@ -33,7 +33,6 @@ import numpy as np
 from repro.core.bulk import merge_counts
 from repro.core.sketch import DEFAULT_DEPTH, CountMinSketch
 from repro.core.spacesaving import MisraGries, SpaceSaving
-from repro.core.stickysampling import StickySampling
 from repro.core.topk import SortedCam
 from repro.memory.address import PAGE_SHIFT, WORD_SHIFT
 
@@ -232,38 +231,6 @@ class MisraGriesTopK(SpaceSavingTopK):
         self.summary = MisraGries(capacity)
 
 
-class StickySamplingTopK(TopKTracker):
-    """Sticky-Sampling tracker: the sampling-based design point of the
-    paper's streaming-algorithm taxonomy (§5.1).
-
-    Hardware-wise this would be a CAM of sampled addresses plus an
-    LFSR for the admission coin; preciseness hinges on the sampling
-    rate, which grows with stream length.
-    """
-
-    def __init__(
-        self,
-        k: int,
-        support: float = 0.001,
-        error: float = 0.0002,
-        granularity: str = "page",
-        seed: int = 5,
-    ) -> None:
-        super().__init__(k, granularity)
-        self.summary = StickySampling(support=support, error=error, seed=seed)
-
-    def _ingest(self, keys: np.ndarray) -> None:
-        # No _ingest_batch override: sampling admission depends on key
-        # order and RNG position, so the raw key stream is required.
-        self.summary.update_batch(keys)
-
-    def _snapshot(self) -> List[Tuple[int, int]]:
-        return self.summary.top_k(self.k)
-
-    def _reset_units(self) -> None:
-        self.summary.reset()
-
-
 class ExactTopK(TopKTracker):
     """Oracle tracker keeping exact counts for every key (PAC-grade).
 
@@ -332,8 +299,6 @@ def _make(
         return MisraGriesTopK(
             k, capacity=num_counters, granularity=granularity, **kwargs
         )
-    if algorithm == "sticky-sampling":
-        return StickySamplingTopK(k, granularity=granularity, **kwargs)
     if algorithm == "exact":
         return ExactTopK(k, granularity=granularity, **kwargs)
     raise ValueError(f"unknown tracker algorithm {algorithm!r}")

@@ -10,10 +10,7 @@ memory over multiple intervals or runs (§3 "Scalability").
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
-
 import numpy as np
-from numpy.typing import ArrayLike
 
 from repro.memory.address import (
     WORD_SHIFT,
@@ -172,43 +169,6 @@ class WordAccessCounter:
         totals = by_page.sum(axis=1)
         uniques[totals < max(1, int(min_accesses))] = 0
         return uniques
-
-    def sparsity_profile(
-        self, thresholds: Sequence[int] = (4, 8, 16, 32, 48), min_accesses: int = 1
-    ) -> Dict[int, float]:
-        """P(page has at most N unique accessed words) for each N,
-        over pages with at least ``min_accesses`` accesses."""
-        uniques = self.unique_words_per_page(min_accesses)
-        touched = uniques[uniques > 0]
-        if touched.size == 0:
-            return {n: 0.0 for n in thresholds}
-        return {n: float((touched <= n).mean()) for n in thresholds}
-
-    def top_k_lines(self, k: int) -> np.ndarray:
-        """Absolute 64B line indices of the top-``k`` hottest words."""
-        counts = self.counts()
-        k = min(int(k), counts.size)
-        if k <= 0:
-            return np.empty(0, dtype=np.int64)
-        order = np.lexsort((np.arange(counts.size), -counts.astype(np.int64)))
-        rel = order[:k]
-        rel = rel[counts[rel] > 0]
-        return rel + (self.monitor_region.start >> WORD_SHIFT)
-
-    def top_k_access_count(self, k: int) -> int:
-        counts = np.sort(self.counts())[::-1]
-        return int(counts[: min(int(k), counts.size)].sum())
-
-    def counts_of_lines(self, lines: ArrayLike) -> np.ndarray:
-        """Vectorised count lookup for absolute 64B line indices."""
-        rel = np.asarray(lines, dtype=np.int64) - (
-            self.monitor_region.start >> WORD_SHIFT
-        )
-        table = self.counts()
-        valid = (rel >= 0) & (rel < table.size)
-        out = np.zeros(rel.shape, dtype=np.uint64)
-        out[valid] = table[rel[valid]]
-        return out
 
     def reset(self) -> None:
         self._sram[:] = 0

@@ -6,8 +6,8 @@ access is identified by ``PA[47:6]`` and the page frame number (PFN) by
 ``PA[47:12]``.  Word indices within a page are ``PA[11:6]`` (64 words of
 64B per 4KB page).
 
-All helpers accept either Python ints or numpy integer arrays so the
-hot simulation paths stay vectorised.
+:class:`AddressRegion`'s membership checks accept either Python ints or
+numpy integer arrays so the hot simulation paths stay vectorised.
 """
 
 from __future__ import annotations
@@ -37,61 +37,6 @@ PA_SPACE = 1 << PA_BITS
 TENANT_PA_STRIDE = 1 << 40
 
 
-def page_of(pa):
-    """Return the PFN (``PA[47:12]``) for a byte address."""
-    return pa >> PAGE_SHIFT
-
-
-def word_line_of(pa):
-    """Return the global 64B word (cache-line) index, ``PA[47:6]``."""
-    return pa >> WORD_SHIFT
-
-
-def word_index_in_page(pa):
-    """Return the word index within the page, ``PA[11:6]`` in [0, 64)."""
-    return (pa >> WORD_SHIFT) & (WORDS_PER_PAGE - 1)
-
-
-def page_of_word_line(line):
-    """Convert a 64B word-line index back to its PFN.
-
-    This is the 6-bit right shift performed by the address-to-PFN
-    converter in the PAC hardware (Figure 2).
-    """
-    return line >> WORDS_PER_PAGE_SHIFT
-
-
-def word_index_of_line(line):
-    """Return the in-page word index of a 64B word-line index."""
-    return line & (WORDS_PER_PAGE - 1)
-
-
-def pa_of_page(pfn):
-    """Return the base byte address of a page."""
-    return pfn << PAGE_SHIFT
-
-
-def pa_of_word_line(line):
-    """Return the base byte address of a 64B word line."""
-    return line << WORD_SHIFT
-
-
-def pages_for_bytes(nbytes: int) -> int:
-    """Number of whole 4KB pages needed to cover ``nbytes``."""
-    return -(-int(nbytes) // PAGE_SIZE)
-
-
-def validate_pa(pa: int) -> int:
-    """Validate a single physical byte address and return it.
-
-    Raises:
-        ValueError: if the address lies outside the 48-bit PA space.
-    """
-    if not 0 <= pa < PA_SPACE:
-        raise ValueError(f"physical address {pa:#x} outside 48-bit space")
-    return pa
-
-
 class AddressRegion:
     """A contiguous physical address region ``[start, start + size)``.
 
@@ -105,8 +50,9 @@ class AddressRegion:
     def __init__(self, start: int, size: int):
         if size <= 0:
             raise ValueError("region size must be positive")
-        validate_pa(start)
-        validate_pa(start + size - 1)
+        if start < 0 or start + size > PA_SPACE:
+            raise ValueError(
+                f"region {start:#x}+{size:#x} outside 48-bit space")
         self.start = int(start)
         self.size = int(size)
 
@@ -117,7 +63,7 @@ class AddressRegion:
 
     @property
     def num_pages(self) -> int:
-        return pages_for_bytes(self.size)
+        return -(-self.size // PAGE_SIZE)
 
     @property
     def num_word_lines(self) -> int:
@@ -125,7 +71,7 @@ class AddressRegion:
 
     @property
     def first_page(self) -> int:
-        return page_of(self.start)
+        return self.start >> PAGE_SHIFT
 
     def contains(self, pa):
         """Vectorised membership test for byte addresses."""
@@ -133,7 +79,7 @@ class AddressRegion:
 
     def contains_page(self, pfn):
         """Vectorised membership test for PFNs."""
-        return (pfn >= page_of(self.start)) & (pfn < page_of(self.end - 1) + 1)
+        return (pfn >= self.first_page) & (pfn <= (self.end - 1) >> PAGE_SHIFT)
 
     def offset_of(self, pa):
         """Byte offset of ``pa`` inside the region (no bounds check)."""
@@ -182,9 +128,3 @@ def as_line_array(addresses) -> np.ndarray:
     """Coerce byte addresses to a uint64 array of 64B line indices."""
     arr = np.asarray(addresses, dtype=np.uint64)
     return arr >> np.uint64(WORD_SHIFT)
-
-
-def as_page_array(addresses) -> np.ndarray:
-    """Coerce byte addresses to a uint64 array of PFNs."""
-    arr = np.asarray(addresses, dtype=np.uint64)
-    return arr >> np.uint64(PAGE_SHIFT)

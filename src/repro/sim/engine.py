@@ -256,10 +256,6 @@ class RunResult:
             return None
         return float(np.mean(self.ratio_checkpoints))
 
-    def timeline_events(self, stage: str) -> List[Dict[str, float]]:
-        """The timeline filtered to one pipeline stage's events."""
-        return [e for e in self.timeline if e.get("stage") == stage]
-
 
 def access_count_ratio(
     pac: PageAccessCounter, hot_pfns: ArrayLike, k_cap: Optional[int] = None

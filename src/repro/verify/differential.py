@@ -34,7 +34,7 @@ Seven oracle pairs, all run by ``repro verify``:
   hot-PFN list.
 * ``kernels`` — each vectorized kernel against its per-access
   reference model on one shared skewed stream: trackers
-  (CM-Sketch/CAM, SpaceSaving, MisraGries, StickySampling, Exact),
+  (CM-Sketch/CAM, SpaceSaving, MisraGries, Exact),
   PAC/WAC observe, MGLRU generation updates, address translation,
   bulk promote/demote frame placement, and DAMON's region promotion,
   merge and split.  All state comparisons are exact (mismatch counts
@@ -431,8 +431,7 @@ def kernels_oracle(seed: int = 0, accesses: int = 60_000) -> OracleReport:
     report.add("batch_digest_mismatches", 0, digest_mismatches)
 
     # Trackers: every algorithm, page and word granularity.
-    for algorithm in ("cm-sketch", "space-saving", "misra-gries",
-                      "sticky-sampling", "exact"):
+    for algorithm in ("cm-sketch", "space-saving", "misra-gries", "exact"):
         ref = as_reference(
             make_hpt(k=32, algorithm=algorithm, num_counters=2048))
         fast = make_hpt(k=32, algorithm=algorithm, num_counters=2048)

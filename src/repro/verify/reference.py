@@ -33,7 +33,6 @@ import numpy as np
 from repro.baselines.base import MigrationPolicy
 from repro.baselines.damon import Damon
 from repro.core.spacesaving import SpaceSaving
-from repro.core.stickysampling import StickySampling
 from repro.core.topk import SortedCam
 from repro.core.trackers import (
     CmSketchTopK,
@@ -157,7 +156,7 @@ def update_batch(
     summary: Any, keys: np.ndarray, weights: Optional[np.ndarray] = None
 ) -> None:
     """One ``update_one`` per key (``weight`` repeats at once), in order:
-    Space-Saving, Misra–Gries and Sticky Sampling alike."""
+    Space-Saving and Misra–Gries alike."""
     keys_list = np.atleast_1d(np.asarray(keys, dtype=np.uint64)).tolist()
     if weights is None:
         for key in keys_list:
@@ -330,7 +329,7 @@ REFERENCE_MODELS: Tuple[Tuple[Any, Dict[str, Callable[..., Any]]], ...] = (
     (TopKTracker, {"observe_batch": observe_batch}),
     (ExactTopK, {"_ingest": exact_ingest}),
     (SortedCam, {"offer_batch": offer_batch}),
-    ((SpaceSaving, StickySampling), {"update_batch": update_batch}),
+    (SpaceSaving, {"update_batch": update_batch}),
     (MultiGenLru, {"record_accesses": record_accesses, "coldest": coldest}),
     (MigrationEngine, {"promote": promote, "demote": demote}),
     (MigrationPolicy, {"record_hot": record_hot}),

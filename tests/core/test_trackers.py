@@ -10,7 +10,11 @@ from repro.core.trackers import (
     make_hpt,
     make_hwt,
 )
+from repro.cxl.batch import AccessBatch
 from repro.verify import as_exact_sequence
+
+#: Every algorithm ``make_hpt`` / ``make_hwt`` accept.
+ALGORITHMS = ("cm-sketch", "space-saving", "misra-gries", "exact")
 
 
 def skewed_addresses(rng, num_pages=200, count=20_000, exponent=1.2):
@@ -22,19 +26,22 @@ def skewed_addresses(rng, num_pages=200, count=20_000, exponent=1.2):
             | (words.astype(np.uint64) << np.uint64(6)))
 
 
-class TestGranularity:
-    def test_page_keys(self):
-        t = ExactTopK(4, granularity="page")
-        t.observe(np.array([0x5000, 0x5040, 0x6000], dtype=np.uint64))
-        top = dict(t.peek())
-        assert top[5] == 2
-        assert top[6] == 1
+def tracker(algorithm, factory=make_hpt):
+    return factory(k=4, algorithm=algorithm, num_counters=256)
 
-    def test_word_keys(self):
-        t = ExactTopK(4, granularity="word")
-        t.observe(np.array([0x5000, 0x5040, 0x5040], dtype=np.uint64))
-        top = dict(t.peek())
-        assert top[0x5040 >> 6] == 2
+
+class TestGranularity:
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_page_keys(self, algorithm):
+        t = tracker(algorithm)
+        t.observe(np.array([0x5000, 0x5040, 0x5FC0, 0x6000], dtype=np.uint64))
+        assert dict(t.peek()) == {5: 3, 6: 1}
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_word_keys(self, algorithm):
+        t = tracker(algorithm, factory=make_hwt)
+        t.observe(np.array([0x5000, 0x5040, 0x5040, 0x507F], dtype=np.uint64))
+        assert dict(t.peek()) == {0x5000 >> 6: 1, 0x5040 >> 6: 3}
 
     def test_rejects_bad_granularity(self):
         with pytest.raises(ValueError):
@@ -46,19 +53,69 @@ class TestGranularity:
 
 
 class TestQueryReset:
-    def test_query_returns_and_resets(self):
-        t = ExactTopK(4)
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_query_returns_and_resets(self, algorithm):
+        t = tracker(algorithm)
         t.observe(np.array([0x5000] * 3, dtype=np.uint64))
-        result = t.query()
-        assert result == [(5, 3)]
+        assert t.query() == [(5, 3)]
         assert t.peek() == []
-        assert t.queries_served == 1
+        assert (t.queries_served, t.accesses_observed) == (1, 3)
 
-    def test_peek_does_not_reset(self):
-        t = ExactTopK(4)
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_peek_does_not_reset(self, algorithm):
+        t = tracker(algorithm)
         t.observe(np.array([0x5000], dtype=np.uint64))
         t.peek()
         assert t.peek() == [(5, 1)]
+        assert t.queries_served == 0
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_next_epoch_starts_fresh(self, algorithm):
+        """After a query the next epoch sees nothing of the last one."""
+        rng = np.random.default_rng(7)
+        first, second = skewed_addresses(rng), skewed_addresses(rng)
+        reused, fresh = tracker(algorithm), tracker(algorithm)
+        reused.observe(first)
+        reused.query()
+        reused.observe(second)
+        fresh.observe(second)
+        assert reused.query() == fresh.query()
+
+
+class TestTrackerContract:
+    """What every back-end keeps beyond keying and query-and-reset:
+    a hottest-first top-K of at most K entries, and one result whichever
+    snoop entry point fed the stream."""
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_top_k_is_bounded_and_hottest_first(self, algorithm):
+        t = tracker(algorithm)
+        t.observe(skewed_addresses(np.random.default_rng(6), count=5_000))
+        counts = [c for _, c in t.peek()]
+        assert len(counts) == t.k
+        assert counts == sorted(counts, reverse=True)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_empty_observe_is_a_no_op(self, algorithm):
+        t = tracker(algorithm)
+        t.observe(np.empty(0, dtype=np.uint64))
+        t.observe_batch(AccessBatch(np.empty(0, dtype=np.uint64)))
+        assert t.peek() == []
+        assert t.accesses_observed == 0
+
+    @pytest.mark.parametrize("factory", (make_hpt, make_hwt))
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_observe_batch_matches_observe(self, algorithm, factory):
+        """The controller's digested batch and the raw address stream
+        leave a tracker with the same top-K."""
+        rng = np.random.default_rng(8)
+        raw, digested = tracker(algorithm, factory), tracker(algorithm, factory)
+        for _ in range(3):
+            pa = skewed_addresses(rng, count=4_000)
+            raw.observe(pa)
+            digested.observe_batch(AccessBatch(pa))
+        assert raw.peek() == digested.peek()
+        assert raw.accesses_observed == digested.accesses_observed
 
 
 class TestCmSketchTracker:
@@ -159,6 +216,9 @@ class TestFactories:
         t = make_hpt(algorithm="exact")
         assert isinstance(t, ExactTopK)
 
-    def test_unknown_algorithm(self):
-        with pytest.raises(ValueError):
-            make_hpt(algorithm="bloom")
+    # The paper evaluates only CM-Sketch and Space-Saving; there is no
+    # sampling-based back-end.
+    @pytest.mark.parametrize("algorithm", ("bloom", "sticky-sampling"))
+    def test_unknown_algorithm(self, algorithm):
+        with pytest.raises(ValueError, match="unknown tracker algorithm"):
+            make_hpt(algorithm=algorithm)

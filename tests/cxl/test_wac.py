@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.memory.address import PAGE_SIZE, WORD_SIZE, AddressRegion
+from repro.analysis.sparsity import from_trace, from_wac
 from repro.cxl.wac import WordAccessCounter
 
 BASE = 0x2000_0000
@@ -122,37 +123,39 @@ class TestSparsityStatistics:
         pairs = [(int(p), int(w)) for p, w in
                  zip(rng.integers(0, 64, 2000), rng.integers(0, 8, 2000))]
         wac.observe(word_addresses(pairs))
-        prof = wac.sparsity_profile()
+        prof = from_wac("t", wac).probabilities
         values = [prof[n] for n in (4, 8, 16, 32, 48)]
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
         assert prof[8] == 1.0  # words drawn only from [0, 8)
 
     def test_sparsity_profile_empty(self):
         wac = wac_for()
-        prof = wac.sparsity_profile()
-        assert all(v == 0.0 for v in prof.values())
+        profile = from_wac("t", wac)
+        assert all(v == 0.0 for v in profile.probabilities.values())
+        assert profile.pages_observed == 0
+
+    def test_sparsity_profile_min_accesses(self):
+        wac = wac_for()
+        wac.observe(word_addresses([(0, w) for w in range(8)] * 2 + [(1, 0)]))
+        assert from_wac("t", wac).pages_observed == 2
+        profile = from_wac("t", wac, min_accesses=5)
+        assert profile.pages_observed == 1
+        assert profile.at(4) == 0.0 and profile.at(8) == 1.0
+
+    @pytest.mark.parametrize("words", (4, 16, 64))
+    def test_sparsity_profile_matches_trace_measurement(self, words):
+        """Fig. 4 measured from WAC's counters equals Fig. 4 measured
+        from the raw trace when the window covers the device."""
+        rng = np.random.default_rng(words)
+        pairs = list(zip(rng.integers(0, 64, 3000).tolist(),
+                         rng.integers(0, words, 3000).tolist()))
+        pa = word_addresses(pairs)
+        wac = wac_for()
+        wac.observe(pa)
+        assert from_wac("t", wac) == from_trace("t", pa)
 
 
 class TestTopWords:
-    def test_top_k_lines(self):
-        wac = wac_for()
-        wac.observe(word_addresses([(0, 3)] * 5 + [(1, 7)] * 2))
-        lines = wac.top_k_lines(2)
-        expected_first = (BASE // WORD_SIZE) + 3
-        assert lines[0] == expected_first
-        assert len(lines) == 2
-
-    def test_counts_of_lines(self):
-        wac = wac_for()
-        wac.observe(word_addresses([(0, 3)] * 5))
-        line = (BASE // WORD_SIZE) + 3
-        assert list(wac.counts_of_lines([line, 0])) == [5, 0]
-
-    def test_top_k_access_count(self):
-        wac = wac_for()
-        wac.observe(word_addresses([(0, 3)] * 5 + [(1, 7)] * 2 + [(2, 0)]))
-        assert wac.top_k_access_count(2) == 7
-
     def test_reset(self):
         wac = wac_for()
         wac.observe(word_addresses([(0, 0)]))

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.memory import address as addr
 
@@ -19,65 +17,33 @@ class TestConstants:
 
 
 class TestConversions:
-    def test_page_of(self):
-        assert addr.page_of(0) == 0
-        assert addr.page_of(4095) == 0
-        assert addr.page_of(4096) == 1
-
-    def test_word_line_of(self):
-        assert addr.word_line_of(0) == 0
-        assert addr.word_line_of(63) == 0
-        assert addr.word_line_of(64) == 1
-
-    def test_word_index_in_page(self):
-        assert addr.word_index_in_page(0) == 0
-        assert addr.word_index_in_page(64) == 1
-        assert addr.word_index_in_page(4096) == 0
-        assert addr.word_index_in_page(4096 + 63 * 64) == 63
-
-    def test_page_of_word_line_matches_hardware_shift(self):
-        # PAC's address-to-PFN converter: a 6-bit right shift of the
-        # 64B line index.
-        pa = 0x12345678 & ~0x3F
-        line = addr.word_line_of(pa)
-        assert addr.page_of_word_line(line) == addr.page_of(pa)
-
-    def test_roundtrip_page(self):
-        assert addr.page_of(addr.pa_of_page(123)) == 123
-
-    def test_roundtrip_word_line(self):
-        assert addr.word_line_of(addr.pa_of_word_line(999)) == 999
-
-    @given(st.integers(min_value=0, max_value=addr.PA_SPACE - 1))
-    def test_word_line_consistency(self, pa):
-        line = addr.word_line_of(pa)
-        assert addr.page_of_word_line(line) == addr.page_of(pa)
-        assert addr.word_index_of_line(line) == addr.word_index_in_page(pa)
-
     def test_vectorised_matches_scalar(self):
-        pas = np.array([0, 4095, 4096, 1 << 40], dtype=np.uint64)
-        assert list(addr.as_page_array(pas)) == [addr.page_of(int(p)) for p in pas]
-        assert list(addr.as_line_array(pas)) == [addr.word_line_of(int(p)) for p in pas]
+        pas = [0, 63, 64, 4095, 4096, (1 << 40) + 127]
+        lines = addr.as_line_array(np.array(pas, dtype=np.uint64))
+        assert lines.dtype == np.uint64
+        assert list(lines) == [pa >> addr.WORD_SHIFT for pa in pas]
+        assert list(addr.as_line_array(pas)) == list(lines)
 
 
 class TestValidation:
+    """The 48-bit PA-space check every region constructor applies."""
+
     def test_validate_ok(self):
-        assert addr.validate_pa(0) == 0
-        assert addr.validate_pa(addr.PA_SPACE - 1) == addr.PA_SPACE - 1
+        r = addr.AddressRegion(0, addr.PA_SPACE)
+        assert r.end == addr.PA_SPACE
 
     def test_validate_rejects_negative(self):
-        with pytest.raises(ValueError):
-            addr.validate_pa(-1)
+        with pytest.raises(ValueError, match="outside 48-bit space"):
+            addr.AddressRegion(-addr.PAGE_SIZE, 2 * addr.PAGE_SIZE)
 
     def test_validate_rejects_beyond_48bit(self):
-        with pytest.raises(ValueError):
-            addr.validate_pa(addr.PA_SPACE)
+        with pytest.raises(ValueError, match="outside 48-bit space"):
+            addr.AddressRegion(addr.PA_SPACE, addr.PAGE_SIZE)
 
     def test_pages_for_bytes(self):
-        assert addr.pages_for_bytes(1) == 1
-        assert addr.pages_for_bytes(4096) == 1
-        assert addr.pages_for_bytes(4097) == 2
-        assert addr.pages_for_bytes(0) == 0
+        # A partial trailing page still counts as a page.
+        for size, pages in ((1, 1), (4096, 1), (4097, 2)):
+            assert addr.AddressRegion(0, size).num_pages == pages
 
 
 class TestAddressRegion:
@@ -110,6 +76,10 @@ class TestAddressRegion:
         assert r.contains_page(2)
         assert r.contains_page(4)
         assert not r.contains_page(5)
+        # A partial last page still belongs to the region.
+        r = addr.AddressRegion(2 * 4096, 3 * 4096 - 1)
+        pfns = np.array([1, 2, 4, 5], dtype=np.uint64)
+        assert list(r.contains_page(pfns)) == [False, True, True, False]
 
     def test_offset_of(self):
         r = addr.AddressRegion(4096, 4096)

@@ -93,16 +93,20 @@ def series(result, name):
     return {}
 
 
+def stage_events(result, stage):
+    return [e for e in result.timeline if e["stage"] == stage]
+
+
 def epoch_sum(result, key):
-    return sum(e[key] for e in result.timeline_events("epoch"))
+    return sum(e[key] for e in stage_events(result, "epoch"))
 
 
 def test_one_epoch_event_per_epoch_and_no_duplicate_kinds(run):
     result, sim = run
-    assert len(result.timeline_events("epoch")) == sim.config.num_epochs
+    assert len(stage_events(result, "epoch")) == sim.config.num_epochs
     stages = {e["stage"] for e in result.timeline}
     assert not stages & {"migrate", "policy"}
-    assert all("nominated" in e for e in result.timeline_events("epoch"))
+    assert all("nominated" in e for e in stage_events(result, "epoch"))
 
 
 def test_epoch_traffic_equals_access_counters(run):
@@ -127,7 +131,7 @@ def test_deep_tier_keys_match_counters_and_final_occupancy(fleet_run):
     result, sim = fleet_run
     deep = [node.name for node in sim.memory.nodes[2:]]
     assert deep
-    last = result.timeline_events("epoch")[-1]
+    last = stage_events(result, "epoch")[-1]
     resident = series(result, "tier_resident_pages")
     for tier in deep:
         assert epoch_sum(result, f"n_{tier}") == (
@@ -163,7 +167,7 @@ MIGRATION_FIELDS = {
 
 
 def event_sum(result, stage, key):
-    return sum(e[key] for e in result.timeline_events(stage))
+    return sum(e[key] for e in stage_events(result, stage))
 
 
 def test_migration_events_equal_extra(async_run):

@@ -228,7 +228,7 @@ class TestEngineTimeline:
             policy="none",
         )
         result = sim.run()
-        epochs = result.timeline_events("epoch")
+        epochs = [e for e in result.timeline if e["stage"] == "epoch"]
         assert len(epochs) == small_config().num_epochs
         assert epochs[0]["nr_pages_cxl"] == 1024
         assert all("overhead_us" in e and "migration_us" in e for e in epochs)
@@ -240,7 +240,7 @@ class TestEngineTimeline:
             policy="none",
         )
         result = sim.run()
-        ratios = [e["ratio"] for e in result.timeline_events("ratio")]
+        ratios = [e["ratio"] for e in result.timeline if e["stage"] == "ratio"]
         assert ratios == result.ratio_checkpoints
 
     def test_custom_bus_receives_engine_events(self, tmp_path):

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from repro.baselines.damon import Damon
 from repro.core.spacesaving import MisraGries, SpaceSaving
-from repro.core.stickysampling import StickySampling
 from repro.core.topk import SortedCam
 from repro.core.trackers import make_hpt
 from repro.cxl.batch import AccessBatch
@@ -91,8 +90,8 @@ class TestSortedCamOfferBatch:
 class TestCountStructureBatches:
     """update_batch ≡ one update_one per key for the count summaries.
 
-    Dict *order* is asserted too — downstream tie-breaks (CAM argmin,
-    StickySampling's RNG-in-dict-order diminish) depend on it.
+    Dict *order* is asserted too — downstream tie-breaks (CAM argmin)
+    depend on it.
     """
 
     @SETTINGS
@@ -118,24 +117,6 @@ class TestCountStructureBatches:
         assert list(ref._counts.items()) == list(fast._counts.items())
         assert ref.items_seen == fast.items_seen
 
-    @SETTINGS
-    @given(chunked_streams)
-    def test_sticky_sampling(self, chunks):
-        ref = as_reference(StickySampling(support=0.1, error=0.05,
-                                          failure_prob=0.1, seed=5))
-        fast = StickySampling(support=0.1, error=0.05, failure_prob=0.1,
-                              seed=5)
-        for chunk in chunks:
-            keys = np.asarray(chunk, dtype=np.uint64)
-            ref.update_batch(keys)
-            fast.update_batch(keys)
-        assert list(ref._counts.items()) == list(fast._counts.items())
-        assert ref.items_seen == fast.items_seen
-        # The vectorized path must consume the sampling RNG at exactly
-        # the reference positions, or future admissions diverge.
-        assert (ref._rng.bit_generator.state
-                == fast._rng.bit_generator.state)
-
 
 class TestTrackerBatches:
     """Full trackers: observe_batch on production vs reference instances."""
@@ -143,8 +124,7 @@ class TestTrackerBatches:
     @SETTINGS
     @given(chunked_streams)
     def test_all_algorithms(self, chunks):
-        for algorithm in ("cm-sketch", "space-saving", "misra-gries",
-                          "sticky-sampling", "exact"):
+        for algorithm in ("cm-sketch", "space-saving", "misra-gries", "exact"):
             ref = as_reference(
                 make_hpt(k=6, algorithm=algorithm, num_counters=256))
             fast = make_hpt(k=6, algorithm=algorithm, num_counters=256)

@@ -458,17 +458,3 @@ class TestByteFlipFuzz:
             except TraceFormatError:
                 return
         assert skipped == (3, True, addresses.size)
-
-
-def test_trace_pipeline_example_prints_its_figures(capsys):
-    """``examples/trace_pipeline.py``: record roms through the LLC
-    model, read it back, and feed both tracker designs."""
-    import runpy
-
-    example = Path(__file__).resolve().parents[2] / "examples" / "trace_pipeline.py"
-    runpy.run_path(str(example), run_name="__main__")
-    out = capsys.readouterr().out
-    assert "LLC hit rate     : 54.40%" in out
-    assert "DRAM trace length: 91209 " in out
-    assert "CM-Sketch 32K   : access-count ratio 0.975" in out
-    assert "Space-Saving 50 : access-count ratio 0.150" in out
