@@ -68,8 +68,10 @@ from repro.verify.reference import (
     as_reference,
     batch_digest,
     batch_digest_ordered,
+    sample_pages,
 )
 from repro.workloads import registry
+from repro.workloads.zipf import PageSampler
 
 
 @dataclass
@@ -563,6 +565,24 @@ def kernels_oracle(seed: int = 0, accesses: int = 60_000) -> OracleReport:
                int(ref.costs.events != fast.costs.events))
     report.add("damon_rng_state_mismatch", 0,
                int(ref._rng.bit_generator.state != fast._rng.bit_generator.state))
+
+    # Page draws: the guide table vs one binary search per draw, same
+    # uniforms, on three generators' phase popularity at small scale
+    # and on a vector whose zero-weight runs (leading, inner and
+    # trailing) repeat CDF values; pages and dtypes.
+    zero_runs = rng.random(num_pages)
+    zero_runs[np.arange(num_pages) // 16 % 3 == 0] = 0.0
+    vectors = [registry.build(bench, seed=seed, pages_per_gb=128)._phase.popularity
+               for bench in ("mcf", "redis", "pr")]
+    vectors.append(zero_runs / zero_runs.sum())
+    sample_mismatches = 0
+    for i, popularity in enumerate(vectors):
+        fast_pages = PageSampler(popularity).sample(
+            accesses, np.random.default_rng(seed + i))
+        ref_pages = sample_pages(popularity, accesses, np.random.default_rng(seed + i))
+        sample_mismatches += (int(fast_pages.dtype != ref_pages.dtype)
+                              + int((fast_pages != ref_pages).sum()))
+    report.add("sample_pages_mismatches", 0, sample_mismatches)
     return report
 
 

@@ -5,7 +5,8 @@ what they do on *one* access; MGLRU and ``migrate_pages()`` act on one
 page at a time.  The production pipeline reaches the same end state a
 chunk at a time with array kernels.  This module keeps the literal
 one-at-a-time semantics as plain functions, one per vectorized entry
-point (DAMON's region work: one region at a time), so the ``engine``
+point (DAMON's region work: one region at a time; the trace
+generators' page draw: one binary search per draw), so the ``engine``
 and ``kernels`` oracles, the golden matrix and the Hypothesis
 equivalence suites can hold the kernels to them.
 
@@ -315,6 +316,20 @@ def split_regions(damon: Damon) -> None:
         cut = int(damon._rng.integers(lo, max(lo + 1, hi)))
         split += [[start, cut, nr], [cut, end, nr]]
     _set_regions(damon, split)
+
+
+# ----------------------------------------------------------------------
+# trace generation
+
+
+def sample_pages(
+    popularity: np.ndarray, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """:class:`~repro.workloads.zipf.PageSampler`'s draw without the
+    guide table: a fresh CDF and one binary search per draw."""
+    cdf = np.cumsum(popularity)
+    cdf[-1] = 1.0
+    return np.searchsorted(cdf, rng.random(count), side="right").astype(np.int64)
 
 
 # ----------------------------------------------------------------------

@@ -22,9 +22,9 @@ from repro.workloads.wordmap import (
     addresses_from,
 )
 from repro.workloads.zipf import (
+    PageSampler,
     blend,
     mixture_popularity,
-    sample_pages,
     shuffled,
     spatially_clustered,
     uniform_popularity,
@@ -65,9 +65,9 @@ __all__ = [
     "WordDensityProfile",
     "WordSelector",
     "addresses_from",
+    "PageSampler",
     "blend",
     "mixture_popularity",
-    "sample_pages",
     "shuffled",
     "spatially_clustered",
     "uniform_popularity",

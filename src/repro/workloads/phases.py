@@ -18,11 +18,12 @@ Three models cover the behaviours the paper's benchmarks exhibit:
 from __future__ import annotations
 
 import abc
+import functools
 from typing import Optional
 
 import numpy as np
 
-from repro.workloads.zipf import sample_pages
+from repro.workloads.zipf import PageSampler
 
 
 class PhaseModel(abc.ABC):
@@ -50,12 +51,24 @@ class PhaseModel(abc.ABC):
     def reset(self) -> None:
         self._accesses_emitted = 0
 
+    @functools.cached_property
+    def sampler(self) -> PageSampler:
+        """The draw over :attr:`popularity`, built on first use."""
+        return PageSampler(self.popularity)
+
+    def __getstate__(self) -> dict:
+        # The sampler is derived from the popularity vector: a checkpoint
+        # carries the vector alone and the next draw rebuilds it.
+        state = self.__dict__.copy()
+        state.pop("sampler", None)
+        return state
+
 
 class Stationary(PhaseModel):
     """Time-invariant popularity."""
 
     def _sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        return sample_pages(self.popularity, count, rng)
+        return self.sampler.sample(count, rng)
 
 
 class RotatingWorkingSet(PhaseModel):
@@ -94,12 +107,15 @@ class RotatingWorkingSet(PhaseModel):
         return (phase * self.stride) % self.num_pages
 
     def _sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        # A fresh sampler per call: with 65,536-access chunks the window
+        # moves every one to three chunks, and building the table costs
+        # less than the binary searches it replaces.
         start = self.current_window_start()
         weights = self.popularity.copy()
         idx = (start + np.arange(self.window_pages)) % self.num_pages
         weights[idx] *= self.boost
         weights /= weights.sum()
-        return sample_pages(weights, count, rng)
+        return PageSampler(weights).sample(count, rng)
 
 
 class SweepMix(PhaseModel):
@@ -151,7 +167,7 @@ class SweepMix(PhaseModel):
         n_hot = count - n_sweep
         parts = []
         if n_hot:
-            parts.append(sample_pages(self.popularity, n_hot, rng))
+            parts.append(self.sampler.sample(n_hot, rng))
         if n_sweep:
             # Consecutive page touches marching through the footprint;
             # each page in the current stretch is hit `hits_per_page`

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.memory.address import PAGE_SIZE, WORD_SIZE
 from repro.workloads.base import DEFAULT_CHUNK, TraceGenerator, WorkloadSpec
+from repro.workloads.zipf import PageSampler
 
 #: Slab size classes in bytes (jemalloc/memcached-style).
 DEFAULT_SIZE_CLASSES = (64, 128, 256, 512, 1024)
@@ -141,8 +142,7 @@ class YcsbWorkload(TraceGenerator):
         # Scrambled-zipfian over keys.
         ranks = np.arange(1, num_keys + 1, dtype=np.float64) ** -zipf_theta
         p = ranks / ranks.sum()
-        self._key_cdf = np.cumsum(p[rng.permutation(num_keys)])
-        self._key_cdf[-1] = 1.0
+        self._key_sampler = PageSampler(p[rng.permutation(num_keys)])
 
     @staticmethod
     def _default_sizes(rng, n):
@@ -179,9 +179,7 @@ class YcsbWorkload(TraceGenerator):
 
     def chunk_requests(self, num_requests: int) -> np.ndarray:
         """Generate the address stream of ``num_requests`` operations."""
-        u = self._rng.random(int(num_requests))
-        keys = np.searchsorted(self._key_cdf, u, side="right")
-        keys = np.minimum(keys, self.num_keys - 1)
+        keys = self._key_sampler.sample(int(num_requests), self._rng)
         return self._requests_to_addresses(keys)
 
     def chunk(self, chunk_size: int = DEFAULT_CHUNK) -> np.ndarray:

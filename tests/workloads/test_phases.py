@@ -1,10 +1,13 @@
 """Tests for the temporal phase models."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.verify.reference import sample_pages
 from repro.workloads.phases import RotatingWorkingSet, Stationary, SweepMix
-from repro.workloads.zipf import uniform_popularity, zipf_popularity
+from repro.workloads.zipf import shuffled, uniform_popularity, zipf_popularity
 
 
 class TestStationary:
@@ -20,6 +23,18 @@ class TestStationary:
             Stationary(np.array([]))
         with pytest.raises(ValueError):
             Stationary(np.zeros(4))
+
+    def test_pickle_carries_no_sampler(self):
+        pop = shuffled(zipf_popularity(8192, 0.8), seed=1)
+        fresh = pickle.dumps(Stationary(pop))
+        phase = Stationary(pop)
+        phase.sample(1000, np.random.default_rng(0))
+        phase.reset()  # the same access count as the fresh phase
+        assert len(pickle.dumps(phase)) <= len(fresh)
+        # The clone rebuilds its sampler and continues the same stream.
+        clone = pickle.loads(pickle.dumps(phase))
+        assert np.array_equal(clone.sample(5000, np.random.default_rng(1)),
+                              phase.sample(5000, np.random.default_rng(1)))
 
 
 class TestRotatingWorkingSet:
@@ -52,6 +67,23 @@ class TestRotatingWorkingSet:
         phase.sample(100, rng)
         phase.reset()
         assert phase.current_window_start() == 0
+
+    def test_chunks_across_phases_match_reference(self):
+        """Chunks that start inside, on and across window moves draw
+        what the plain sampler draws from that call's boosted weights."""
+        pop = shuffled(zipf_popularity(500, 0.7), seed=2)
+        phase = RotatingWorkingSet(pop, window_fraction=0.1, boost=20.0,
+                                   accesses_per_phase=1000, stride_fraction=0.5)
+        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        emitted = 0
+        for count in (700, 300, 650, 900, 1450, 2000, 1):
+            start = (emitted // 1000) * 25 % 500
+            weights = pop.copy()
+            weights[(start + np.arange(50)) % 500] *= 20.0
+            weights /= weights.sum()
+            assert np.array_equal(phase.sample(count, rng),
+                                  sample_pages(weights, count, ref_rng))
+            emitted += count
 
     def test_validation(self):
         with pytest.raises(ValueError):

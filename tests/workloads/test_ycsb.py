@@ -5,6 +5,7 @@ import pytest
 
 from repro.analysis import from_trace
 from repro.memory.address import PAGE_SIZE
+from repro.verify.reference import sample_pages
 from repro.workloads.ycsb import (
     SlabAllocator,
     YcsbMix,
@@ -84,6 +85,15 @@ class TestYcsbWorkload:
         a = wl.trace(5000)
         wl.restart()
         assert np.array_equal(a, wl.trace(5000))
+
+    def test_keys_match_reference_draw(self):
+        wl = self.make()
+        popularity = wl._key_sampler.popularity
+        ranks = np.arange(1, wl.num_keys + 1, dtype=np.float64) ** -0.99
+        assert np.array_equal(np.sort(popularity), np.sort(ranks / ranks.sum()))
+        keys = sample_pages(popularity, 4000, np.random.default_rng(wl.seed + 1))
+        assert np.array_equal(wl.chunk_requests(4000),
+                              wl._requests_to_addresses(keys))
 
     def test_mix_validation(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.verify.reference import sample_pages
 from repro.workloads import zipf
 
 
@@ -94,11 +95,66 @@ class TestSamplePages:
     def test_respects_distribution(self):
         rng = np.random.default_rng(0)
         p = np.array([0.9, 0.1])
-        pages = zipf.sample_pages(p, 10_000, rng)
+        pages = zipf.PageSampler(p).sample(10_000, rng)
         assert (pages == 0).mean() == pytest.approx(0.9, abs=0.02)
 
     def test_all_pages_in_range(self):
         rng = np.random.default_rng(0)
         p = zipf.uniform_popularity(7)
-        pages = zipf.sample_pages(p, 1000, rng)
+        pages = zipf.PageSampler(p).sample(1000, rng)
         assert pages.min() >= 0 and pages.max() < 7
+
+
+class _Uniforms:
+    """A generator stand-in whose ``random(count)`` returns set draws."""
+
+    def __init__(self, draws):
+        self.draws = np.asarray(draws, dtype=np.float64)
+
+    def random(self, count):
+        assert count == self.draws.size
+        return self.draws.copy()
+
+
+def _hard_draws(popularity: np.ndarray) -> np.ndarray:
+    """Uniforms on and just below every guide-bucket edge and every
+    CDF value, plus 0.0 and the largest double below 1."""
+    buckets = 1 << (8 * popularity.size - 1).bit_length()
+    edges = np.arange(buckets) / buckets
+    cdf = np.cumsum(popularity)
+    cdf = cdf[cdf < 1.0]
+    points = np.concatenate([edges, cdf, [np.nextafter(1.0, 0.0)]])
+    below = np.nextafter(points, 0.0)
+    return np.concatenate([points, below[below >= 0.0], [0.0]])
+
+
+_weights = st.lists(
+    st.one_of(st.just(0.0), st.floats(1e-9, 1e3)), min_size=1, max_size=64
+).filter(lambda w: sum(w) > 0)
+# Small integer weights (uniform ones among them) put CDF values on
+# exact fractions, where a bucket edge computed inexactly would land.
+_counts = st.lists(st.integers(0, 4), min_size=1, max_size=200).filter(
+    lambda w: sum(w) > 0)
+_popularity = st.one_of(
+    _weights.map(lambda w: np.array(w) / sum(w)),
+    _counts.map(lambda w: np.array(w, dtype=np.float64) / sum(w)),
+    st.integers(1, 200).map(zipf.uniform_popularity),
+    st.just(np.array([1.0])),
+    st.builds(lambda n, s, seed: zipf.shuffled(zipf.zipf_popularity(n, s), seed),
+              st.integers(1, 300), st.floats(2.0, 8.0), st.integers(0, 3)),
+)
+
+
+class TestPageSamplerExact:
+    """The guide table answers every uniform exactly as one
+    ``searchsorted`` of the CDF does, on the draws where a bucket
+    boundary or a repeated CDF value could shift the answer by one."""
+
+    @settings(max_examples=150)
+    @given(_popularity, st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=32))
+    def test_equals_reference_on_hard_draws(self, popularity, extra):
+        draws = np.concatenate([_hard_draws(popularity), extra])
+        got = zipf.PageSampler(popularity).sample(draws.size, _Uniforms(draws))
+        want = sample_pages(popularity, draws.size, _Uniforms(draws))
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
