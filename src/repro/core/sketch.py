@@ -12,14 +12,14 @@ Two update paths are provided:
 * :meth:`update_one` — the exact per-access hardware semantics, used
   by the tests and by small-trace experiments;
 * :meth:`update_batch` — a vectorised bulk path that adds whole
-  chunks of the address stream at once (identical final counter state;
-  estimates differ from the sequential path only transiently).
+  chunks of the address stream at once and returns each key's
+  post-chunk estimate from one hash per key (identical final counter
+  state; estimates differ from the sequential path only transiently).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 #: Default geometry: paper fixes H=4 for Table 4 and reports sweeping
 #: H in [2, 16] has only a secondary effect (§7.1).
@@ -107,11 +107,16 @@ class CountMinSketch:
         self.items_seen += 1
         return estimate
 
-    def update_batch(self, keys: np.ndarray, weights: np.ndarray = None) -> None:
-        """Add a chunk of keys (optionally weighted) to all rows."""
+    def update_batch(self, keys: np.ndarray, weights: np.ndarray = None) -> np.ndarray:
+        """Add a chunk of keys (optionally weighted) to all rows.
+
+        Returns each key's estimate after the whole chunk is in: the
+        minimum over rows of its counters, gathered from the same hash
+        indices the update used.
+        """
         keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
         if keys.size == 0:
-            return
+            return np.zeros(0, dtype=np.uint64)
         idx = self._hash(keys)
         if weights is None:
             w = np.ones(keys.size, dtype=np.uint64)
@@ -122,22 +127,9 @@ class CountMinSketch:
         for row in range(self.depth):
             np.add.at(self.table[row], idx[row], w)
         self.items_seen += int(w.sum())
-
-    def estimate(self, keys: ArrayLike) -> np.ndarray:
-        """Point-query estimates (min over rows) for one or more keys."""
-        keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
-        idx = self._hash(keys)
-        rows = self.table[np.arange(self.depth)[:, None], idx]
-        return rows.min(axis=0)
-
-    def estimate_one(self, key: int) -> int:
-        return int(self.estimate(np.uint64(key))[0])
+        return self.table[np.arange(self.depth)[:, None], idx].min(axis=0)
 
     def reset(self) -> None:
         """Clear all counters (done after each top-K query epoch)."""
         self.table[:] = 0
         self.items_seen = 0
-
-    def error_bound(self, confidence_scale: float = np.e) -> float:
-        """Classic CM-Sketch overestimate bound εN with ε = e/W."""
-        return confidence_scale / self.width * self.items_seen

@@ -12,6 +12,13 @@ count from the CM-Sketch unit:
 The software model keeps a dict for O(1) hits and pays an O(K) scan
 for the minimum on misses (the hardware does this with a comparator
 chain in one cycle).
+
+A tracker hands the CAM one chunk at a time: the chunk's distinct keys
+in ascending order with their estimates in any order
+(:meth:`SortedCam.offer_batch`).  The CAM offers them hottest first,
+but only the K hottest offers can change its membership, so only
+those are ever ordered; the rest of the chunk is a bulk pass of hits
+and rejections.
 """
 
 from __future__ import annotations
@@ -19,6 +26,31 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 import numpy as np
+
+
+def _hottest(estimates: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the ``k`` largest estimates, hottest first with ties
+    in input order: the first ``k`` of ``argsort(-estimates,
+    kind="stable")``, selected in O(n) without ordering the rest."""
+    n = int(estimates.size)
+    if n > k:
+        kth = np.partition(estimates, n - k)[n - k]
+        pos = np.flatnonzero(estimates >= kth)
+        if pos.size > k:
+            # Fewer than k estimates exceed the k-th largest; of those
+            # tied with it, the first ones in input order fill the rest.
+            tied = np.flatnonzero(estimates[pos] == kth)
+            pos = np.delete(pos, tied[k - (pos.size - tied.size):])
+    else:
+        pos = np.arange(n)
+    return pos[np.argsort(-estimates[pos], kind="stable")]
+
+
+def _locate(keys: np.ndarray, queries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Index of each query in the ascending, distinct ``keys``, and
+    whether the query is there at all."""
+    pos = np.minimum(np.searchsorted(keys, queries), keys.size - 1)
+    return pos, keys[pos] == queries
 
 
 class SortedCam:
@@ -41,18 +73,8 @@ class SortedCam:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, address: int) -> bool:
-        return int(address) in self._entries
-
-    def count_of(self, address: int) -> int:
-        return self._entries.get(int(address), 0)
-
-    @property
-    def table_min(self) -> int:
-        """Smallest tracked count (0 when the table has free entries)."""
-        if len(self._entries) < self.k:
-            return 0
-        return min(self._entries.values())
+    def _keys(self) -> np.ndarray:
+        return np.fromiter(self._entries, dtype=np.int64, count=len(self._entries))
 
     def offer(self, address: int, estimate: int) -> bool:
         """Present one (address, estimated count) pair to the CAM.
@@ -81,17 +103,27 @@ class SortedCam:
         return False
 
     def offer_batch(self, addresses: np.ndarray, estimates: np.ndarray) -> int:
-        """Present a batch of (address, estimate) pairs, hottest first.
+        """Present a chunk's distinct addresses, hottest first.
 
+        ``addresses`` must ascend strictly (asserted) — a tracker's
+        unique keys — and ``estimates`` pairs with them in any order.
         Exactly equivalent to calling :meth:`offer` once per pair in
-        order — same entries, same counts, same dict insertion order
-        (which future eviction tie-breaks depend on), same statistics —
-        but the bulk of the work is vectorised.  Preconditions, both
-        asserted: addresses are distinct within the batch, and
-        estimates are non-increasing (the order a tracker's ingest
-        produces).
+        the order ``argsort(-estimates, kind="stable")`` — same
+        entries, same counts, same dict insertion order (which future
+        eviction tie-breaks depend on), same statistics — but only the
+        K hottest offers are ordered and replayed.
 
-        The sequential semantics split into three regimes:
+        **The K-offer head bound.**  Until the first offer whose
+        estimate does not beat the table minimum (the *break*), every
+        offer uses up a free entry (insertion) or an entry held before
+        the chunk (a hit on it, or its eviction).  No later offer
+        carries a larger estimate than an entry the chunk wrote, so
+        none evicts it, and keys are distinct, so none hits it either.
+        So there are at most K offers before the break, and after K of
+        them the table holds only entries of this chunk and every
+        later offer is rejected.
+
+        The hottest-first sequence splits into three regimes:
 
         1. While the table has free entries no offer can evict, so the
            prefix up to the fill point is a bulk dict update — hits
@@ -99,12 +131,14 @@ class SortedCam:
         2. With a full table, offers contend while their estimate
            exceeds the table minimum: evictions and hits interleave
            (an early eviction can remove an entry a later offer would
-           have hit), so this head is replayed one offer at a time.
-        3. Once an offer's estimate is ≤ the table minimum, no later
-           offer can evict either (estimates only fall, and a hit in
-           this regime can only lower the minimum further), so the
-           entire tail collapses to bulk hit-overwrites and counted
-           rejections.
+           have hit), so this part of the head is replayed one offer
+           at a time.
+        3. After the break, or after the K hottest offers, no offer
+           can evict or insert (estimates only fall, and a hit can only
+           lower the minimum further), so the rest of the chunk is
+           bulk hit-overwrites on the entries still tracked, found by
+           one search of the ≤K table keys among the chunk's, and
+           counted rejections.
 
         Returns the number of offers tracked after the update.
         """
@@ -114,7 +148,10 @@ class SortedCam:
         if n == 0:
             return 0
         assert estimates.size == n
-        assert np.all(estimates[:-1] >= estimates[1:]), "estimates must descend"
+        assert np.all(addresses[:-1] < addresses[1:]), "addresses must ascend"
+        head = _hottest(estimates, self.k)
+        head_addrs, head_ests = addresses[head], estimates[head]
+        m = int(head.size)
         tracked = 0
 
         # --- regime 1: bulk-fill while the table has free entries.
@@ -122,33 +159,29 @@ class SortedCam:
         free = self.k - len(self._entries)
         if free > 0:
             if self._entries:
-                existing = np.fromiter(
-                    self._entries.keys(), dtype=np.int64, count=len(self._entries)
-                )
-                is_hit = np.isin(addresses, existing)
+                _, is_hit = _locate(np.sort(self._keys()), head_addrs)
             else:
-                is_hit = np.zeros(n, dtype=bool)
-            miss_pos = np.nonzero(~is_hit)[0]
+                is_hit = np.zeros(m, dtype=bool)
+            miss_pos = np.flatnonzero(~is_hit)
             # The table fills at the `free`-th miss; everything before
             # that point is a plain hit-or-insert.
-            start = n if miss_pos.size < free else int(miss_pos[free - 1]) + 1
-            head = slice(0, start)
+            start = m if miss_pos.size < free else int(miss_pos[free - 1]) + 1
             self._entries.update(
-                zip(addresses[head].tolist(), estimates[head].tolist())
+                zip(head_addrs[:start].tolist(), head_ests[:start].tolist())
             )
-            n_miss = int((~is_hit[head]).sum())
+            n_miss = int((~is_hit[:start]).sum())
             self.insertions += n_miss
             self.hits += start - n_miss
             tracked += start
 
         # --- regime 2: contended head, replayed sequentially.
         i = start
-        while i < n:
-            estimate = int(estimates[i])
+        while i < m:
+            estimate = int(head_ests[i])
             min_addr = min(self._entries, key=self._entries.__getitem__)
             if estimate <= self._entries[min_addr]:
                 break
-            address = int(addresses[i])
+            address = int(head_addrs[i])
             if address in self._entries:
                 self._entries[address] = estimate
                 self.hits += 1
@@ -161,14 +194,13 @@ class SortedCam:
 
         # --- regime 3: bulk tail of hits and rejections.
         if i < n:
-            tail = slice(i, n)
-            existing = np.fromiter(
-                self._entries.keys(), dtype=np.int64, count=len(self._entries)
-            )
-            is_hit = np.isin(addresses[tail], existing)
-            hit_addrs = addresses[tail][is_hit]
+            keys = self._keys()
+            pos, found = _locate(addresses, keys)
+            replayed = np.zeros(n, dtype=bool)
+            replayed[head[:i]] = True
+            is_hit = found & ~replayed[pos]
             self._entries.update(
-                zip(hit_addrs.tolist(), estimates[tail][is_hit].tolist())
+                zip(keys[is_hit].tolist(), estimates[pos[is_hit]].tolist())
             )
             n_hits = int(is_hit.sum())
             self.hits += n_hits
@@ -181,12 +213,6 @@ class SortedCam:
         """Total :meth:`offer` calls, across every outcome."""
         return self.hits + self.insertions + self.replacements + self.rejections
 
-    @property
-    def replacement_rate(self) -> float:
-        """Fraction of offers that evicted a full-table minimum."""
-        offers = self.offers
-        return self.replacements / offers if offers else 0.0
-
     def entries(self) -> List[Tuple[int, int]]:
         """Tracked (address, count) pairs, hottest first.
 
@@ -194,10 +220,6 @@ class SortedCam:
         the answer to an M5-manager query.
         """
         return sorted(self._entries.items(), key=lambda kv: (-kv[1], kv[0]))
-
-    def addresses(self) -> List[int]:
-        """Tracked addresses, hottest first."""
-        return [addr for addr, _ in self.entries()]
 
     def reset(self) -> None:
         """Clear the table (done together with the sketch after a query)."""

@@ -76,8 +76,8 @@ class TopKTracker(abc.ABC):
         """Snoop a pre-digested :class:`~repro.cxl.batch.AccessBatch`.
 
         Equivalent to ``observe(batch.addresses)`` but lets trackers
-        reuse the batch's memoized ``np.unique`` results instead of
-        re-deriving them per snoop.
+        reuse the batch's memoized per-shift digest (unique keys and
+        their multiplicities) instead of re-deriving it per snoop.
         """
         if batch.size == 0:
             return
@@ -120,12 +120,14 @@ class CmSketchTopK(TopKTracker):
         depth: H.
         conservative: forward CM-Sketch conservative-update option.
 
-    Each chunk updates the sketch in bulk and offers the chunk's unique
-    keys to the CAM with their post-chunk estimates.  Against the
-    hardware's one-access-at-a-time semantics the counter state is
-    identical and top-K selection matches closely (the ``sketch``
-    oracle in :mod:`repro.verify` bounds the drift), while running
-    orders of magnitude faster in Python.
+    Each chunk updates the sketch in bulk, hashing every distinct key
+    once, and offers the chunk's unique keys (ascending) to the CAM
+    with their post-chunk estimates; the CAM offers them hottest first
+    and orders only its K hottest.  Against the hardware's
+    one-access-at-a-time semantics the counter state is identical and
+    top-K selection matches closely (the ``sketch`` oracle in
+    :mod:`repro.verify` bounds the drift), while running orders of
+    magnitude faster in Python.
     """
 
     def __init__(
@@ -156,12 +158,7 @@ class CmSketchTopK(TopKTracker):
         self._ingest_uniques(uniques, counts)
 
     def _ingest_uniques(self, uniques: np.ndarray, counts: np.ndarray) -> None:
-        self.sketch.update_batch(uniques, counts)
-        estimates = self.sketch.estimate(uniques)
-        # Offer hottest-first so CAM admission under a full table
-        # mirrors what the sequential stream would converge to.
-        order = np.argsort(-estimates.astype(np.int64), kind="stable")
-        self.cam.offer_batch(uniques[order], estimates[order])
+        self.cam.offer_batch(uniques, self.sketch.update_batch(uniques, counts))
 
     def _snapshot(self) -> List[Tuple[int, int]]:
         return self.cam.entries()

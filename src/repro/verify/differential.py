@@ -54,10 +54,11 @@ Every comparison is a :class:`DiffRow` with a per-field tolerance
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, SupportsFloat
+from typing import Any, Dict, List, Optional, Sequence, SupportsFloat, Tuple
 
 import numpy as np
 
+from repro.core.topk import SortedCam
 from repro.core.trackers import CmSketchTopK
 from repro.cxl.pac import PageAccessCounter
 from repro.memory.address import PAGE_SHIFT, PAGE_SIZE, WORD_SHIFT, AddressRegion
@@ -138,6 +139,35 @@ def _zipf_keys(rng: np.random.Generator, n: int, key_space: int) -> np.ndarray:
     """A skewed, deterministic key stream over ``[0, key_space)``."""
     keys = rng.zipf(1.2, size=n).astype(np.uint64) % np.uint64(key_space)
     return keys
+
+
+def _cam_batches(
+    rng: np.random.Generator, k: int
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Three chunks for one ``k``-entry CAM, as a tracker hands them
+    over (distinct keys ascending, uint64 estimates): a full table of
+    stale low counts; hotter new keys mixed with hits on half of it,
+    so the contended head runs the full ``k`` offers; then every key
+    seen so far at low estimates, so most of the table is hit (and
+    lowered) after the break."""
+    stale = rng.choice(4 * k, size=k, replace=False)
+    fresh = 4 * k + rng.choice(4 * k, size=2 * k, replace=False)
+    hotter = np.concatenate([rng.choice(stale, size=k // 2, replace=False), fresh])
+    seen = np.concatenate([stale, fresh])
+    chunks = [(stale, rng.integers(1, 4, size=k)),
+              (hotter, rng.integers(2, 24, size=hotter.size)),
+              (seen, rng.integers(1, 6, size=seen.size))]
+    chunks[2][1][:4] = 64  # a short head ahead of the tail hits
+    out = []
+    for keys, ests in chunks:
+        order = np.argsort(keys)
+        out.append((keys[order].astype(np.uint64), ests[order].astype(np.uint64)))
+    return out
+
+
+def _cam_state(cam: SortedCam) -> List[Any]:
+    return [*cam._entries.items(), cam.offers, cam.hits, cam.insertions,
+            cam.replacements, cam.rejections]
 
 
 # ----------------------------------------------------------------------
@@ -445,6 +475,19 @@ def kernels_oracle(seed: int = 0, accesses: int = 60_000) -> OracleReport:
                    _mismatches(sorted(ref.peek()), sorted(fast.peek())))
         report.add(f"tracker_{algorithm}_accesses", ref.accesses_observed,
                    fast.accesses_observed)
+
+    # Sorted CAM at K = 64 and 128 through chunks whose contended head
+    # is K offers long: the return value, the entries in dict order
+    # and the five offer counters after every chunk.
+    cam_rng = np.random.default_rng(seed)
+    cam_mismatches = 0
+    for k in (64, 128):
+        ref_cam, fast_cam = as_reference(SortedCam(k)), SortedCam(k)
+        for keys, ests in _cam_batches(cam_rng, k):
+            cam_mismatches += int(ref_cam.offer_batch(keys, ests)
+                                  != fast_cam.offer_batch(keys, ests))
+            cam_mismatches += _mismatches(_cam_state(ref_cam), _cam_state(fast_cam))
+    report.add("cam_offer_mismatches", 0, cam_mismatches)
 
     # PAC direct mode: identical per-page counts (spill stats may
     # legitimately differ — a chunked spill covers several

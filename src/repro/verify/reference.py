@@ -148,8 +148,12 @@ def batch_digest_ordered(
 
 
 def offer_batch(cam: SortedCam, addresses: np.ndarray, estimates: np.ndarray) -> int:
-    """One CAM offer per (address, estimate) pair, in order."""
-    pairs = zip(np.atleast_1d(addresses).tolist(), np.atleast_1d(estimates).tolist())
+    """Sort every pair hottest first (ties in input order), then one
+    CAM offer per pair."""
+    addresses = np.atleast_1d(np.asarray(addresses, dtype=np.int64))
+    estimates = np.atleast_1d(np.asarray(estimates, dtype=np.int64))
+    order = np.argsort(-estimates, kind="stable")
+    pairs = zip(addresses[order].tolist(), estimates[order].tolist())
     return sum(cam.offer(address, estimate) for address, estimate in pairs)
 
 

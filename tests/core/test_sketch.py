@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.sketch import CountMinSketch
+from tests.topk_helpers import error_bound, estimate, estimate_one
 
 
 class TestConstruction:
@@ -27,7 +28,7 @@ class TestUpdateOne:
     def test_estimate_after_single_update(self):
         cms = CountMinSketch(width=1024, depth=4)
         assert cms.update_one(42) == 1
-        assert cms.estimate_one(42) == 1
+        assert estimate_one(cms, 42) == 1
 
     def test_estimates_grow_with_repeats(self):
         cms = CountMinSketch(width=1024, depth=4)
@@ -46,8 +47,8 @@ class TestUpdateOne:
             cons.update_one(k)
         true = np.bincount(keys, minlength=50)
         for k in range(50):
-            assert cons.estimate_one(k) <= plain.estimate_one(k)
-            assert cons.estimate_one(k) >= true[k]
+            assert estimate_one(cons, k) <= estimate_one(plain, k)
+            assert estimate_one(cons, k) >= true[k]
 
 
 class TestBatchUpdate:
@@ -65,7 +66,7 @@ class TestBatchUpdate:
         cms = CountMinSketch(width=256, depth=4)
         cms.update_batch(np.array([5], dtype=np.uint64),
                          np.array([7], dtype=np.uint64))
-        assert cms.estimate_one(5) == 7
+        assert estimate_one(cms, 5) == 7
         assert cms.items_seen == 7
 
     def test_weights_shape_checked(self):
@@ -79,6 +80,30 @@ class TestBatchUpdate:
         cms.update_batch(np.array([], dtype=np.uint64))
         assert cms.items_seen == 0
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.lists(st.tuples(st.integers(0, 40), st.integers(1, 4)), max_size=60),
+        min_size=1, max_size=3))
+    def test_returns_post_update_row_minimum(self, chunks):
+        """Repeated keys and weights, narrow rows: each returned estimate
+        is the minimum of the key's hashed counters once the whole chunk
+        is in, and the table matches one update_one per unit of weight."""
+        cms = CountMinSketch(width=16, depth=4)
+        twin = CountMinSketch(width=16, depth=4)
+        for chunk in chunks:
+            keys = np.array([key for key, _ in chunk], dtype=np.uint64)
+            weights = np.array([w for _, w in chunk], dtype=np.uint64)
+            got = cms.update_batch(keys, weights)
+            for key, w in chunk:
+                for _ in range(w):
+                    twin.update_one(key)
+            idx = cms._hash(keys)
+            rows = [cms.table[row, idx[row]] for row in range(cms.depth)]
+            assert got.dtype == np.uint64
+            assert np.array_equal(got, np.minimum.reduce(rows))
+            assert np.array_equal(got, estimate(twin, keys))
+            assert np.array_equal(cms.table, twin.table)
+
 
 class TestGuarantees:
     @settings(max_examples=20)
@@ -88,7 +113,7 @@ class TestGuarantees:
         cms = CountMinSketch(width=64, depth=4)
         cms.update_batch(np.array(keys, dtype=np.uint64))
         values, counts = np.unique(keys, return_counts=True)
-        estimates = cms.estimate(values.astype(np.uint64))
+        estimates = estimate(cms, values.astype(np.uint64))
         assert (estimates >= counts).all()
 
     def test_error_bounded_for_large_width(self):
@@ -97,9 +122,9 @@ class TestGuarantees:
         cms = CountMinSketch(width=8192, depth=4)
         cms.update_batch(keys.astype(np.uint64))
         true = np.bincount(keys, minlength=200)
-        ests = cms.estimate(np.arange(200, dtype=np.uint64))
+        ests = estimate(cms, np.arange(200, dtype=np.uint64))
         # With W >> cardinality, estimates should be near-exact.
-        assert (ests.astype(np.int64) - true).max() <= cms.error_bound()
+        assert (ests.astype(np.int64) - true).max() <= error_bound(cms)
 
     def test_collisions_inflate_estimates_when_small(self):
         """The §7.1 observation: CM-Sketch 'severely suffers from hash
@@ -109,7 +134,7 @@ class TestGuarantees:
         small = CountMinSketch(width=16, depth=4)
         small.update_batch(keys.astype(np.uint64))
         true = np.bincount(keys, minlength=5000)
-        ests = small.estimate(np.arange(5000, dtype=np.uint64))
+        ests = estimate(small, np.arange(5000, dtype=np.uint64))
         assert (ests.astype(np.int64) - true).mean() > 10
 
     def test_rows_hash_independently(self):
@@ -125,4 +150,4 @@ class TestReset:
         cms.reset()
         assert cms.table.sum() == 0
         assert cms.items_seen == 0
-        assert cms.estimate_one(5) == 0
+        assert estimate_one(cms, 5) == 0

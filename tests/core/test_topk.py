@@ -5,6 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.topk import SortedCam
+from tests.topk_helpers import (
+    addresses,
+    count_of,
+    replacement_rate,
+    table_min,
+    tracks,
+)
 
 
 class TestOffer:
@@ -18,7 +25,7 @@ class TestOffer:
         cam = SortedCam(2)
         cam.offer(1, 10)
         cam.offer(1, 25)
-        assert cam.count_of(1) == 25
+        assert count_of(cam, 1) == 25
         assert cam.hits == 1
 
     def test_miss_replaces_minimum_when_larger(self):
@@ -26,8 +33,8 @@ class TestOffer:
         cam.offer(1, 10)
         cam.offer(2, 5)
         assert cam.offer(3, 7)
-        assert 2 not in cam
-        assert 3 in cam
+        assert not tracks(cam, 2)
+        assert tracks(cam, 3)
 
     def test_miss_rejected_when_not_larger(self):
         cam = SortedCam(2)
@@ -35,15 +42,15 @@ class TestOffer:
         cam.offer(2, 5)
         assert not cam.offer(3, 5)  # equal to min: not larger
         assert cam.rejections == 1
-        assert 2 in cam
+        assert tracks(cam, 2)
 
     def test_table_min(self):
         cam = SortedCam(2)
-        assert cam.table_min == 0
+        assert table_min(cam) == 0
         cam.offer(1, 10)
-        assert cam.table_min == 0  # free entry remains
+        assert table_min(cam) == 0  # free entry remains
         cam.offer(2, 4)
-        assert cam.table_min == 4
+        assert table_min(cam) == 4
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
@@ -68,14 +75,14 @@ class TestEntries:
         cam = SortedCam(2)
         cam.offer(1, 5)
         cam.offer(2, 9)
-        assert cam.addresses() == [2, 1]
+        assert addresses(cam) == [2, 1]
 
     def test_reset(self):
         cam = SortedCam(2)
         cam.offer(1, 5)
         cam.reset()
         assert len(cam) == 0
-        assert cam.count_of(1) == 0
+        assert count_of(cam, 1) == 0
 
 
 class TestInvariants:
@@ -85,13 +92,13 @@ class TestInvariants:
     def test_size_bounded_and_min_never_decreases_on_replace(self, offers):
         cam = SortedCam(4)
         for addr, est in offers:
-            was_full = len(cam) == 4 and addr not in cam
-            before = cam.table_min
+            was_full = len(cam) == 4 and not tracks(cam, addr)
+            before = table_min(cam)
             cam.offer(addr, est)
             assert len(cam) <= 4
             if was_full and est > before:
                 # replacement keeps at least the old minimum's successor
-                assert cam.table_min >= before
+                assert table_min(cam) >= before
 
     @settings(max_examples=30)
     @given(st.lists(st.tuples(st.integers(0, 10), st.integers(1, 50)),
@@ -136,9 +143,9 @@ class TestOfferStats:
         cam = SortedCam(2)
         cam.offer(1, 5)
         cam.offer(2, 6)
-        assert cam.replacement_rate == 0.0
+        assert replacement_rate(cam) == 0.0
         cam.offer(3, 9)  # one genuine eviction in three offers
-        assert cam.replacement_rate == 1 / 3
+        assert replacement_rate(cam) == 1 / 3
 
     def test_replacement_rate_empty_table(self):
-        assert SortedCam(2).replacement_rate == 0.0
+        assert replacement_rate(SortedCam(2)) == 0.0

@@ -51,8 +51,14 @@ def _addresses(keys):
     return np.uint64(REGION.start) + (pages << np.uint64(PAGE_SHIFT))
 
 
+def _cam_state(cam):
+    return (list(cam._entries.items()), cam.offers, cam.hits, cam.insertions,
+            cam.replacements, cam.rejections)
+
+
 class TestSortedCamOfferBatch:
-    """offer_batch ≡ a loop of offer() calls, including eviction ties."""
+    """offer_batch ≡ a loop of offer() calls, hottest first with ties
+    in input order, including eviction ties."""
 
     # Estimates drawn from a tiny range so ties (the argmin/eviction
     # tie-break paths) occur constantly.
@@ -65,26 +71,38 @@ class TestSortedCamOfferBatch:
     @SETTINGS
     @given(offers)
     def test_matches_sequential(self, pairs):
-        # offer_batch's contract: unique keys, non-increasing estimates
-        # (what a tracker's sorted unique ingest produces).
+        # offer_batch's contract: distinct keys ascending (what a
+        # tracker's unique ingest produces), estimates in any order.
         best = {}
         for key, est in pairs:
             best[key] = max(est, best.get(key, 0))
-        items = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
+        items = sorted(best.items())
         seq, batch = SortedCam(8), SortedCam(8)
-        for key, est in items:
-            seq.offer(key, est)
-        if items:
-            keys = np.array([k for k, _ in items], dtype=np.int64)
-            ests = np.array([e for _, e in items], dtype=np.int64)
-        else:
-            keys = ests = np.empty(0, dtype=np.int64)
-        batch.offer_batch(keys, ests)
-        assert list(seq.entries()) == list(batch.entries())
-        assert (seq.offers, seq.hits, seq.insertions, seq.replacements,
-                seq.rejections) == (batch.offers, batch.hits,
-                                    batch.insertions, batch.replacements,
-                                    batch.rejections)
+        hottest_first = sorted(items, key=lambda kv: -kv[1])  # stable
+        tracked = sum(seq.offer(key, est) for key, est in hottest_first)
+        keys = np.array([k for k, _ in items], dtype=np.int64)
+        ests = np.array([e for _, e in items], dtype=np.int64)
+        assert batch.offer_batch(keys, ests) == tracked
+        assert _cam_state(seq) == _cam_state(batch)
+
+    # One CAM across several chunks: keys reused between chunks (head
+    # hits, evictions of earlier entries, tail hits) and estimates that
+    # can fall below an entry's count (hits that lower it).
+    chunk_list = st.lists(
+        st.dictionaries(st.integers(0, 15), st.integers(1, 4), max_size=16),
+        min_size=1,
+        max_size=6,
+    )
+
+    @SETTINGS
+    @given(st.integers(1, 8), chunk_list)
+    def test_chunks_without_reset_match_reference(self, k, chunks):
+        ref, fast = as_reference(SortedCam(k)), SortedCam(k)
+        for chunk in chunks:
+            keys = np.array(sorted(chunk), dtype=np.uint64)
+            ests = np.array([chunk[key] for key in sorted(chunk)], dtype=np.uint64)
+            assert ref.offer_batch(keys, ests) == fast.offer_batch(keys, ests)
+            assert _cam_state(ref) == _cam_state(fast)
 
 
 class TestCountStructureBatches:
