@@ -179,17 +179,40 @@ def _export_recorder(path: str, recorder) -> None:
           f"({rows} rows x {len(recorder.columns())} columns)")
 
 
+def _refused_on_resume(args, sim: Simulation) -> List[str]:
+    """The ``run`` flags given with ``--resume`` that the resumed run
+    cannot honour.
+
+    The checkpoint carries the whole run: workload, config, policy,
+    telemetry bus (a path-backed JsonlSink reopens in append mode),
+    metrics registry, recorder and watchdog.  So only the outputs of
+    instruments it carries are honoured: ``--metrics`` and ``--serve``
+    need its registry, ``--record-out`` its recorder.  Every other
+    flag that differs from its default is refused.
+    """
+    defaults = vars(build_parser().parse_args(["run"]))
+    honoured = {"resume", "serve_port", "serve_linger"}
+    if sim.obs.metrics_on:
+        honoured |= {"metrics", "serve"}
+    if sim.recorder is not None:
+        honoured.add("record_out")
+    return ["--" + dest.replace("_", "-")
+            for dest, value in vars(args).items()
+            if dest not in honoured and value != defaults[dest]]
+
+
 def cmd_run(args) -> int:
     resume = getattr(args, "resume", None)
     if resume:
-        # The checkpoint carries the whole run: workload, config,
-        # policy, telemetry bus (a path-backed JsonlSink reopens in
-        # append mode), metrics registry.  Run-shape flags are
-        # ignored; --serve still works against the restored registry.
         try:
             sim = Simulation.load_state(resume)
         except (OSError, CheckpointError) as exc:
             print(f"cannot resume from {resume}: {exc}")
+            return 2
+        refused = _refused_on_resume(args, sim)
+        if refused:
+            print(f"cannot resume with {', '.join(refused)}: the checkpoint "
+                  "fixes the run's options, sinks and instruments")
             return 2
         print(f"resuming from {resume} "
               f"(benchmark {sim.workload.spec.name!r}, "
@@ -240,12 +263,8 @@ def cmd_run(args) -> int:
         print(f"timeline ring : overflowed; {result.timeline_dropped} "
               "oldest events dropped (timeline is the tail of the run)")
     if args.metrics:
-        if obs is not None and obs.metrics_on:
-            _write_metrics_snapshot(args.metrics, obs)
-            print(f"metrics snapshot written to {args.metrics}")
-        else:
-            print("--metrics ignored: the resumed checkpoint was taken "
-                  "without a metrics registry")
+        _write_metrics_snapshot(args.metrics, obs)
+        print(f"metrics snapshot written to {args.metrics}")
     if sim.recorder is not None:
         rec = sim.recorder
         print(f"recorded      : {rec.rows} epochs x "
@@ -882,7 +901,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--resume", default=None, metavar="CKPT",
                      help="resume a checkpointed run to completion; the "
                           "result is bit-identical to the uninterrupted "
-                          "run (run-shape flags are ignored)")
+                          "run.  Other flags are refused, except --metrics, "
+                          "--serve and --record-out when the checkpoint "
+                          "carries their instrument")
 
     serve = sub.add_parser(
         "serve",

@@ -57,20 +57,15 @@ class CountMinSketch:
         width: W, counters per row; rounded up to a power of two so the
             row index is a mask (what the RTL does).
         depth: H, number of rows/hash functions.
-        conservative: if True, use conservative update (only the
-            minimum counters are incremented).  The paper's hardware
-            uses the plain update; conservative update is provided as a
-            design-space extension.
     """
 
-    def __init__(self, width: int, depth: int = DEFAULT_DEPTH, conservative: bool = False) -> None:
+    def __init__(self, width: int, depth: int = DEFAULT_DEPTH) -> None:
         if width <= 0:
             raise ValueError("width must be positive")
         if not 1 <= depth <= len(_HASH_MULTIPLIERS):
             raise ValueError(f"depth must be in [1, {len(_HASH_MULTIPLIERS)}]")
         self.width = 1 << int(np.ceil(np.log2(width)))
         self.depth = int(depth)
-        self.conservative = bool(conservative)
         self._shift = np.uint64(64 - int(np.log2(self.width)))
         self._mults = _HASH_MULTIPLIERS[: self.depth].reshape(-1, 1)
         self.table = np.zeros((self.depth, self.width), dtype=np.uint64)
@@ -95,15 +90,8 @@ class CountMinSketch:
         """
         idx = self._hash(np.uint64(key))[:, 0]
         rows = np.arange(self.depth)
-        if self.conservative:
-            current = self.table[rows, idx]
-            minimum = current.min()
-            bump = current == minimum
-            self.table[rows[bump], idx[bump]] += np.uint64(1)
-            estimate = int(minimum) + 1
-        else:
-            self.table[rows, idx] += np.uint64(1)
-            estimate = int(self.table[rows, idx].min())
+        self.table[rows, idx] += np.uint64(1)
+        estimate = int(self.table[rows, idx].min())
         self.items_seen += 1
         return estimate
 

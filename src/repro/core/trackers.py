@@ -118,7 +118,6 @@ class CmSketchTopK(TopKTracker):
         num_counters: N = H × W total sketch counters (the §7.1 design
             parameter; paper deploys N = 32K, H = 4).
         depth: H.
-        conservative: forward CM-Sketch conservative-update option.
 
     Each chunk updates the sketch in bulk, hashing every distinct key
     once, and offers the chunk's unique keys (ascending) to the CAM
@@ -136,13 +135,12 @@ class CmSketchTopK(TopKTracker):
         num_counters: int = 32 * 1024,
         depth: int = DEFAULT_DEPTH,
         granularity: str = "page",
-        conservative: bool = False,
     ) -> None:
         super().__init__(k, granularity)
         if num_counters < depth:
             raise ValueError("num_counters must be >= depth")
         width = max(1, num_counters // depth)
-        self.sketch = CountMinSketch(width, depth, conservative=conservative)
+        self.sketch = CountMinSketch(width, depth)
         self.cam = SortedCam(k)
 
     @property

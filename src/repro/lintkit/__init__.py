@@ -16,16 +16,11 @@ differential oracles) can only check *after* a simulation has run:
   ndarray in the simulation's hot layers;
 * **registry drift** (``DRIFT001``–``DRIFT003``) — ``SimConfig``
   knobs, telemetry event names, and metric families stay in sync with
-  the checked-in registries under ``docs/registries/``;
-* **crash safety** (``CRASH001``, ``CRASH003``) — checkpoint files
-  flow through tmp + ``os.replace``, and fsync-before-replace
-  (advisory);
-* **pickle safety** (``PICKLE001``–``PICKLE002``) — classes reachable
-  from the checkpoint pickles carry no OS resources or lambdas.
+  the checked-in registries under ``docs/registries/``.
 
-The CRASH/PICKLE families run on a project-level model
-(:mod:`repro.lintkit.model`): a symbol table, a module-granular call
-graph, and attribute→class reachability, built once per run.
+Checkpoint crash and pickle safety has no rule: the round-trip and
+publish tests in ``tests/sim/test_checkpoint.py`` check it on the real
+envelope.
 
 Run it as ``repro lint``; suppress a deliberate exception with a
 ``# lint: disable=RULE`` comment (unused suppressions are themselves

@@ -9,7 +9,7 @@ import os
 import sys
 from typing import Iterable, List, Optional, Sequence
 
-from repro.lintkit.base import all_rules
+from repro.lintkit.base import RULE_REGISTRY, all_rules
 from repro.lintkit.context import FileContext, Project
 from repro.lintkit.findings import Finding, Severity, Summary
 
@@ -26,12 +26,8 @@ class LintResult:
 
     @property
     def ok(self) -> bool:
-        """True when no *gating* (error/warning) finding remains.
-
-        ``note``-severity findings are advisory: they appear in every
-        report but never fail the run.
-        """
-        return not any(f.severity.gates for f in self.findings)
+        """True when no finding remains."""
+        return not self.findings
 
     def exit_code(self) -> int:
         return 0 if self.ok else 1
@@ -112,10 +108,14 @@ def lint_project(
         kept.append(finding)
 
     # Unused suppressions are findings themselves (SUP001) so stale
-    # exemptions cannot accumulate silently.
+    # exemptions cannot accumulate silently.  A suppression for a
+    # registered rule that was not selected is neither: it is skipped.
+    selected = {r.id for r in rules}
     for ctx in project.files:
         for entry in ctx.suppressions.unused():
-            if entry.rule not in {r.id for r in rules} and entry.rule != "SUP001":
+            if entry.rule in RULE_REGISTRY and entry.rule not in selected:
+                continue
+            if entry.rule not in RULE_REGISTRY and entry.rule != "SUP001":
                 message = (
                     f"suppression names unknown rule `{entry.rule}`"
                 )

@@ -10,27 +10,17 @@ class Severity(enum.Enum):
     """How bad a finding is.
 
     ``ERROR`` findings are correctness hazards (nondeterminism, unit
-    mix-ups, registry drift, torn checkpoints) and fail the
-    lint run; ``WARNING`` findings are advisory and also fail the run
-    — the linter has no "soft" mode, a warning must be fixed or
-    suppressed — but are ranked below errors in the report.
-    ``NOTE`` findings are best-practice advisories (e.g. the CRASH003
-    fsync-before-replace hint): they are reported, counted, and
-    suppressible, but never affect the exit code, so downstream
-    automation can surface them without gating on them.
+    mix-ups, registry drift); ``WARNING`` findings (stale
+    suppressions) rank below them in the report.  Both fail the lint
+    run: the linter has no "soft" tier, so a finding is fixed or
+    suppressed.
     """
 
     ERROR = "error"
     WARNING = "warning"
-    NOTE = "note"
 
     def __str__(self) -> str:
         return self.value
-
-    @property
-    def gates(self) -> bool:
-        """True when findings of this severity fail the lint run."""
-        return self is not Severity.NOTE
 
 
 @dataclass(frozen=True)

@@ -424,7 +424,7 @@ def kernels_oracle(seed: int = 0, accesses: int = 60_000) -> OracleReport:
     exactly afterwards.
     """
     from repro.baselines.damon import Damon
-    from repro.core.trackers import make_hpt
+    from repro.core.trackers import make_hpt, make_hwt
     from repro.cxl.batch import AccessBatch
     from repro.cxl.wac import WordAccessCounter
     from repro.memory.mglru import MultiGenLru
@@ -462,18 +462,24 @@ def kernels_oracle(seed: int = 0, accesses: int = 60_000) -> OracleReport:
                 a.dtype != b.dtype or not np.array_equal(a, b) for a, b in pairs)
     report.add("batch_digest_mismatches", 0, digest_mismatches)
 
-    # Trackers: every algorithm, page and word granularity.
-    for algorithm in ("cm-sketch", "space-saving", "misra-gries", "exact"):
-        ref = as_reference(
-            make_hpt(k=32, algorithm=algorithm, num_counters=2048))
-        fast = make_hpt(k=32, algorithm=algorithm, num_counters=2048)
+    # Trackers: every algorithm, page and word granularity, and a
+    # non-default CM-Sketch depth: every option the factories forward.
+    trackers = [
+        (f"{granularity}_{algorithm}", make, dict(algorithm=algorithm))
+        for granularity, make in (("page", make_hpt), ("word", make_hwt))
+        for algorithm in ("cm-sketch", "space-saving", "misra-gries", "exact")
+    ] + [("page_cm-sketch_depth2", make_hpt,
+          dict(algorithm="cm-sketch", depth=2))]
+    for name, make, options in trackers:
+        ref = as_reference(make(k=32, num_counters=2048, **options))
+        fast = make(k=32, num_counters=2048, **options)
         for chunk in chunks:
             batch = AccessBatch(chunk, region=region)
             ref.observe_batch(batch)
             fast.observe_batch(batch)
-        report.add(f"tracker_{algorithm}_top_mismatches", 0,
+        report.add(f"tracker_{name}_top_mismatches", 0,
                    _mismatches(sorted(ref.peek()), sorted(fast.peek())))
-        report.add(f"tracker_{algorithm}_accesses", ref.accesses_observed,
+        report.add(f"tracker_{name}_accesses", ref.accesses_observed,
                    fast.accesses_observed)
 
     # Sorted CAM at K = 64 and 128 through chunks whose contended head

@@ -1,6 +1,5 @@
 """The ``python -m repro lint`` CI contract, exercised as a subprocess:
-exit codes 0/1/2, JSON report severities (including the non-gating
-``note`` tier), and ``--update-registries``."""
+exit codes 0/1/2 and ``--update-registries``."""
 
 import json
 import os
@@ -12,22 +11,9 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 _GATING = """
-    import json
+    import random
 
-    def write_checkpoint(path, payload):
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
-"""
-
-_NOTE_ONLY = """
-    import json
-    import os
-
-    def write_checkpoint(path, payload):
-        tmp = f"{path}.tmp"
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, path)
+    x = random.random()
 """
 
 
@@ -42,7 +28,7 @@ def run_lint(tmp_path, *args):
 
 
 def write_tree(tmp_path, source):
-    target = tmp_path / "src" / "repro" / "svc" / "saver.py"
+    target = tmp_path / "src" / "repro" / "sim" / "x.py"
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(textwrap.dedent(source))
 
@@ -55,9 +41,9 @@ def test_exit_zero_on_clean_tree(tmp_path):
 
 def test_exit_one_on_gating_finding(tmp_path):
     write_tree(tmp_path, _GATING)
-    proc = run_lint(tmp_path, "--rules", "CRASH001")
+    proc = run_lint(tmp_path, "--rules", "DET001")
     assert proc.returncode == 1
-    assert "CRASH001" in proc.stdout
+    assert "DET001" in proc.stdout
 
 
 def test_exit_two_on_unknown_rule(tmp_path):
@@ -65,31 +51,6 @@ def test_exit_two_on_unknown_rule(tmp_path):
     proc = run_lint(tmp_path, "--rules", "NOPE001")
     assert proc.returncode == 2
     assert "NOPE001" in proc.stderr
-
-
-def test_note_findings_report_but_do_not_gate(tmp_path):
-    write_tree(tmp_path, _NOTE_ONLY)
-    proc = run_lint(tmp_path, "--rules", "CRASH003", "--format", "json")
-    # the note is in the report...
-    data = json.loads(proc.stdout)
-    (finding,) = data["findings"]
-    assert finding["rule"] == "CRASH003"
-    assert finding["severity"] == "note"
-    # ...but does not fail the run
-    assert proc.returncode == 0, proc.stderr
-
-
-def test_json_severities_cover_all_tiers(tmp_path):
-    write_tree(tmp_path, _GATING + _NOTE_ONLY.replace(
-        "write_checkpoint", "write_checkpoint_v2"
-    ))
-    proc = run_lint(
-        tmp_path, "--rules", "CRASH001,CRASH003", "--format", "json"
-    )
-    assert proc.returncode == 1
-    data = json.loads(proc.stdout)
-    severities = {f["severity"] for f in data["findings"]}
-    assert severities == {"error", "note"}
 
 
 def test_update_registries_writes_extracted_names(tmp_path):

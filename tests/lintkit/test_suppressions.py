@@ -90,6 +90,22 @@ def test_suppression_naming_unknown_rule_is_flagged(lint_tree):
     assert "unknown rule" in result.findings[0].message
 
 
+def test_suppression_for_an_unselected_rule_is_not_flagged(lint_tree):
+    # With --rules DET001 the PERF001 suppression's rule never ran, so
+    # the entry is neither stale nor unknown; NOPE001 is still unknown.
+    result = lint_tree(
+        {
+            "src/repro/sim/x.py": """\
+                x = 1  # lint: disable=PERF001
+                y = 2  # lint: disable=NOPE001
+                """
+        },
+        rules=["DET001"],
+    )
+    assert [(f.rule, f.line) for f in result.findings] == [("SUP001", 2)]
+    assert "unknown rule `NOPE001`" in result.findings[0].message
+
+
 def test_disable_text_inside_docstring_is_not_a_suppression(lint_tree):
     source = textwrap.dedent(
         '''\

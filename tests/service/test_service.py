@@ -372,31 +372,6 @@ class TestServiceCheckpointResume:
         assert svc.checkpoints_written == 2
         assert sorted(p.name for p in ckpt_dir.iterdir()) == ["service.ckpt"]
 
-    def test_checkpoint_fsyncs_before_its_one_replace(self, tmp_path,
-                                                      monkeypatch):
-        """The checkpoint's bytes reach the disk before ``os.replace``
-        publishes them, so a power cut cannot publish an empty file."""
-        calls = []
-        real_fsync, real_replace = os.fsync, os.replace
-
-        def logging_fsync(fd):
-            calls.append("fsync")
-            return real_fsync(fd)
-
-        def logging_replace(src, dst):
-            calls.append("replace")
-            return real_replace(src, dst)
-
-        monkeypatch.setattr(os, "fsync", logging_fsync)
-        monkeypatch.setattr(os, "replace", logging_replace)
-        ckpt_dir = tmp_path / "ckpt"
-        path = write_trace(tmp_path, "s.rtrace", 4, seed=6)
-        cfg = ServiceConfig(checkpoint_every=1, checkpoint_dir=str(ckpt_dir),
-                            max_rounds=1)
-        with Service([StreamSpec("s", str(path))], sim_cfg(), cfg) as svc:
-            svc.run()
-        assert calls == ["fsync", "replace"]
-
     def test_kill_after_every_replace_resumes_bit_identical(
         self, tmp_path, monkeypatch
     ):

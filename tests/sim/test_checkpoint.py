@@ -10,19 +10,22 @@ not the simulation.
 import dataclasses
 import os
 import pickle
-import random
 
 import pytest
 
 from repro.obs import Observability
+from repro.service import Service, ServiceConfig, StreamSpec
 from repro.sim import (
+    ALL_POLICIES,
     CHECKPOINT_FORMAT_VERSION,
     CheckpointError,
+    JsonlSink,
     SimConfig,
     Simulation,
+    TelemetryBus,
 )
 from repro.verify.differential import WALL_CLOCK_FAMILIES, _metric_mismatches
-from repro.workloads import uniform_workload
+from repro.workloads import record, uniform_workload
 
 MIGRATION_MODES = ("instant", "async")
 
@@ -60,40 +63,60 @@ def assert_bit_identical(a, b):
 
 
 class TestKillAndResume:
-    """The crash/resume suite: abort at a random epoch, resume from
-    the last checkpoint, compare against the uninterrupted run."""
+    """The crash/resume suite: kill every policy in both migration
+    modes mid-run, with observability off and with every checkpointable
+    instrument on, resume from the last checkpoint, and compare against
+    the uninterrupted run.
+
+    Any object on the checkpointed graph that does not pickle (a lock,
+    an open file, a lambda) fails here at the first ``save_state``, and
+    any state a policy forgets to carry makes the resumed tail diverge.
+    """
 
     EVERY = 3
+    KILL_EPOCH = 7  # past the checkpoint at epoch 6, before the end (10)
 
-    @pytest.mark.parametrize("mode", MIGRATION_MODES)
-    def test_resume_after_kill_is_bit_identical(self, tmp_path, mode):
-        baseline = make_sim(make_config(migration_mode=mode)).run()
-
-        ckpt = str(tmp_path / f"{mode}.ckpt")
+    @staticmethod
+    def build(policy, mode, full_obs, timeline, **kw):
         cfg = make_config(
-            migration_mode=mode,
-            checkpoint_every=self.EVERY,
-            checkpoint_path=ckpt,
+            total_accesses=40_000, chunk_size=4_000, migration_mode=mode,
+            **(dict(check_invariants=True, record_series="default",
+                    slo_rules="default") if full_obs else {}),
+            **kw,
         )
-        sim = make_sim(cfg)
+        return Simulation(
+            uniform_workload(footprint_pages=2048, seed=11),
+            cfg,
+            policy=policy,
+            obs=Observability(metrics=True, tracing=False) if full_obs else None,
+            telemetry=TelemetryBus([JsonlSink(str(timeline))]) if full_obs else None,
+        )
+
+    @pytest.mark.parametrize("full_obs", (False, True), ids=("obs-off", "obs-full"))
+    @pytest.mark.parametrize("mode", MIGRATION_MODES)
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    def test_resume_after_kill_is_bit_identical(
+        self, tmp_path, policy, mode, full_obs
+    ):
+        baseline_sim = self.build(policy, mode, full_obs, tmp_path / "base.jsonl")
+        baseline = baseline_sim.run()
+        baseline_sim.telemetry.close()
+
+        ckpt = tmp_path / "run.ckpt"
+        sim = self.build(policy, mode, full_obs, tmp_path / "run.jsonl",
+                         checkpoint_every=self.EVERY, checkpoint_path=str(ckpt))
         st = sim._initial_state()
-        # Abort somewhere past the first checkpoint but before the
-        # end — seeded, so the "random" epoch is reproducible.
-        kill_epoch = random.Random(mode).randrange(
-            self.EVERY, cfg.num_epochs
-        )
-        for _ in range(kill_epoch):
+        for _ in range(self.KILL_EPOCH):
             sim.step_epoch(st, sim.epoch_policy)
+        sim.telemetry.close()
         del sim, st  # the kill: state vanishes, only the file survives
 
         resumed_sim = Simulation.load_state(ckpt)
-        resumed_at = resumed_sim.resumed_epoch
-        assert resumed_at is not None
-        assert resumed_at == (kill_epoch // self.EVERY) * self.EVERY
+        assert resumed_sim.resumed_epoch == self.KILL_EPOCH // self.EVERY * self.EVERY
+        assert (resumed_sim.recorder is not None) is full_obs
         result = resumed_sim.run()
+        resumed_sim.telemetry.close()
         assert_bit_identical(baseline, result)
-        # The resume re-ran a real tail, or this test proves nothing.
-        assert resumed_at < cfg.num_epochs
 
     def test_checkpointing_itself_is_invisible(self, tmp_path):
         """With no kill at all, a checkpointed run's results equal a
@@ -154,25 +177,53 @@ class TestCheckpointMechanics:
         sim.save_state(ckpt, st)
         assert Simulation.load_state(ckpt).resumed_epoch == 2
 
-    def test_save_is_durable_fsyncs_before_publish(
-        self, tmp_path, monkeypatch
-    ):
-        """The snapshot must hit the platter before ``os.replace``
-        publishes it — a rename alone survives a process crash but
-        not a power cut."""
-        synced = []
-        real_fsync = os.fsync
+    @pytest.mark.parametrize("kind", ("simulation", "service"))
+    def test_publish_is_atomic_and_durable(self, tmp_path, monkeypatch, kind):
+        """Every checkpoint is fsynced while the final path still holds
+        the previous envelope (or nothing), then published by one
+        ``os.replace`` from a sibling path: a crash at any instant
+        leaves a whole envelope, and a power cut cannot publish an
+        unsynced one."""
+        ckpt_dir = tmp_path / "ckpt"
+        final = ckpt_dir / ("service.ckpt" if kind == "service" else "run.ckpt")
+        #: The final path's bytes after each publish (None: absent).
+        published = [None]
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
 
-        def counting_fsync(fd):
-            synced.append(fd)
+        def checked_fsync(fd):
+            calls.append("fsync")
+            on_disk = final.read_bytes() if final.exists() else None
+            assert on_disk == published[-1], "final path changed before the replace"
             return real_fsync(fd)
 
-        monkeypatch.setattr(os, "fsync", counting_fsync)
-        sim = make_sim(make_config(total_accesses=40_000))
-        st = sim._initial_state()
-        sim.step_epoch(st, sim.epoch_policy)
-        sim.save_state(tmp_path / "durable.ckpt", st)
-        assert synced, "save_state published the snapshot without fsync"
+        def checked_replace(src, dst):
+            calls.append("replace")
+            src, dst = os.fspath(src), os.fspath(dst)
+            assert dst == str(final)
+            assert src != dst, "published the checkpoint onto itself"
+            assert os.path.dirname(src) == os.path.dirname(dst)
+            real_replace(src, dst)
+            published.append(final.read_bytes())
+
+        monkeypatch.setattr(os, "fsync", checked_fsync)
+        monkeypatch.setattr(os, "replace", checked_replace)
+        if kind == "simulation":
+            ckpt_dir.mkdir()
+            make_sim(make_config(
+                total_accesses=40_000, checkpoint_every=1,
+                checkpoint_path=str(final),
+            )).run()
+        else:
+            trace = record(uniform_workload(footprint_pages=256, seed=6),
+                           2 * 4096, tmp_path / "s.rtrace", chunk_size=4096)
+            cfg = ServiceConfig(checkpoint_every=1, checkpoint_dir=str(ckpt_dir),
+                                max_rounds=2)
+            with Service([StreamSpec("s", str(trace))],
+                         make_config(chunk_size=4096), cfg) as svc:
+                svc.run()
+        assert calls == ["fsync", "replace"] * 2
+        assert sorted(p.name for p in ckpt_dir.iterdir()) == [final.name]
 
     def test_instrumented_run_keeps_sim_clock_picklable(self):
         """The tracer's simulated-clock binding rides inside

@@ -1,8 +1,43 @@
 """Tests for the command-line interface."""
 
+import argparse
+import socket
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+
+
+def _run_actions():
+    """Every option action of the ``run`` parser except help/resume."""
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return [a for a in sub.choices["run"]._actions
+            if a.option_strings and a.dest not in ("help", "resume")]
+
+
+def _non_default_argv(action, tmp_path):
+    """``action``'s flag with a valid value other than its default."""
+    flag = action.option_strings[0]
+    if action.nargs == 0:
+        return [flag]
+    if action.choices:
+        return [flag, next(c for c in action.choices if c != action.default)]
+    if action.type in (int, float):
+        return [flag, str(action.default + 1)]
+    return [flag, str(tmp_path / action.dest)]
+
+
+def _free_port():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def _refused(out):
+    """The flags a ``cannot resume with ...`` line names."""
+    (line,) = [l for l in out.splitlines() if l.startswith("cannot resume with ")]
+    return line[len("cannot resume with "):].split(":")[0].split(", ")
 
 
 class TestList:
@@ -374,6 +409,83 @@ class TestRunCheckpointResume:
         capsys.readouterr()
         assert main(["run", "--resume", str(ckpt)]) == 2
         assert "truncated" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def instrumented_ckpt(tmp_path_factory):
+    """A run checkpoint carrying a metrics registry and a recorder."""
+    ckpt = tmp_path_factory.mktemp("resume") / "run.ckpt"
+    assert main([
+        "run", "--bench", "mcf", "--accesses", "60000", "--chunk", "20000",
+        "--record-series", "default",
+        "--checkpoint", str(ckpt), "--checkpoint-every", "2",
+    ]) == 0
+    return ckpt
+
+
+class TestResumeFlags:
+    """Every ``run`` option on the ``--resume`` path is honoured or
+    refused with exit 2, never silently dropped."""
+
+    @staticmethod
+    def honoured(flag, tmp):
+        """(argv walking ``flag``, output proving it was honoured), or
+        None for an option a resume must refuse."""
+        if flag == "--metrics":
+            return (["--metrics", str(tmp / "m.json")],
+                    f"metrics snapshot written to {tmp / 'm.json'}")
+        if flag == "--serve":
+            return ["--serve"], "live metrics  : http://"
+        if flag == "--serve-port":
+            port = _free_port()
+            return ["--serve", "--serve-port", str(port)], f":{port}/metrics"
+        if flag == "--serve-linger":
+            return (["--serve", "--serve-linger", "0.01"],
+                    "serving the final snapshot for 0.01s")
+        if flag == "--record-out":
+            return (["--record-out", str(tmp / "r.jsonl")],
+                    f"per-epoch series written to {tmp / 'r.jsonl'}")
+        return None
+
+    @pytest.mark.parametrize("action", _run_actions(),
+                             ids=lambda a: a.option_strings[0])
+    def test_resume_walks_every_run_option(
+        self, capsys, tmp_path, instrumented_ckpt, action
+    ):
+        flag = action.option_strings[0]
+        honoured = self.honoured(flag, tmp_path)
+        argv = honoured[0] if honoured else _non_default_argv(action, tmp_path)
+        rc = main(["run", "--resume", str(instrumented_ckpt), *argv])
+        out = capsys.readouterr().out
+        if honoured:
+            assert rc == 0, out
+            assert honoured[1] in out
+        else:
+            assert rc == 2
+            assert _refused(out) == [flag]
+            assert "resuming from" not in out
+
+    def test_resume_names_every_refused_flag(self, capsys, tmp_path,
+                                             instrumented_ckpt):
+        rc = main(["run", "--resume", str(instrumented_ckpt),
+                   "--timeline", str(tmp_path / "t.jsonl"),
+                   "--trace", str(tmp_path / "t.json")])
+        assert rc == 2
+        assert _refused(capsys.readouterr().out) == ["--timeline", "--trace"]
+        assert not (tmp_path / "t.jsonl").exists()
+
+    def test_outputs_of_missing_instruments_are_refused(self, capsys, tmp_path):
+        ckpt = tmp_path / "plain.ckpt"
+        assert main(["run", "--bench", "mcf", "--accesses", "40000",
+                     "--chunk", "20000", "--checkpoint", str(ckpt),
+                     "--checkpoint-every", "1"]) == 0
+        capsys.readouterr()
+        rc = main(["run", "--resume", str(ckpt), "--serve",
+                   "--metrics", str(tmp_path / "m.json"),
+                   "--record-out", str(tmp_path / "r.jsonl")])
+        assert rc == 2
+        assert set(_refused(capsys.readouterr().out)) == {
+            "--serve", "--metrics", "--record-out"}
 
 
 class TestServeCommand:

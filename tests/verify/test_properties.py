@@ -49,27 +49,6 @@ class TestCmSketchNeverUnderestimates:
         for key, count in true.items():
             assert estimate_one(sketch, key) >= count
 
-    @SETTINGS
-    @given(streams)
-    def test_conservative_update(self, keys):
-        sketch = CountMinSketch(64, depth=2, conservative=True)
-        for key in keys:
-            sketch.update_one(key)
-        true = collections.Counter(keys)
-        for key, count in true.items():
-            assert estimate_one(sketch, key) >= count
-
-    @SETTINGS
-    @given(streams)
-    def test_conservative_never_above_plain(self, keys):
-        plain = CountMinSketch(16, depth=2)
-        conservative = CountMinSketch(16, depth=2, conservative=True)
-        for key in keys:
-            plain.update_one(key)
-            conservative.update_one(key)
-        for key in set(keys):
-            assert estimate_one(conservative, key) <= estimate_one(plain, key)
-
 
 class TestSpaceSavingBounds:
     @SETTINGS
