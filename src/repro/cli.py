@@ -41,6 +41,7 @@ from repro.obs import (
     Observability,
     diff_snapshots,
     load_metrics_file,
+    load_rules,
     merged_chrome_trace,
     write_chrome_trace,
 )
@@ -201,6 +202,18 @@ def _refused_on_resume(args, sim: Simulation) -> List[str]:
             if dest not in honoured and value != defaults[dest]]
 
 
+def _slo_rules_error(args) -> Optional[str]:
+    """Why ``--slo-rules`` cannot be loaded, or None.  Checked before
+    any work, as a bad ``--timeline`` path is."""
+    if not args.slo_rules:
+        return None
+    try:
+        load_rules(args.slo_rules)
+    except ValueError as exc:
+        return f"cannot load --slo-rules: {exc}"
+    return None
+
+
 def cmd_run(args) -> int:
     resume = getattr(args, "resume", None)
     if resume:
@@ -223,6 +236,14 @@ def cmd_run(args) -> int:
         if not args.bench:
             print("error: --bench is required (unless resuming with "
                   "--resume)")
+            return 2
+        if args.record_out and not (args.record_series or args.slo_rules):
+            print("cannot honour --record-out: nothing is recorded without "
+                  "--record-series (or --slo-rules)")
+            return 2
+        slo_error = _slo_rules_error(args)
+        if slo_error:
+            print(slo_error)
             return 2
         workload = registry.build(args.bench, seed=args.seed)
         telemetry = None
@@ -578,6 +599,10 @@ def cmd_fleet(args) -> int:
         )
     except ValueError as exc:
         print(f"bad fleet configuration: {exc}")
+        return 2
+    slo_error = _slo_rules_error(args)
+    if slo_error:
+        print(slo_error)
         return 2
     config = _config_from(args)
     config.seed = args.seed

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
@@ -81,10 +82,16 @@ class SloRule:
             )
         if self.op not in _OPS:
             raise ValueError(f"unknown op {self.op!r} (known: {_OPS})")
-        if self.window < 1:
-            raise ValueError("window must be positive")
-        if self.for_epochs < 1:
-            raise ValueError("for_epochs must be positive")
+        if not isinstance(self.threshold, numbers.Real):
+            raise ValueError(
+                f"threshold must be a number, not {self.threshold!r}"
+            )
+        for knob in ("window", "for_epochs"):
+            value = getattr(self, knob)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(
+                    f"{knob} must be a positive integer, not {value!r}"
+                )
 
     def breaches(self, value: float) -> bool:
         if self.op == ">":
@@ -147,16 +154,23 @@ def default_rules(config: "SimConfig") -> List[SloRule]:
 def load_rules(
     spec: str, config: Optional["SimConfig"] = None
 ) -> List[SloRule]:
-    """Resolve a ``slo_rules`` spec: ``"default"`` or a JSON file path."""
+    """Resolve a ``slo_rules`` spec: ``"default"`` or a JSON file path.
+
+    A file that cannot be read, is not JSON, or does not describe
+    valid rules raises ``ValueError`` naming the file.
+    """
     if spec == "default":
         if config is None:
             from repro.sim.config import SimConfig
 
             config = SimConfig()
         return default_rules(config)
-    with open(spec) as fh:
-        payload = json.load(fh)
-    raw_rules = payload.get("rules")
+    try:
+        with open(spec) as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{spec}: cannot read SLO rules ({exc})") from exc
+    raw_rules = payload.get("rules") if isinstance(payload, dict) else None
     if not isinstance(raw_rules, list) or not raw_rules:
         raise ValueError(f"{spec}: expected a non-empty 'rules' list")
     allowed = (
@@ -164,13 +178,18 @@ def load_rules(
     )
     rules: List[SloRule] = []
     for raw in raw_rules:
+        if not isinstance(raw, dict):
+            raise ValueError(f"{spec}: a rule must be an object, not {raw!r}")
         unknown = [k for k in raw if k not in allowed]
         if unknown:
             raise ValueError(
                 f"{spec}: unknown rule fields {unknown} "
                 f"(allowed: {list(allowed)})"
             )
-        rules.append(SloRule(**raw))
+        try:
+            rules.append(SloRule(**raw))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{spec}: bad rule {raw!r} ({exc})") from exc
     return rules
 
 

@@ -15,11 +15,14 @@ Checkpoint/resume: every ``checkpoint_every`` scheduler rounds the
 service persists its whole state — the round counter, both configs,
 the results of already finished streams, and each live stream's
 engine state and source chunk ordinal — as one ``service.ckpt``
-envelope (:func:`~repro.sim.engine.write_checkpoint`).  One atomic
-replace publishes all of it, so a kill at any instant leaves either
-the previous checkpoint or the new one.  Resuming re-opens each
-source, repositions it with :meth:`~repro.workloads.TraceReader.skip`,
-and continues; with complete (sealed) sources the resumed service's
+envelope (:func:`~repro.sim.engine.write_checkpoint`).  The ingest
+buffer's addresses are not in it, only how many chunks it held.  One
+atomic replace publishes all of it, so a kill at any instant leaves
+either the previous checkpoint or the new one.  Resuming re-opens
+each source, repositions it with
+:meth:`~repro.workloads.TraceReader.skip` at the first buffered chunk,
+reads the buffered chunks back into the buffer, and continues; with
+complete (sealed) sources the resumed service's
 final per-stream results are bit-identical to an uninterrupted run —
 the scheduler has no wall-clock inputs, so the only nondeterminism
 possible is a source that was still growing.
@@ -28,6 +31,7 @@ possible is a source that was still growing.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import signal
 import time
 from dataclasses import dataclass
@@ -147,13 +151,27 @@ class ServiceStream:
         stream = cls.__new__(cls)
         stream.spec = spec
         stream.source = TraceReader(spec.trace)
-        skipped = stream.source.skip(chunks_read)
-        if skipped != chunks_read:
+        # The checkpoint holds the buffer's chunk count, not its
+        # addresses: skip to the first buffered chunk, read the
+        # buffered ones back.
+        workload: StreamWorkload = sim.workload
+        start = chunks_read - workload.chunks_held
+        skipped = stream.source.skip(start)
+        buffered = list(itertools.islice(stream.source.chunks(),
+                                         workload.chunks_held))
+        if skipped + len(buffered) != chunks_read:
             raise CheckpointError(
                 f"stream {spec.name!r}: source {spec.trace} holds only "
-                f"{skipped} of the {chunks_read} chunks the checkpoint "
-                "had consumed (trace truncated or replaced?)"
+                f"{skipped + len(buffered)} of the {chunks_read} chunks the "
+                "checkpoint had read (trace truncated or replaced?)"
             )
+        try:
+            workload.refill(buffered)
+        except ValueError as exc:
+            raise CheckpointError(
+                f"stream {spec.name!r}: source {spec.trace} does not match "
+                f"the checkpoint's buffer: {exc} (trace replaced?)"
+            ) from exc
         stream.sim = sim
         stream.st = st
         stream.policy = sim.epoch_policy
@@ -377,7 +395,11 @@ class Service:
         atomic replace.  Only those tuples are pickled, never a
         :class:`ServiceStream` or the service itself: sources hold
         open file handles, and profilers wrap methods on those
-        instances.
+        instances.  A stream's ingest buffer pickles as its chunk
+        count, not its addresses (:meth:`_restored` reads them back
+        from the source), and the epoch state leaves out the last
+        epoch's arrays, so the file holds state and read positions,
+        not trace data.
         """
         ckpt_dir = Path(self.config.checkpoint_dir)
         ckpt_dir.mkdir(parents=True, exist_ok=True)

@@ -4,11 +4,13 @@ A service stream couples a *source* (a chunked trace stream read by
 :class:`~repro.workloads.TraceReader`, possibly still being written)
 to a *buffer* (:class:`StreamWorkload`, the bounded FIFO the epoch
 engine consumes from).  The split matters for checkpointing: the
-buffer and its bookkeeping live inside the stream's
-:class:`~repro.sim.Simulation` object graph and pickle with it, while
-the source (an open file handle) stays outside and is re-opened and
-repositioned from the chunk count in the service checkpoint on
-resume.
+buffer's bookkeeping lives inside the stream's
+:class:`~repro.sim.Simulation` object graph and pickles with it, but
+its addresses do not: they are copies of chunks that already sit,
+CRC-checked, in the trace.  A checkpoint therefore holds the source's
+read position and the number of chunks the buffer held; resume
+re-opens the source, skips to the first buffered chunk and reads the
+buffered chunks again (:meth:`StreamWorkload.refill`).
 
 Backpressure reuses the bounded-queue discipline of the migration
 subsystem: :meth:`StreamWorkload.feed` accepts chunks only while the
@@ -19,7 +21,7 @@ nothing is dropped, the *file* is the queue's overflow.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -44,10 +46,10 @@ class StreamWorkload(TraceGenerator):
     this workload is *finite and externally fed*: the scheduler must
     only drive as many accesses as are buffered.
 
-    Picklable by design — the buffer is part of a checkpointed
-    simulation's object graph, so in-flight (ingested but not yet
-    consumed) addresses survive a kill/resume without re-reading
-    them from the source.
+    A pickle carries the bookkeeping (the count of buffered chunks,
+    the consumed prefix of the first, the totals) but no addresses:
+    an unpickled buffer holds nothing until :meth:`refill` hands it
+    those chunks again, read back from the source.
     """
 
     def __init__(
@@ -125,3 +127,36 @@ class StreamWorkload(TraceGenerator):
         self._buffered -= take
         self.consumed_total += take
         return out
+
+    # ------------------------------------------------------------------
+    # checkpointing: positions, not data
+
+    @property
+    def chunks_held(self) -> int:
+        """Source chunks in the buffer, the first possibly part consumed."""
+        return len(self._parts)
+
+    def __getstate__(self) -> Dict[str, object]:
+        # One placeholder per buffered chunk: the count survives, the
+        # addresses are read back from the source (refill).
+        state = self.__dict__.copy()
+        state["_parts"] = [None] * len(self._parts)
+        return state
+
+    def refill(self, chunks: List[np.ndarray]) -> None:
+        """Give an unpickled buffer back the chunks it held.
+
+        ``chunks`` are the :attr:`chunks_held` source chunks that end
+        at the checkpointed read position.  Raises ``ValueError``
+        unless they hold exactly the buffered addresses plus the
+        consumed prefix of the first.
+        """
+        held = sum(int(c.size) for c in chunks)
+        if len(chunks) != len(self._parts) or \
+                held != self._head + self._buffered:
+            raise ValueError(
+                f"{len(chunks)} chunks of {held} addresses do not refill a "
+                f"buffer of {len(self._parts)} chunks holding "
+                f"{self._head + self._buffered}"
+            )
+        self._parts = [np.asarray(c, dtype=np.uint64) for c in chunks]

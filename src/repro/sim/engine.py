@@ -70,10 +70,14 @@ queue's behaviour).  Instant mode stays the default.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 import pickle
+import pickletools
+import struct
+import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import IO, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -128,8 +132,13 @@ Stage = Callable[[EpochPolicy, "_EpochState"], None]
 #: (:meth:`Simulation.save_state`, the ``repro serve`` service
 #: checkpoint).  Bumped whenever the pickled state's shape changes
 #: incompatibly; :func:`read_checkpoint` refuses other versions rather
-#: than resuming from state it would misinterpret.
-CHECKPOINT_FORMAT_VERSION = 4
+#: than resuming from state it would misinterpret.  Format 5 added the
+#: length + CRC32 trailer and stopped pickling re-derivable data (the
+#: ingest buffer's addresses, the last epoch's arrays).
+CHECKPOINT_FORMAT_VERSION = 5
+
+#: The trailer after the pickle: its byte length and its ``zlib.crc32``.
+_TRAILER = struct.Struct("<QI")
 
 #: Events the default ring-buffer sink keeps (``RunResult.timeline``).
 TIMELINE_CAPACITY = 4096
@@ -139,13 +148,34 @@ class CheckpointError(RuntimeError):
     """A checkpoint could not be written or read back."""
 
 
+class _Crc32Writer:
+    """Forwards writes to a file, keeping their CRC32 and byte count.
+
+    ``pickle.dump`` streams through it, so the envelope is checksummed
+    without ever being held in memory as one bytes object.  Protocol 5
+    hands over large buffers as ``PickleBuffer`` objects, whose
+    ``len`` is not their size in bytes.
+    """
+
+    def __init__(self, fh: IO[bytes]) -> None:
+        self.fh = fh
+        self.crc = 0
+        self.length = 0
+
+    def write(self, data: "bytes | pickle.PickleBuffer") -> int:
+        self.crc = zlib.crc32(data, self.crc)
+        self.length += memoryview(data).nbytes
+        return self.fh.write(data)
+
+
 def write_checkpoint(
     path: "str | os.PathLike", kind: str, payload: Dict[str, object]
 ) -> None:
     """Publish one checkpoint envelope, atomically and durably.
 
     The envelope is ``payload`` plus its ``format`` and ``kind``,
-    pickled to ``<path>.tmp``, fsynced, then ``os.replace``d onto
+    pickled to ``<path>.tmp`` and followed by a trailer holding the
+    pickle's length and CRC32, fsynced, then ``os.replace``d onto
     ``path``.  A crash at any instant leaves either the previous
     checkpoint or this one, never a torn file, and power loss after
     the replace cannot publish an empty one.
@@ -155,7 +185,9 @@ def write_checkpoint(
     envelope = {"format": CHECKPOINT_FORMAT_VERSION, "kind": kind, **payload}
     try:
         with open(tmp, "wb") as fh:
-            pickle.dump(envelope, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            writer = _Crc32Writer(fh)
+            pickle.dump(envelope, writer, protocol=pickle.HIGHEST_PROTOCOL)
+            fh.write(_TRAILER.pack(writer.length, writer.crc))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -165,19 +197,74 @@ def write_checkpoint(
         raise
 
 
+def _unsupported_format(version: object) -> CheckpointError:
+    return CheckpointError(
+        f"checkpoint format {version!r} is not supported "
+        f"(this build reads format {CHECKPOINT_FORMAT_VERSION}); "
+        "re-create the checkpoint with this version"
+    )
+
+
+def _declared_format(data: bytes) -> Optional[int]:
+    """The ``format`` an envelope pickle declares, read off its first
+    opcodes without unpickling anything (None if none is found)."""
+    after_key = False
+    try:
+        for op, arg, _ in itertools.islice(pickletools.genops(data), 16):
+            if after_key and not op.name.endswith(("MEMOIZE", "PUT")):
+                return arg if type(arg) is int else None
+            after_key = after_key or arg == "format"
+    except ValueError:
+        pass
+    return None
+
+
+def _verified_pickle(path: str, data: bytes) -> memoryview:
+    """The pickle inside a checkpoint file, after its trailer checks.
+
+    A file without a matching trailer is either cut short, damaged, or
+    an envelope of a format before 5; the latter is named by its
+    format, read off the pickle's opcodes.
+    """
+    size = len(data) - _TRAILER.size
+    if size >= 0:
+        length, crc = _TRAILER.unpack_from(data, size)
+        if length == size:
+            body = memoryview(data)[:size]
+            if zlib.crc32(body) != crc:
+                raise CheckpointError(
+                    f"checkpoint {path} is corrupt: CRC32 mismatch over its "
+                    f"{size}-byte envelope"
+                )
+            return body
+    version = _declared_format(data)
+    if version is not None and version != CHECKPOINT_FORMAT_VERSION:
+        raise _unsupported_format(version)
+    raise CheckpointError(
+        f"checkpoint {path} is truncated or corrupt: no trailer matches "
+        f"its {len(data)} bytes"
+    )
+
+
 def read_checkpoint(path: "str | os.PathLike", kind: str) -> Dict[str, object]:
     """Load one :func:`write_checkpoint` envelope of the given ``kind``.
 
-    The format is checked before the kind, so a file from an older
-    build reports its format.  Every failure (unreadable or truncated
-    file, foreign pickle, other format or kind) raises
-    :class:`CheckpointError`.
+    The trailer's length and CRC32 are checked before anything is
+    unpickled, so a flipped byte fails here instead of resuming a run
+    that silently diverges.  The format is checked before the kind, so
+    a file from an older build reports its format.  Every failure
+    (unreadable, truncated or damaged file, foreign pickle, other
+    format or kind) raises :class:`CheckpointError`.
     """
+    path = os.fspath(path)
     try:
-        with open(os.fspath(path), "rb") as fh:
-            envelope = pickle.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    body = _verified_pickle(path, data)
+    try:
+        envelope = pickle.loads(body)
     except (EOFError, pickle.UnpicklingError) as exc:
         raise CheckpointError(
             f"checkpoint {path} is truncated or corrupt: {exc}"
@@ -186,11 +273,7 @@ def read_checkpoint(path: "str | os.PathLike", kind: str) -> Dict[str, object]:
         raise CheckpointError(f"{path} is not a checkpoint")
     version = envelope.get("format")
     if version != CHECKPOINT_FORMAT_VERSION:
-        raise CheckpointError(
-            f"checkpoint format {version!r} is not supported "
-            f"(this build reads format {CHECKPOINT_FORMAT_VERSION}); "
-            "re-create the checkpoint with this version"
-        )
+        raise _unsupported_format(version)
     if envelope.get("kind") != kind:
         raise CheckpointError(
             f"{path} is a {envelope.get('kind')!r} checkpoint, "
@@ -310,6 +393,14 @@ class _EpochState:
     tick: Optional[TickReport] = None
     enqueued_before: int = 0
     qdropped_before: int = 0
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The trace stage rewrites these before any stage reads them,
+        # and finalize never does: a checkpoint leaves the last
+        # epoch's arrays out.
+        state = self.__dict__.copy()
+        state.update(chunk=None, lpages=None, phys=None, view=None)
+        return state
 
 
 class Simulation:

@@ -105,14 +105,29 @@ class TestStreamWorkload:
         assert wl.feed(np.empty(0, dtype=np.uint64))
         assert wl.buffered == 0 and wl.fed_total == 0
 
-    def test_pickle_preserves_in_flight_addresses(self):
-        wl = self.wl()
-        wl.feed(np.arange(10, dtype=np.uint64))
-        wl.chunk(3)
-        clone = pickle.loads(pickle.dumps(wl))
-        assert clone.buffered == 7
-        assert np.array_equal(clone.chunk(7),
-                              np.arange(3, 10, dtype=np.uint64))
+    def test_pickle_carries_positions_not_addresses(self):
+        """A pickled buffer holds its bookkeeping, never its addresses:
+        its size does not grow with what is buffered, and it reads
+        nothing until the same chunks refill it."""
+        sizes = {}
+        for n in (10, 1 << 16):
+            wl = self.wl()
+            wl.feed(np.arange(n, dtype=np.uint64))
+            wl.feed(np.arange(n, n + 6, dtype=np.uint64))
+            wl.chunk(3)
+            sizes[n] = len(pickle.dumps(wl))
+            clone = pickle.loads(pickle.dumps(wl))
+            assert (clone.buffered, clone.chunks_held) == (n + 3, 2)
+            assert clone.consumed_total == 3 and clone.fed_total == n + 6
+            with pytest.raises(ValueError, match="do not refill"):
+                clone.refill([np.arange(n, dtype=np.uint64)])
+            clone.refill([np.arange(n, dtype=np.uint64),
+                          np.arange(n, n + 6, dtype=np.uint64)])
+            assert np.array_equal(clone.chunk(n + 3),
+                                  np.arange(3, n + 6, dtype=np.uint64))
+        # 65,542 buffered addresses would be 512 KiB; only wider
+        # integers in the bookkeeping separate the two pickles.
+        assert sizes[1 << 16] - sizes[10] < 16
 
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
@@ -302,6 +317,64 @@ class TestServiceCheckpointResume:
         with pytest.raises(CheckpointError, match="holds only"):
             Service.resume(ckpt_dir)
 
+    def test_resume_mid_buffer_is_bit_identical(self, tmp_path):
+        """Trace chunks twice the epoch size and a three-epoch buffer:
+        every checkpoint catches the buffer holding several chunks, the
+        first of them half consumed, and the resumed run re-reads them
+        from the trace."""
+        wl = uniform_workload(footprint_pages=2048, seed=41)
+        path = record(wl, 12 * CHUNK, tmp_path / "s.rtrace",
+                      chunk_size=2 * CHUNK)
+        spec = StreamSpec("s", str(path), budget=CHUNK)
+        with Service([spec], sim_cfg()) as svc:
+            baseline = svc.run()
+        ckpt_dir = tmp_path / "ckpt"
+        cfg = ServiceConfig(buffer_capacity=3 * CHUNK, checkpoint_every=1,
+                            checkpoint_dir=str(ckpt_dir), max_rounds=3)
+        with Service([spec], sim_cfg(), cfg) as svc:
+            svc.run()
+            wl_live = svc.streams[0].workload
+            assert wl_live._head == CHUNK and wl_live.chunks_held == 2
+        resumed = Service.resume(ckpt_dir, max_rounds=0)
+        with resumed:
+            assert resumed.streams[0].workload.buffered == wl_live.buffered
+            results = resumed.run()
+        assert_results_bit_identical(baseline, results)
+
+    @pytest.mark.parametrize("damage", ("cut", "shorter", "rechunked"))
+    def test_resume_rejects_a_source_short_inside_the_buffer(
+        self, tmp_path, damage
+    ):
+        """The checkpoint read six chunks and buffered the last five.
+        Skipping to the first buffered chunk still succeeds; reading
+        the buffer back must not."""
+        ckpt_dir = tmp_path / "ckpt"
+        path = write_trace(tmp_path, "s.rtrace", 6, seed=3)
+        cfg = ServiceConfig(checkpoint_every=1, checkpoint_dir=str(ckpt_dir),
+                            max_rounds=1)
+        spec = StreamSpec("s", str(path), budget=CHUNK)
+        with Service([spec], sim_cfg(), cfg) as svc:
+            svc.run()
+            assert svc.streams[0].source.chunks_read == 6
+            assert svc.streams[0].workload.chunks_held == 5
+        if damage == "cut":  # the tail of chunk 3 onward never landed
+            with TraceReader(path) as r:
+                r.skip(3)
+                cut = r._fh.tell() + 10
+            path.write_bytes(path.read_bytes()[:cut])
+            match = "holds only 3 of the 6"
+        elif damage == "shorter":
+            write_trace(tmp_path, "s.rtrace", 4, seed=3)
+            match = "holds only 4 of the 6"
+        else:  # same addresses, other chunk boundaries
+            record(uniform_workload(footprint_pages=2048, seed=3),
+                   6 * CHUNK, path, chunk_size=CHUNK // 2)
+            match = "does not match the checkpoint's buffer"
+        with TraceReader(path) as r:
+            assert r.skip(1) == 1  # repositioning alone would succeed
+        with pytest.raises(CheckpointError, match=f"stream 's'.*{match}"):
+            Service.resume(ckpt_dir)
+
     def test_resume_rejects_a_damaged_source(self, tmp_path):
         """Repositioning walks the consumed blocks: a damaged length
         field there is corruption, not "the trace got shorter"."""
@@ -453,6 +526,58 @@ class TestCheckpointTruncation:
                 Simulation.load_state(truncated)
             else:
                 Service.resume(ckpt_dir)
+
+
+def load_checkpoint(kind, ckpt_dir):
+    """Load ``ckpt_dir/service.ckpt`` as a ``kind`` checkpoint; return
+    the loaded state re-pickled, so two loads compare byte for byte."""
+    path = ckpt_dir / "service.ckpt"
+    if kind == "simulation":
+        return pickle.dumps(Simulation.load_state(path))
+    with Service.resume(ckpt_dir) as svc:
+        return pickle.dumps((
+            svc.round, svc.checkpoints_written, svc.sim_config, svc.config,
+            svc.results,
+            [(s.spec, s.source.chunks_read, s.sim, s.st, s.workload.buffered)
+             for s in svc.streams],
+        ))
+
+
+class TestCheckpointByteFlips:
+    """One flipped byte anywhere in a checkpoint either fails loudly
+    with a :class:`CheckpointError` that calls the file corrupt, or
+    loads exactly what the intact file loads.  Without the trailer's
+    CRC a flip inside a pickled array loads silently."""
+
+    @pytest.fixture(scope="class")
+    def intact(self, checkpoint_bytes, tmp_path_factory):
+        loaded = {}
+        for kind, blob in checkpoint_bytes.items():
+            ckpt_dir = tmp_path_factory.mktemp(f"intact-{kind}")
+            (ckpt_dir / "service.ckpt").write_bytes(blob)
+            loaded[kind] = load_checkpoint(kind, ckpt_dir)
+        return loaded
+
+    @pytest.mark.parametrize("kind", ["simulation", "service"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_one_flipped_byte_fails_loudly_or_loads_identically(
+        self, kind, data, checkpoint_bytes, intact, tmp_path_factory
+    ):
+        blob = checkpoint_bytes[kind]
+        pos = data.draw(st.integers(0, len(blob) - 1), label="pos")
+        xor = data.draw(st.integers(1, 255), label="xor")
+        damaged = bytearray(blob)
+        damaged[pos] ^= xor
+        ckpt_dir = tmp_path_factory.getbasetemp() / f"flip-{kind}"
+        ckpt_dir.mkdir(exist_ok=True)
+        (ckpt_dir / "service.ckpt").write_bytes(bytes(damaged))
+        try:
+            loaded = load_checkpoint(kind, ckpt_dir)
+        except CheckpointError as exc:
+            assert " corrupt" in str(exc), str(exc)
+            return
+        assert loaded == intact[kind]
 
 
 class TestServiceTailsLiveSource:

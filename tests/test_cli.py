@@ -110,6 +110,55 @@ class TestRun:
         assert f"aborted {aborted} " in abort_lines[0]
 
 
+    def test_record_out_without_a_recorder_is_refused(self, tmp_path,
+                                                      capsys):
+        out = tmp_path / "series.csv"
+        rc = main([
+            "run", "--bench", "mcf", "--accesses", "40000",
+            "--chunk", "20000", "--record-out", str(out),
+        ])
+        assert rc == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["cannot honour --record-out: nothing is recorded "
+                         "without --record-series (or --slo-rules)"]
+        assert not out.exists()
+        # --slo-rules alone records the default series, so it exports.
+        rc = main([
+            "run", "--bench", "mcf", "--accesses", "40000",
+            "--chunk", "20000", "--slo-rules", "default",
+            "--record-out", str(out),
+        ])
+        assert rc == 0
+        assert len(out.read_text().splitlines()) == 1 + 2  # header + epochs
+
+
+@pytest.mark.parametrize("problem", ("missing", "directory", "not-json",
+                                     "no-rules", "bad-rule",
+                                     "text-threshold"))
+@pytest.mark.parametrize("command", ("run", "fleet"))
+def test_bad_slo_rules_file_exits_2_naming_it(tmp_path, capsys, command,
+                                              problem):
+    """Every subcommand that takes ``--slo-rules`` refuses an unusable
+    rule file up front with one message, never a traceback."""
+    path = tmp_path / "rules.json"
+    if problem == "directory":
+        path.mkdir()
+    elif problem == "not-json":
+        path.write_text("{rules: [")
+    elif problem == "no-rules":
+        path.write_text("[]")
+    elif problem == "bad-rule":
+        path.write_text('{"rules": [{"name": "no-series"}]}')
+    elif problem == "text-threshold":  # else it fails at the first epoch
+        path.write_text('{"rules": [{"name": "r", "series": "epoch_s", '
+                        '"threshold": "0"}]}')
+    rc = main([command, "--bench", "mcf", "--accesses", "40000",
+               "--chunk", "20000", "--slo-rules", str(path)])
+    assert rc == 2
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith(f"cannot load --slo-rules: {path}: ")
+
+
 class TestRunObservability:
     def test_metrics_prom_file(self, capsys, tmp_path):
         path = tmp_path / "run.prom"
