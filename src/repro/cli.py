@@ -138,15 +138,14 @@ def _write_metrics_snapshot(path: str, obs: Observability) -> None:
 
 def _print_flame_table(obs: Observability) -> None:
     rows = [
-        [r["name"], int(r["count"]), r["total_s"], r["self_s"],
-         r["total_sim_s"]]
+        [r["name"], int(r["count"]), r["total_s"], r["self_s"]]
         for r in obs.flame_table()
     ]
     if not rows:
         return
     print_table(
-        "flame table: wall-clock (and simulated time) per span",
-        ["span", "count", "total_s", "self_s", "sim_s"],
+        "flame table: wall-clock per span",
+        ["span", "count", "total_s", "self_s"],
         rows,
         precision=4,
         col_width=14,
@@ -157,17 +156,24 @@ def _print_flame_table(obs: Observability) -> None:
 
 
 def _print_slo_summary(watchdog) -> None:
+    """One line: the breaches (or how many rules stayed green), then
+    the rules that never had data, by name; those are not green."""
     if watchdog is None:
         return
-    if watchdog.breaches_total == 0:
-        print(f"slo           : all {len(watchdog.rules)} rules green")
-        return
-    per_rule = ", ".join(
-        f"{name}={total:.0f}"
-        for name, total in watchdog.breaches_by_rule().items()
-        if total > 0
-    )
-    print(f"slo           : {watchdog.breaches_total} breaches ({per_rule})")
+    silent = watchdog.rules_without_data()
+    parts = []
+    if watchdog.breaches_total:
+        per_rule = ", ".join(
+            f"{name}={total:.0f}"
+            for name, total in watchdog.breaches_by_rule().items()
+            if total > 0
+        )
+        parts.append(f"{watchdog.breaches_total} breaches ({per_rule})")
+    elif len(silent) < len(watchdog.rules):
+        parts.append(f"all {len(watchdog.rules) - len(silent)} rules green")
+    if silent:
+        parts.append(f"no data for {', '.join(silent)}")
+    print(f"slo           : {'; '.join(parts)}")
 
 
 def _export_recorder(path: str, recorder) -> None:
@@ -240,6 +246,10 @@ def cmd_run(args) -> int:
         if args.record_out and not (args.record_series or args.slo_rules):
             print("cannot honour --record-out: nothing is recorded without "
                   "--record-series (or --slo-rules)")
+            return 2
+        if args.trace and args.checkpoint_every:
+            print("cannot combine --trace with --checkpoint-every: a traced "
+                  "run's spans hold wall-clock state that does not resume")
             return 2
         slo_error = _slo_rules_error(args)
         if slo_error:

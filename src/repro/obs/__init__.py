@@ -6,8 +6,9 @@ One :class:`Observability` object per run bundles the two concerns:
   the engine, M5 manager, async migration engine, and CXL controller
   register counters/gauges/histograms into;
 * ``obs.tracer`` — a :class:`~repro.obs.tracing.Tracer` timing every
-  pipeline stage (and the migration tick as a nested span) in wall
-  and simulated time.
+  pipeline stage (and the migration tick as a nested span) in
+  wall-clock time.  Simulated time is not in the spans: it lives in
+  the per-epoch ``epoch`` telemetry record and ``sim_time_seconds``.
 
 The default is **off**: :data:`NULL_OBS` hands out no-op instruments
 and spans, so an uninstrumented run pays nothing and stays
@@ -67,9 +68,9 @@ from repro.obs.tracing import NULL_SPAN, Span, SpanRecord, Tracer
 class Observability:
     """Per-run bundle of a metrics registry and a tracer."""
 
-    def __init__(self, metrics: bool = True, tracing: bool = True, bus=None):
+    def __init__(self, metrics: bool = True, tracing: bool = True):
         self.registry = MetricsRegistry(enabled=metrics)
-        self.tracer = Tracer(enabled=tracing, bus=bus)
+        self.tracer = Tracer(enabled=tracing)
 
     @property
     def metrics_on(self) -> bool:

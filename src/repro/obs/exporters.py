@@ -174,19 +174,15 @@ def chrome_trace(
     """Spans as a Chrome ``trace_event`` JSON object.
 
     Complete (``"ph": "X"``) events with microsecond timestamps;
-    loadable in chrome://tracing and Perfetto.  Each event carries the
-    epoch and the simulated-time window in ``args``; ``pid`` groups
+    loadable in chrome://tracing and Perfetto.  Each event carries its
+    epoch in ``args``, the key that joins it to that epoch's ``epoch``
+    telemetry record (simulated time); ``pid`` groups
     the events into one process row (fleet traces use one pid per
     tenant).
     """
     events: List[Dict[str, object]] = []
     for span in sorted(spans, key=lambda s: s.start_wall_s):
-        args: Dict[str, object] = {
-            "epoch": span.epoch,
-            "sim_start_s": span.start_sim_s,
-            "sim_dur_s": span.dur_sim_s,
-        }
-        args.update(span.attrs)
+        args: Dict[str, object] = {"epoch": span.epoch, **span.attrs}
         events.append({
             "name": span.name,
             "cat": "pipeline",

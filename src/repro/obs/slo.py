@@ -38,7 +38,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -221,6 +221,10 @@ class SloWatchdog:
             for rule in self.rules
         }
         self._streaks: Dict[str, int] = {rule.name: 0 for rule in self.rules}
+        #: Rules that have produced a value at least once.  A rule never
+        #: in here had no data (no column matched its series), which
+        #: is not the same as green.
+        self._judged: Set[str] = set()
         #: Total breaching evaluations across all rules (post-sustain).
         self.breaches_total = 0
         #: Chronological record of every fired breach.
@@ -281,6 +285,8 @@ class SloWatchdog:
         fired = 0
         for rule in self.rules:
             value = self.evaluate_rule(rule)
+            if value is not None:
+                self._judged.add(rule.name)
             if value is None or not rule.breaches(value):
                 self._streaks[rule.name] = 0
                 continue
@@ -311,6 +317,11 @@ class SloWatchdog:
                     streak=int(self._streaks[rule.name]),
                 )
         return fired
+
+    def rules_without_data(self) -> List[str]:
+        """Names of the rules that never produced a value."""
+        return [rule.name for rule in self.rules
+                if rule.name not in self._judged]
 
     def breaches_by_rule(self) -> Dict[str, float]:
         """Total fired breaches per rule name."""

@@ -1,17 +1,18 @@
 """Stage tracing: nestable spans over the pipeline's hot paths.
 
-A :class:`Tracer` times named regions of the run in both wall-clock
-(``time.perf_counter``) and — when the engine wires its simulated
-clock in — simulated time.  Spans nest: the engine opens one ``run``
+A :class:`Tracer` times named regions of the run in wall-clock
+(``time.perf_counter``).  Spans nest: the engine opens one ``run``
 root span, each pipeline stage (``stage.trace`` … ``stage.checkpoint``)
 is a child, and the async migration tick appears as a grandchild
 under ``stage.migrate``, so the per-run *flame table* attributes
-every wall-clock second to the stage that burned it.
-
-Completed spans can optionally be published to the run's
-:class:`~repro.sim.telemetry.TelemetryBus` (``stage="span"`` events),
-and the whole span list exports to a Chrome ``trace_event`` JSON via
+every wall-clock second to the stage that burned it.  The span list
+exports to a Chrome ``trace_event`` JSON via
 :mod:`repro.obs.exporters` for chrome://tracing / Perfetto.
+
+Wall time lives only in the spans.  Simulated time lives only in the
+engine's per-epoch ``epoch`` telemetry record and the
+``sim_time_seconds`` gauge; each span carries the epoch it ran in, so
+the two join on the epoch.
 
 The engine times its stages by wrapping each one in a
 :class:`TimedStage` when the stage tuple is built, and only when
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 
 @dataclass
@@ -34,9 +35,6 @@ class SpanRecord:
     #: Wall-clock start relative to the tracer's origin, seconds.
     start_wall_s: float
     dur_wall_s: float
-    #: Simulated-clock window (0.0 when no sim clock was wired in).
-    start_sim_s: float
-    dur_sim_s: float
     depth: int
     epoch: int
     #: Wall-clock seconds spent in child spans (self = dur - child).
@@ -52,7 +50,6 @@ class _NullSpan:
     """Shared no-op context manager for disabled tracers."""
 
     __slots__ = ()
-    dur_wall_s = 0.0
 
     def __enter__(self) -> _NullSpan:
         return self
@@ -72,7 +69,7 @@ class Span:
 
     __slots__ = (
         "tracer", "name", "attrs", "depth", "epoch",
-        "_t0", "_sim0", "_child_wall_s", "dur_wall_s",
+        "_t0", "_child_wall_s", "dur_wall_s",
     )
 
     def __init__(self, tracer: Tracer, name: str, attrs: Dict[str, float]):
@@ -82,7 +79,6 @@ class Span:
         self.depth = 0
         self.epoch = 0
         self._t0 = 0.0
-        self._sim0 = 0.0
         self._child_wall_s = 0.0
         self.dur_wall_s = 0.0
 
@@ -95,7 +91,6 @@ class Span:
         self.depth = len(tr._stack)
         self.epoch = tr.current_epoch
         tr._stack.append(self)
-        self._sim0 = tr._sim_now()
         self._t0 = time.perf_counter()
         return self
 
@@ -106,54 +101,26 @@ class Span:
         tr._stack.pop()
         if tr._stack:
             tr._stack[-1]._child_wall_s += self.dur_wall_s
-        record = SpanRecord(
+        tr.spans.append(SpanRecord(
             name=self.name,
             start_wall_s=self._t0 - tr.origin,
             dur_wall_s=self.dur_wall_s,
-            start_sim_s=self._sim0,
-            dur_sim_s=max(0.0, tr._sim_now() - self._sim0),
             depth=self.depth,
             epoch=self.epoch,
             child_wall_s=self._child_wall_s,
             attrs=self.attrs,
-        )
-        tr.spans.append(record)
-        bus = tr.bus
-        if bus is not None and bus.active and tr.publish_spans:
-            bus.publish(
-                "span",
-                record.epoch,
-                record.start_sim_s,
-                name=record.name,
-                wall_us=record.dur_wall_s * 1e6,
-                depth=record.depth,
-            )
-
-
-class SimClock:
-    """Picklable simulated-clock binding for :attr:`Tracer.sim_clock`.
-
-    The engine points the tracer at its epoch state with an instance
-    of this class rather than a ``lambda: st.now_s`` closure: the
-    tracer rides inside checkpoint pickles, and a lambda on the
-    attribute would fail the first ``pickle.dump`` it meets.
-    """
-
-    __slots__ = ("_state",)
-
-    def __init__(self, state) -> None:
-        self._state = state
-
-    def __call__(self) -> float:
-        return float(self._state.now_s)
+        ))
 
 
 class TimedStage:
     """A pipeline stage wrapped in its ``stage.<name>`` span and its
     ``pipeline_stage_seconds{stage=<name>}`` observation.
 
-    A class rather than a closure for the same reason as
-    :class:`SimClock`: the stage tuple rides inside checkpoint pickles.
+    Each call reads the clock once on entry and once on exit: with
+    tracing on, the span's own pair, whose duration the histogram then
+    observes; with tracing off (a metrics-only run), a bare pair.  A
+    class rather than a closure because the stage tuple rides inside
+    checkpoint pickles.
     """
 
     __slots__ = ("fn", "span_name", "tracer", "hist")
@@ -165,10 +132,14 @@ class TimedStage:
         self.hist = hist
 
     def __call__(self, *args) -> None:
-        t0 = time.perf_counter()
-        with self.tracer.span(self.span_name):
+        if self.tracer.enabled:
+            with self.tracer.span(self.span_name) as span:
+                self.fn(*args)
+            self.hist.observe(span.dur_wall_s)
+        else:
+            t0 = time.perf_counter()
             self.fn(*args)
-        self.hist.observe(time.perf_counter() - t0)
+            self.hist.observe(time.perf_counter() - t0)
 
 
 class Tracer:
@@ -176,25 +147,15 @@ class Tracer:
 
     Args:
         enabled: a disabled tracer returns a shared no-op span.
-        bus: optional telemetry bus; completed spans publish
-            ``stage="span"`` events onto it (see ``publish_spans``).
     """
 
-    def __init__(self, enabled: bool = True, bus=None):
+    def __init__(self, enabled: bool = True):
         self.enabled = bool(enabled)
-        self.bus = bus
-        #: Publish completed spans onto ``bus`` (needs an active bus).
-        self.publish_spans = True
         self.spans: List[SpanRecord] = []
         self.origin = time.perf_counter()
         #: Current epoch, stamped onto spans (the engine maintains it).
         self.current_epoch = 0
-        #: Simulated clock; the engine wires a :class:`SimClock`.
-        self.sim_clock: Optional[Callable[[], float]] = None
         self._stack: List[Span] = []
-
-    def _sim_now(self) -> float:
-        return self.sim_clock() if self.sim_clock is not None else 0.0
 
     def span(self, name: str, **attrs):
         """Open a nestable timed region as a context manager."""
@@ -214,8 +175,8 @@ class Tracer:
         """Per-span-name aggregate: where the run's wall-clock went.
 
         One row per span name with ``count``, ``total_s`` (inclusive
-        wall), ``self_s`` (exclusive wall), ``total_sim_s``, sorted by
-        inclusive time descending.  ``total_s`` of the stage rows sums
+        wall) and ``self_s`` (exclusive wall), sorted by inclusive time
+        descending.  ``total_s`` of the stage rows sums
         to (almost exactly) the root span's duration, which is the
         run's measured wall-clock.
         """
@@ -223,13 +184,11 @@ class Tracer:
         for r in self.spans:
             row = rows.setdefault(
                 r.name,
-                {"name": r.name, "count": 0.0, "total_s": 0.0,
-                 "self_s": 0.0, "total_sim_s": 0.0},
+                {"name": r.name, "count": 0.0, "total_s": 0.0, "self_s": 0.0},
             )
             row["count"] += 1
             row["total_s"] += r.dur_wall_s
             row["self_s"] += r.self_wall_s
-            row["total_sim_s"] += r.dur_sim_s
         return sorted(rows.values(), key=lambda r: -r["total_s"])
 
     def total_wall_s(self, name: str) -> float:

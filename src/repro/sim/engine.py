@@ -41,9 +41,11 @@ observability layer: the engine, manager, async migration engine, and
 CXL controller register counters/gauges/histograms into its metrics
 registry (snapshotted onto ``RunResult.metrics``), and every stage is
 wrapped once, when the stage tuple is built, in a
-:class:`~repro.obs.tracing.TimedStage` that opens its tracing span
-(wall + simulated time, with the async migration tick nested
-underneath ``stage.migrate``) and observes ``pipeline_stage_seconds``.
+:class:`~repro.obs.tracing.TimedStage`.  One clock-read pair per stage
+call gives both its wall-clock tracing span (with the async migration
+tick nested underneath ``stage.migrate``) and its
+``pipeline_stage_seconds`` observation.  Simulated time is not in the
+spans: it lives in the ``epoch`` record and ``sim_time_seconds``.
 Every epoch loop (``run``, fleet tenants, service streams) advances
 through :meth:`Simulation.step_epoch`, so all of them get the same
 stage timing.  Without the bundle, the shared disabled instance makes
@@ -113,7 +115,7 @@ from repro.memory.mglru import MultiGenLru
 from repro.memory.tiers import NodeKind, NodeSpec, TieredMemory
 from repro.migration import AsyncMigrationConfig, AsyncMigrationEngine, TickReport
 from repro.obs import NULL_OBS, Observability, live_stack
-from repro.obs.tracing import SimClock, TimedStage
+from repro.obs.tracing import TimedStage
 from repro.sim.config import SimConfig
 from repro.sim.perf import EpochPerf, PerformanceModel
 from repro.sim.telemetry import RingBufferSink, TelemetryBus
@@ -134,8 +136,9 @@ Stage = Callable[[EpochPolicy, "_EpochState"], None]
 #: incompatibly; :func:`read_checkpoint` refuses other versions rather
 #: than resuming from state it would misinterpret.  Format 5 added the
 #: length + CRC32 trailer and stopped pickling re-derivable data (the
-#: ingest buffer's addresses, the last epoch's arrays).
-CHECKPOINT_FORMAT_VERSION = 5
+#: ingest buffer's addresses, the last epoch's arrays).  Format 6 added
+#: the SLO watchdog's set of rules that ever produced a value.
+CHECKPOINT_FORMAT_VERSION = 6
 
 #: The trailer after the pickle: its byte length and its ``zlib.crc32``.
 _TRAILER = struct.Struct("<QI")
@@ -1052,8 +1055,7 @@ class Simulation:
         return self.finalize(st)
 
     def _initial_state(self) -> _EpochState:
-        """Fresh run-scoped pipeline state (one per run); a live
-        tracer's simulated clock and span bus are bound to it."""
+        """Fresh run-scoped pipeline state (one per run)."""
         cfg = self.config
         self._checkpoint_epochs = set(
             np.linspace(1, cfg.num_epochs, cfg.checkpoints, dtype=int).tolist()
@@ -1069,11 +1071,6 @@ class Simulation:
                 / self.perf.cores
             ),
         )
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            tracer.sim_clock = SimClock(st)
-            if tracer.bus is None:
-                tracer.bus = self.telemetry
         return st
 
     def step_epoch(

@@ -120,6 +120,9 @@ class InvariantChecker:
     def _check(self, invariant: str, epoch: int, ok: bool, detail: str) -> None:
         self.checks_run += 1
         self._m_checks.labels(invariant=invariant).inc()
+        # Create the violations series at the first check, so a clean
+        # run records 0 and its SLO rule is judged green, not "no data".
+        self._m_violations.labels(invariant=invariant)
         if not ok:
             self._fail(invariant, epoch, detail)
 

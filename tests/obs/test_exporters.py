@@ -140,10 +140,8 @@ class TestChromeTrace:
     def traced(self):
         tracer = Tracer()
         tracer.current_epoch = 3
-        clock = {"now": 1.0}
-        tracer.sim_clock = lambda: clock["now"]
         with tracer.span("run"), tracer.span("stage.perf", note=7):
-            clock["now"] = 2.0
+            pass
         return tracer
 
     def test_event_shape(self):
@@ -157,10 +155,7 @@ class TestChromeTrace:
         assert perf["cat"] == "pipeline"
         assert perf["pid"] == 1 and perf["tid"] == 1
         assert perf["dur"] >= 0.0
-        assert perf["args"]["epoch"] == 3
-        assert perf["args"]["sim_start_s"] == 1.0
-        assert perf["args"]["sim_dur_s"] == 1.0
-        assert perf["args"]["note"] == 7
+        assert perf["args"] == {"epoch": 3, "note": 7}
 
     def test_write_is_loadable_json(self, tmp_path):
         path = tmp_path / "trace.json"

@@ -114,6 +114,16 @@ class TestWatchdog:
         rec.sample(1, 1.0)
         assert wd.evaluate(1, 1.0) == 0
         assert wd.breaches_total == 0
+        assert wd.rules_without_data() == ["ghost"]
+
+    def test_a_rule_that_ever_had_data_is_judged(self):
+        rule = SloRule(name="deep", series="depth", op=">", threshold=5.0)
+        gauge, rec, wd = make_watchdog([rule])
+        assert wd.rules_without_data() == ["deep"]
+        gauge.set(1.0)
+        rec.sample(1, 1.0)
+        wd.evaluate(1, 1.0)
+        assert wd.rules_without_data() == []
 
     def test_wildcard_judges_worst_matching_series(self):
         reg = MetricsRegistry()
@@ -203,3 +213,25 @@ class TestStarvedQueueAcceptance:
         ]
         assert alerts
         assert all(e["value"] >= e["threshold"] for e in alerts)
+
+
+def test_a_clean_invariant_checked_run_judges_the_invariant_rule():
+    """The violations series exists from the first check, so a run
+    without violations reads green on ``invariant_violations``; only
+    the fleet-only rule has no data on a single async run."""
+    config = SimConfig(
+        total_accesses=60_000,
+        chunk_size=15_000,
+        ddr_pages=256,
+        cxl_pages=4096,
+        pages_per_gb=1024,
+        migration_mode="async",
+        check_invariants=True,
+        slo_rules="default",
+    )
+    sim = Simulation(uniform_workload(footprint_pages=1024, seed=0), config,
+                     policy="m5-hpt",
+                     obs=Observability(metrics=True, tracing=False))
+    sim.run()
+    assert sim.watchdog.breaches_total == 0
+    assert sim.watchdog.rules_without_data() == ["bandwidth_starvation"]

@@ -4,7 +4,6 @@ import time
 
 from repro.obs import tracing
 from repro.obs.tracing import NULL_SPAN, Tracer
-from repro.sim.telemetry import RingBufferSink, TelemetryBus
 
 
 class FakeCounter:
@@ -52,16 +51,6 @@ class TestSpanNesting:
             pass
         assert tracer.spans[0].epoch == 7
 
-    def test_sim_clock_window(self):
-        tracer = Tracer()
-        clock = {"now": 1.0}
-        tracer.sim_clock = lambda: clock["now"]
-        with tracer.span("stage.perf"):
-            clock["now"] = 3.5
-        (record,) = tracer.spans
-        assert record.start_sim_s == 1.0
-        assert record.dur_sim_s == 2.5
-
     def test_set_attaches_attrs(self):
         tracer = Tracer()
         with tracer.span("migrate.tick") as span:
@@ -77,27 +66,6 @@ class TestDisabledTracer:
         with span as s:
             s.set(ignored=1)
         assert tracer.spans == []
-
-
-class TestBusPublication:
-    def test_completed_spans_publish_to_bus(self):
-        ring = RingBufferSink(capacity=16)
-        tracer = Tracer(bus=TelemetryBus([ring]))
-        with tracer.span("stage.trace"):
-            pass
-        events = [e for e in ring.events if e["stage"] == "span"]
-        assert len(events) == 1
-        assert events[0]["name"] == "stage.trace"
-        assert events[0]["wall_us"] >= 0.0
-
-    def test_publish_spans_opt_out(self):
-        ring = RingBufferSink(capacity=16)
-        tracer = Tracer(bus=TelemetryBus([ring]))
-        tracer.publish_spans = False
-        with tracer.span("stage.trace"):
-            pass
-        assert len(ring.events) == 0
-        assert len(tracer.spans) == 1
 
 
 class TestAggregation:

@@ -225,24 +225,6 @@ class TestCheckpointMechanics:
         assert calls == ["fsync", "replace"] * 2
         assert sorted(p.name for p in ckpt_dir.iterdir()) == [final.name]
 
-    def test_instrumented_run_keeps_sim_clock_picklable(self):
-        """The tracer's simulated-clock binding rides inside
-        checkpoint pickles; a lambda closure there breaks every
-        checkpoint taken after an instrumented run."""
-        from repro.obs.tracing import SimClock
-
-        sim = Simulation(
-            uniform_workload(footprint_pages=256, seed=0),
-            make_config(total_accesses=40_000),
-            policy="none",
-            obs=Observability(metrics=True),  # tracing defaults on
-        )
-        sim.run()
-        clock = sim.obs.tracer.sim_clock
-        assert isinstance(clock, SimClock)
-        revived = pickle.loads(pickle.dumps(clock))
-        assert revived() == clock()
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SimConfig(checkpoint_every=-1)

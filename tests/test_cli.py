@@ -131,6 +131,34 @@ class TestRun:
         assert rc == 0
         assert len(out.read_text().splitlines()) == 1 + 2  # header + epochs
 
+    def test_trace_with_periodic_checkpoints_is_refused(self, tmp_path,
+                                                        capsys):
+        """A traced run cannot be checkpointed; the combination is
+        refused before any epoch runs, not at the first checkpoint."""
+        trace, ckpt = tmp_path / "t.json", tmp_path / "c.ckpt"
+        rc = main([
+            "run", "--bench", "mcf", "--accesses", "80000",
+            "--chunk", "20000", "--trace", str(trace),
+            "--checkpoint", str(ckpt), "--checkpoint-every", "2",
+        ])
+        assert rc == 2
+        (line,) = capsys.readouterr().out.splitlines()
+        assert "--trace" in line and "--checkpoint-every" in line
+        assert not trace.exists() and not ckpt.exists()
+
+    def test_slo_rule_without_data_is_not_green(self, tmp_path, capsys):
+        rules = tmp_path / "rules.json"
+        rules.write_text('{"rules": [{"name": "typo", "series": '
+                         '"sim_epoch_secnds", "op": ">", "threshold": 1}]}')
+        rc = main([
+            "run", "--bench", "mcf", "--accesses", "40000",
+            "--chunk", "20000", "--slo-rules", str(rules),
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "slo           : no data for typo" in out.splitlines()
+        assert "green" not in out
+
 
 @pytest.mark.parametrize("problem", ("missing", "directory", "not-json",
                                      "no-rules", "bad-rule",
@@ -202,6 +230,22 @@ class TestRunObservability:
         trace = json.loads(path.read_text())
         names = {e["name"] for e in trace["traceEvents"]}
         assert "run" in names and "stage.perf" in names
+
+    def test_spans_stay_out_of_the_timeline(self, tmp_path):
+        import json
+
+        timeline = tmp_path / "timeline.jsonl"
+        rc = main([
+            "run", "--bench", "mcf", "--policy", "m5-hpt",
+            "--accesses", "100000", "--chunk", "25000",
+            "--trace", str(tmp_path / "trace.json"),
+            "--timeline", str(timeline),
+        ])
+        assert rc == 0
+        stages = [json.loads(line)["stage"]
+                  for line in timeline.read_text().splitlines()]
+        assert stages.count("epoch") == 4
+        assert "span" not in stages
 
 
 class TestMetricsCommand:
@@ -289,7 +333,9 @@ class TestFleet:
             "--slo-rules", "default",
         ])
         assert rc == 0
-        assert "slo           : all 4 rules green" in capsys.readouterr().out
+        assert ("slo           : all 1 rules green; no data for "
+                "queue_saturation, epoch_duration_p99, invariant_violations"
+                in capsys.readouterr().out.splitlines())
 
     @staticmethod
     def _recording_fleet(monkeypatch):
