@@ -32,6 +32,7 @@ from typing import Optional
 import numpy as np
 
 from repro.baselines.base import MigrationPolicy
+from repro.memory.address import distinct_pages
 from repro.memory.page_table import PageTable
 from repro.memory.tiers import TieredMemory
 from repro.memory.tlb import TlbShootdownModel
@@ -137,7 +138,8 @@ class AutoNumaBalancing(MigrationPolicy):
         faulted_mask = self.page_table.touch(pages)
         if not faulted_mask.any():
             return
-        fault_pages = np.unique(pages[faulted_mask])
+        fault_pages = distinct_pages(pages[faulted_mask],
+                                     self.memory.num_logical_pages)
         self.faults_handled += int(fault_pages.size)
         self.costs.charge(fault_pages.size * FAULT_COST_US, "hinting_fault")
         self._fault_count[fault_pages] += 1

@@ -21,10 +21,12 @@ evaluated statistically: a sampled page's bit reads as set with
 probability ``1 − exp(−rate_miss × interval)``, where ``rate_miss`` is
 the page's TLB-*missing* access rate during the epoch — the access
 bit is only set on a page walk, so TLB-resident pages undercount
-(§2.1's staleness caveat).  This is exact in expectation for Poisson
-arrivals and preserves the two DAMON failure modes the paper
-demonstrates: region blur and intensity blindness (a bit per sample,
-not a count).
+(§2.1's staleness caveat).  The TLB miss ratio is fixed once the
+epoch's accesses have touched the page table, so the probability is
+computed once per page per epoch and every sample looks it up.  This
+is exact in expectation for Poisson arrivals and preserves the two
+DAMON failure modes the paper demonstrates: region blur and intensity
+blindness (a bit per sample, not a count).
 
 CPU cost: every sample is a PTE walk + clear, and the sampling never
 stops — even "after page migration reaches an equilibrium state",
@@ -122,12 +124,11 @@ class Damon(MigrationPolicy):
         total = tlb.hits + tlb.misses
         return tlb.misses / total if total else 1.0
 
-    def _sample_passes(self, num_passes: int, counts: np.ndarray,
-                       epoch_s: float) -> None:
+    def _sample_passes(self, num_passes: int, p_page: np.ndarray) -> None:
         """Run ``num_passes`` sampling passes over the current regions.
 
-        Vectorised: pass p picks one uniform page per region; the bit
-        probability follows the page's TLB-missing access rate.
+        Vectorised: pass p picks one uniform page per region, whose
+        access bit reads as set with probability ``p_page[page]``.
         """
         num_regions = self.starts.size
         if num_passes <= 0 or not num_regions:
@@ -136,12 +137,7 @@ class Damon(MigrationPolicy):
         picks = self.starts[None, :] + (
             self._rng.random((num_passes, num_regions)) * sizes[None, :]
         ).astype(np.int64)
-        rate = (
-            counts[picks] * self.access_scale * self._tlb_miss_ratio()
-            / max(epoch_s, 1e-12)
-        )
-        p_bit = 1.0 - np.exp(-rate * self.sampling_interval_s)
-        self._nr_accesses += (self._rng.random(picks.shape) < p_bit).sum(axis=0)
+        self._nr_accesses += (self._rng.random(picks.shape) < p_page[picks]).sum(axis=0)
         total = num_passes * num_regions
         self.samples_taken += total
         self._samples_this_window += num_passes
@@ -237,15 +233,20 @@ class Damon(MigrationPolicy):
         # co-resident policy semantics) stay realistic.
         self.page_table.touch(pages)
         counts = np.bincount(pages, minlength=self.memory.num_logical_pages)
+        # The TLB counters, hence the miss ratio, are fixed for the rest
+        # of the epoch: one bit probability per page serves every pass.
+        rate = (
+            counts * self.access_scale * self._tlb_miss_ratio()
+            / max(epoch_s, 1e-12)
+        )
+        p_page = 1.0 - np.exp(-rate * self.sampling_interval_s)
         end_s = now_s + epoch_s
         # Position aggregation boundaries inside the epoch; sampling
         # passes between boundaries run in batches.
         cursor = now_s
         while self._next_aggregate_s <= end_s:
             span = self._next_aggregate_s - cursor
-            self._sample_passes(
-                int(span / self.sampling_interval_s), counts, epoch_s
-            )
+            self._sample_passes(int(span / self.sampling_interval_s), p_page)
             cursor = self._next_aggregate_s
             self._next_aggregate_s += self.aggregation_interval_s
             self._aggregate()
@@ -253,4 +254,4 @@ class Damon(MigrationPolicy):
         passes = int(self._sample_debt_s / self.sampling_interval_s)
         if passes:
             self._sample_debt_s -= passes * self.sampling_interval_s
-            self._sample_passes(passes, counts, epoch_s)
+            self._sample_passes(passes, p_page)

@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.baselines.anb import FAULT_COST_US, UNMAP_COST_US
 from repro.baselines.base import EpochView, MigrationPolicy
+from repro.memory.address import distinct_pages
 from repro.memory.page_table import PageTable
 from repro.memory.tiers import NodeKind, TieredMemory
 from repro.memory.tlb import TlbShootdownModel
@@ -115,9 +116,10 @@ class Tpp(MigrationPolicy):
         self._scan_if_due(now_s)
         faulted_mask = self.page_table.touch(pages)
         if not faulted_mask.any():
-            self._last_seen_s[np.unique(pages)] = now_s
+            self._last_seen_s[pages] = now_s
             return
-        fault_pages = np.unique(pages[faulted_mask])
+        fault_pages = distinct_pages(pages[faulted_mask],
+                                     self.memory.num_logical_pages)
         self.faults_handled += int(fault_pages.size)
         self.costs.charge(fault_pages.size * FAULT_COST_US, "hinting_fault")
         # Two-touch: promote only pages that were already active (seen
@@ -129,7 +131,7 @@ class Tpp(MigrationPolicy):
         self._promotion_budget -= promote.size
         self.refault_promotions += int(promote.size)
         self.record_hot(promote)
-        self._last_seen_s[np.unique(pages)] = now_s
+        self._last_seen_s[pages] = now_s
 
     def demotion_candidates(self) -> int:
         """Pages to demote proactively to restore the free watermark.

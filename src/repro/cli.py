@@ -31,7 +31,7 @@ import contextlib
 import functools
 import json
 import time
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.analysis import AccessCdf, from_wac, print_table
 from repro.core import hwcost
@@ -39,6 +39,7 @@ from repro.obs import (
     MetricsRegistry,
     ObsServer,
     Observability,
+    SloWatchdog,
     diff_snapshots,
     load_metrics_file,
     load_rules,
@@ -155,22 +156,36 @@ def _print_flame_table(obs: Observability) -> None:
           "wall-clock is inside per-stage spans")
 
 
-def _print_slo_summary(watchdog) -> None:
-    """One line: the breaches (or how many rules stayed green), then
-    the rules that never had data, by name; those are not green."""
-    if watchdog is None:
+def _print_slo_summary(watchdogs: Dict[str, Optional[SloWatchdog]]) -> None:
+    """One line over every watchdog of a run, keyed by scope (a fleet
+    has its own plus one per tenant): the breaches summed per rule,
+    naming each breaching scope when there are several (or how many
+    rules stayed green), then the rules that no watchdog judged, by
+    name; those are not green."""
+    live = {scope: dog for scope, dog in watchdogs.items() if dog is not None}
+    if not live:
         return
-    silent = watchdog.rules_without_data()
+    totals = {scope: dog.breaches_by_rule() for scope, dog in live.items()}
+    unjudged = [set(dog.rules_without_data()) for dog in live.values()]
+    rules = list(dict.fromkeys(name for by_rule in totals.values() for name in by_rule))
+    silent = [name for name in rules if all(name in names for names in unjudged)]
+    breaches = sum(dog.breaches_total for dog in live.values())
     parts = []
-    if watchdog.breaches_total:
-        per_rule = ", ".join(
-            f"{name}={total:.0f}"
-            for name, total in watchdog.breaches_by_rule().items()
-            if total > 0
-        )
-        parts.append(f"{watchdog.breaches_total} breaches ({per_rule})")
-    elif len(silent) < len(watchdog.rules):
-        parts.append(f"all {len(watchdog.rules) - len(silent)} rules green")
+    if breaches:
+        per_rule = []
+        for name in rules:
+            by_scope = {scope: by_rule[name] for scope, by_rule in totals.items()
+                        if by_rule.get(name, 0.0) > 0}
+            if not by_scope:
+                continue
+            item = f"{name}={sum(by_scope.values()):.0f}"
+            if len(live) > 1:
+                item += " [" + ", ".join(
+                    f"{scope}: {n:.0f}" for scope, n in by_scope.items()) + "]"
+            per_rule.append(item)
+        parts.append(f"{breaches} breaches ({', '.join(per_rule)})")
+    elif len(silent) < len(rules):
+        parts.append(f"all {len(rules) - len(silent)} rules green")
     if silent:
         parts.append(f"no data for {', '.join(silent)}")
     print(f"slo           : {'; '.join(parts)}")
@@ -306,7 +321,7 @@ def cmd_run(args) -> int:
               + ")")
         if args.record_out:
             _export_recorder(args.record_out, rec)
-    _print_slo_summary(sim.watchdog)
+    _print_slo_summary({"run": sim.watchdog})
     if args.trace:
         n_events = write_chrome_trace(args.trace, obs.tracer.spans)
         print(f"chrome trace written to {args.trace} "
@@ -666,7 +681,10 @@ def cmd_fleet(args) -> int:
         )
         print(f"invariants    : {checks:.0f} checks, "
               f"{violations:.0f} violations")
-    _print_slo_summary(fsim.watchdog)
+    _print_slo_summary({
+        "fleet": fsim.watchdog,
+        **{f"tenant {t}": sim.watchdog for t, sim in enumerate(fsim.sims)},
+    })
     if args.out:
         payload = result.as_dict()
         payload["metrics"] = result.metrics

@@ -128,3 +128,19 @@ def as_line_array(addresses) -> np.ndarray:
     """Coerce byte addresses to a uint64 array of 64B line indices."""
     arr = np.asarray(addresses, dtype=np.uint64)
     return arr >> np.uint64(WORD_SHIFT)
+
+
+def distinct_pages(pages: np.ndarray, num_pages: int) -> np.ndarray:
+    """The distinct logical pages of ``pages``, ascending, as int64:
+    what ``np.unique`` returns, from one boolean mask over the page
+    range ``[0, num_pages)``.
+
+    numpy 2's ``np.unique`` hashes its input, which on a few thousand
+    page ids costs over 30x this mask (1.36 ms against 0.04 ms on 10k
+    ids in ``[0, 7065)``, numpy 2.4, see ``docs/performance.md``).  The
+    mask is a per-call temporary, so no caller carries it into a
+    checkpoint.
+    """
+    seen = np.zeros(num_pages, dtype=bool)
+    seen[pages] = True
+    return np.flatnonzero(seen)

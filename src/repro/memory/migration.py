@@ -16,6 +16,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.memory.address import distinct_pages
 from repro.memory.mglru import MultiGenLru
 from repro.memory.tiers import NodeKind, TieredMemory
 
@@ -131,7 +132,8 @@ class MigrationEngine:
             Number of pages actually promoted.
         """
         # One request moves a page once: dedupe before any accounting.
-        pages = np.unique(np.asarray(pages, dtype=np.int64))
+        pages = distinct_pages(np.asarray(pages, dtype=np.int64),
+                               self.memory.num_logical_pages)
         pages = self._reject_pinned(pages)
         # Drop pages already on DDR.
         on_cxl = pages[self.memory.node_map[pages] == 1]
@@ -241,7 +243,8 @@ class MigrationEngine:
 
     def demote(self, pages: np.ndarray) -> int:
         """Migrate logical pages from DDR down to CXL."""
-        pages = np.unique(np.asarray(pages, dtype=np.int64))
+        pages = distinct_pages(np.asarray(pages, dtype=np.int64),
+                               self.memory.num_logical_pages)
         pages = self._reject_pinned(pages)
         on_ddr = pages[self.memory.node_map[pages] == 0]
         # A page-at-a-time loop stops at the first failed CXL

@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.memory.address import distinct_pages
 from repro.memory.tlb import Tlb
 
 
@@ -52,6 +53,9 @@ class PageTable:
         Sets the access bit for pages whose translation misses the TLB
         (hardware sets the A bit on a page walk; a TLB hit bypasses the
         walk so the bit stays stale — the §2.1 Solution 2 caveat).
+        Each faulting page counts one hinting fault however often it
+        was accessed; the faulted set is deduplicated by
+        :func:`~repro.memory.address.distinct_pages`.
 
         Returns:
             Boolean mask of accesses that raised hinting page faults
@@ -60,7 +64,7 @@ class PageTable:
         pages = np.asarray(pages, dtype=np.int64)
         faulted = ~self.present[pages]
         if faulted.any():
-            fault_pages = np.unique(pages[faulted])
+            fault_pages = distinct_pages(pages[faulted], self.num_pages)
             self.present[fault_pages] = True
             self.hinting_faults += int(fault_pages.size)
             self.pte_writes += int(fault_pages.size)

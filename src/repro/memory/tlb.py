@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.memory.address import distinct_pages
+
 
 class TlbShootdownModel:
     """CPU cost constants for TLB invalidations.
@@ -79,6 +81,10 @@ class Tlb:
     def access(self, pages: np.ndarray) -> np.ndarray:
         """Look up a batch of pages; cache the missing translations.
 
+        The missing pages are cached once each, ascending, deduplicated
+        by :func:`~repro.memory.address.distinct_pages` (what
+        ``np.unique`` returns, without numpy 2's hash).
+
         Returns:
             Boolean mask (aligned with ``pages``) of accesses that
             missed the TLB — i.e. that performed a page walk and set
@@ -87,7 +93,7 @@ class Tlb:
         pages = np.asarray(pages, dtype=np.int64)
         missed = ~self._cached[pages]
         self.hits += int((~missed).sum())
-        new_pages = np.unique(pages[missed])
+        new_pages = distinct_pages(pages[missed], self.num_pages)
         self.misses += int(missed.sum())
         if new_pages.size:
             self._insert(new_pages)

@@ -36,9 +36,9 @@ Seven oracle pairs, all run by ``repro verify``:
   reference model on one shared skewed stream: trackers
   (CM-Sketch/CAM, SpaceSaving, MisraGries, Exact),
   PAC/WAC observe, MGLRU generation updates, address translation,
-  bulk promote/demote frame placement, and DAMON's region promotion,
-  merge and split.  All state comparisons are exact (mismatch counts
-  with zero tolerance).
+  bulk promote/demote frame placement, the TLB's new-page sets, and
+  DAMON's sampling and region promotion, merge and split.  All state
+  comparisons are exact (mismatch counts with zero tolerance).
 * ``fleet`` — a 1-tenant, 2-tier :class:`~repro.fleet.FleetSimulation`
   vs the plain single-run :class:`~repro.sim.engine.Simulation`.  Zero
   tolerance everywhere, down to the frame and node maps: the fleet
@@ -163,6 +163,19 @@ def _cam_batches(
         order = np.argsort(keys)
         out.append((keys[order].astype(np.uint64), ests[order].astype(np.uint64)))
     return out
+
+
+def _log_inserts(tlb: Any) -> List[Any]:
+    """Make ``tlb`` log each new-page set it caches, with its dtype."""
+    inserted: List[Any] = []
+    insert = tlb._insert
+
+    def record(new_pages: np.ndarray) -> None:
+        inserted.append((new_pages.dtype.str, new_pages.tolist()))
+        insert(new_pages)
+
+    tlb._insert = record
+    return inserted
 
 
 def _cam_state(cam: SortedCam) -> List[Any]:
@@ -430,6 +443,7 @@ def kernels_oracle(seed: int = 0, accesses: int = 60_000) -> OracleReport:
     from repro.memory.mglru import MultiGenLru
     from repro.memory.migration import MigrationEngine, PinReason
     from repro.memory.tiers import NodeKind, TieredMemory
+    from repro.memory.tlb import Tlb
 
     report = OracleReport(
         "kernels",
@@ -580,6 +594,38 @@ def kernels_oracle(seed: int = 0, accesses: int = 60_000) -> OracleReport:
                int((ref_state[7] != fast_state[7]).sum()))
     report.add("node_access_mismatch", 0, int(ref_state[8] != fast_state[8]))
     report.add("victim_mismatches", 0, _mismatches(ref_state[9], fast_state[9]))
+
+    # TLB: lots from a handful of pages to several times the capacity
+    # (both eviction branches of _insert), with shootdowns and decay
+    # in between.  Each instance records the new-page sets it caches,
+    # with their dtypes, and the miss mask of every lookup.
+    tlbs, logs = [], []
+    for reference in (True, False):
+        tlb = Tlb(num_pages, capacity=96, decay=0.3, seed=seed)
+        if reference:
+            as_reference(tlb)
+        inserted = _log_inserts(tlb)
+        op_rng = np.random.default_rng(seed + 2)
+        missed = []
+        for step in range(40):
+            start = int(op_rng.integers(0, accesses))
+            lot = pages[start:start + int(op_rng.integers(1, 600))].astype(np.int64)
+            missed.append(tlb.access((lot + 37 * step) % num_pages).tolist())
+            tlb.shootdown(op_rng.integers(0, num_pages, size=8))
+            tlb.age()
+        tlbs.append(tlb)
+        logs.append((inserted, missed))
+    (ref_inserted, ref_missed), (fast_inserted, fast_missed) = logs
+    ref, fast = tlbs
+    report.add("tlb_new_page_set_mismatches", 0,
+               _mismatches(ref_inserted, fast_inserted))
+    report.add("tlb_miss_mask_mismatches", 0, _mismatches(ref_missed, fast_missed))
+    report.add("tlb_cached_mismatches", 0, int((ref._cached != fast._cached).sum()))
+    report.add("tlb_counter_mismatch", 0, int(
+        (ref.hits, ref.misses, ref.shootdowns, ref.resident)
+        != (fast.hits, fast.misses, fast.shootdowns, fast.resident)))
+    report.add("tlb_rng_state_mismatch", 0,
+               int(ref._rng.bit_generator.state != fast._rng.bit_generator.state))
 
     # DAMON region work: several aggregations per epoch over the same
     # skewed stream, its hot spot moving every epoch.  The small quota

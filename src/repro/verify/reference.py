@@ -5,10 +5,11 @@ what they do on *one* access; MGLRU and ``migrate_pages()`` act on one
 page at a time.  The production pipeline reaches the same end state a
 chunk at a time with array kernels.  This module keeps the literal
 one-at-a-time semantics as plain functions, one per vectorized entry
-point (DAMON's region work: one region at a time; the trace
-generators' page draw: one binary search per draw), so the ``engine``
-and ``kernels`` oracles, the golden matrix and the Hypothesis
-equivalence suites can hold the kernels to them.
+point (DAMON's region work: one region at a time; DAMON's sampling:
+one rate and ``exp`` per sample; the TLB's new-page set: one
+``np.unique``; the trace generators' page draw: one binary search per
+draw), so the ``engine`` and ``kernels`` oracles, the golden matrix
+and the Hypothesis equivalence suites can hold the kernels to them.
 
 :func:`as_reference` binds these functions onto one built component, or
 onto every component of a :class:`~repro.sim.engine.Simulation` before
@@ -32,7 +33,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 import numpy as np
 
 from repro.baselines.base import MigrationPolicy
-from repro.baselines.damon import Damon
+from repro.baselines.damon import SAMPLE_COST_US, Damon
 from repro.core.spacesaving import SpaceSaving
 from repro.core.topk import SortedCam
 from repro.core.trackers import (
@@ -48,6 +49,7 @@ from repro.memory.address import PAGE_SHIFT, PAGE_SIZE, WORD_SHIFT
 from repro.memory.migration import MigrationEngine
 from repro.memory.mglru import MultiGenLru
 from repro.memory.tiers import NodeKind, TieredMemory
+from repro.memory.tlb import Tlb
 from repro.sim.engine import Simulation
 
 T = TypeVar("T")
@@ -257,7 +259,67 @@ def record_hot(policy: MigrationPolicy, logical_pages: np.ndarray) -> None:
 
 
 # ----------------------------------------------------------------------
-# DAMON regions
+# page table
+
+
+def tlb_access(tlb: Tlb, pages: np.ndarray) -> np.ndarray:
+    """The TLB lookup with its new-page set taken by ``np.unique``."""
+    pages = np.asarray(pages, dtype=np.int64)
+    missed = ~tlb._cached[pages]
+    tlb.hits += int((~missed).sum())
+    new_pages = np.unique(pages[missed])
+    tlb.misses += int(missed.sum())
+    if new_pages.size:
+        tlb._insert(new_pages)
+    return missed
+
+
+# ----------------------------------------------------------------------
+# DAMON sampling and regions
+
+
+def _sample_passes(damon: Damon, num_passes: int, counts: np.ndarray,
+                   epoch_s: float) -> None:
+    """One sampling batch, each sample evaluating its own page's
+    TLB-missing rate and bit probability."""
+    num_regions = damon.starts.size
+    if num_passes <= 0 or not num_regions:
+        return
+    sizes = damon.ends - damon.starts
+    picks = damon.starts[None, :] + (
+        damon._rng.random((num_passes, num_regions)) * sizes[None, :]
+    ).astype(np.int64)
+    rate = (
+        counts[picks] * damon.access_scale * damon._tlb_miss_ratio()
+        / max(epoch_s, 1e-12)
+    )
+    p_bit = 1.0 - np.exp(-rate * damon.sampling_interval_s)
+    damon._nr_accesses += (damon._rng.random(picks.shape) < p_bit).sum(axis=0)
+    total = num_passes * num_regions
+    damon.samples_taken += total
+    damon._samples_this_window += num_passes
+    damon.costs.charge(total * SAMPLE_COST_US, "pte_sample")
+
+
+def damon_detect(damon: Damon, pages: np.ndarray, now_s: float,
+                 epoch_s: float) -> None:
+    """DAMON's epoch with the bit probability recomputed per sample
+    rather than read from a per-page table."""
+    damon.page_table.touch(pages)
+    counts = np.bincount(pages, minlength=damon.memory.num_logical_pages)
+    end_s = now_s + epoch_s
+    cursor = now_s
+    while damon._next_aggregate_s <= end_s:
+        span = damon._next_aggregate_s - cursor
+        _sample_passes(damon, int(span / damon.sampling_interval_s), counts, epoch_s)
+        cursor = damon._next_aggregate_s
+        damon._next_aggregate_s += damon.aggregation_interval_s
+        damon._aggregate()
+    damon._sample_debt_s += end_s - cursor
+    passes = int(damon._sample_debt_s / damon.sampling_interval_s)
+    if passes:
+        damon._sample_debt_s -= passes * damon.sampling_interval_s
+        _sample_passes(damon, passes, counts, epoch_s)
 
 
 def _regions(damon: Damon) -> List[List[int]]:
@@ -351,9 +413,10 @@ REFERENCE_MODELS: Tuple[Tuple[Any, Dict[str, Callable[..., Any]]], ...] = (
     (SpaceSaving, {"update_batch": update_batch}),
     (MultiGenLru, {"record_accesses": record_accesses, "coldest": coldest}),
     (MigrationEngine, {"promote": promote, "demote": demote}),
+    (Tlb, {"access": tlb_access}),
     (MigrationPolicy, {"record_hot": record_hot}),
-    (Damon, {"_promote_hot": promote_hot, "_merge_regions": merge_regions,
-             "_split_regions": split_regions}),
+    (Damon, {"_detect": damon_detect, "_promote_hot": promote_hot,
+             "_merge_regions": merge_regions, "_split_regions": split_regions}),
 )
 
 
@@ -368,8 +431,9 @@ def as_reference(obj: T) -> T:
     models above, and return it.
 
     ``obj`` is one component (tiers, PAC/WAC, a tracker with its CAM or
-    summary, MGLRU, the migration engine, a CPU-driven policy) or a
-    whole :class:`Simulation`, whose components are all converted.  The
+    summary, MGLRU, the migration engine, a TLB, a CPU-driven policy
+    with its page table's TLB) or a whole :class:`Simulation`, whose
+    components are all converted.  The
     swap is per instance; other instances keep the production kernels.
     """
     if isinstance(obj, Simulation):
@@ -385,6 +449,8 @@ def as_reference(obj: T) -> T:
         for part in (getattr(obj, "cam", None), getattr(obj, "summary", None)):
             if part is not None:
                 as_reference(part)
+    if isinstance(obj, MigrationPolicy):
+        as_reference(obj.page_table.tlb)
     return obj
 
 

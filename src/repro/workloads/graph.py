@@ -73,7 +73,9 @@ def preferential_attachment(num_nodes: int, m: int = 8, seed: int = 0) -> CsrGra
     repeated = list(range(m))
     src, dst = [], []
     for v in range(m, num_nodes):
-        picks = rng.choice(len(repeated), size=m, replace=True)
+        # The same stream as rng.choice(len(repeated), m), at half the
+        # per-call cost.
+        picks = rng.integers(0, len(repeated), size=m)
         chosen = {repeated[i] for i in picks.tolist()}
         # Sorted: set order is hash-dependent, and the attachment
         # order feeds the endpoint pool (DET003).

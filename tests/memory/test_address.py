@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.memory import address as addr
 
@@ -96,3 +98,32 @@ class TestAddressRegion:
     def test_repr_mentions_bounds(self):
         r = addr.AddressRegion(0x1000, 0x2000)
         assert "0x1000" in repr(r)
+
+
+@st.composite
+def page_batches(draw):
+    """A page range of 1-5000 pages and up to 300 ids inside it."""
+    num_pages = draw(st.integers(1, 5000))
+    pages = draw(st.lists(st.integers(0, num_pages - 1), max_size=300))
+    return np.array(pages, dtype=np.int64), num_pages
+
+
+def batch(pages, num_pages):
+    return np.array(pages, dtype=np.int64), num_pages
+
+
+class TestDistinctPages:
+    @settings(max_examples=200)
+    @given(page_batches())
+    @example(batch([], 1))
+    @example(batch([], 4096))
+    @example(batch([0], 1))
+    @example(batch([0] * 50, 1))
+    @example(batch([17] * 50, 64))
+    @example(batch([63, 0, 63, 0, 31], 64))
+    @example(batch(np.arange(64)[::-1], 64))
+    def test_equals_np_unique(self, pages_and_range):
+        pages, num_pages = pages_and_range
+        got, want = addr.distinct_pages(pages, num_pages), np.unique(pages)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)

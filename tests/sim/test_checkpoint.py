@@ -11,6 +11,7 @@ import dataclasses
 import os
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.obs import Observability
@@ -238,3 +239,56 @@ class TestCheckpointMechanics:
         # are the wall-clock recorders; this pins the list so a new
         # nondeterministic family cannot hide behind the exclusion.
         assert WALL_CLOCK_FAMILIES == frozenset({"pipeline_stage_seconds"})
+
+
+class TestDamonCheckpointFromBeforeTheProbabilityTable:
+    """``tests/data/damon_format6.ckpt`` was written by the build before
+    DAMON read its bit probabilities from a per-page table and the TLB
+    deduplicated without ``np.unique`` (commit 2149dd0)::
+
+        sim = Simulation(uniform_workload(footprint_pages=512, seed=11),
+                         SimConfig(**CONFIG), policy="damon")
+        st = sim._initial_state()
+        for _ in range(3):
+            sim.step_epoch(st, sim.epoch_policy)
+        sim.save_state(path, st)
+
+    Both changes kept the pickled state: such a checkpoint still loads
+    under this format and resumes to the uninterrupted run.  A format
+    bump retires the file.
+    """
+
+    FIXTURE = os.path.join(os.path.dirname(__file__), os.pardir, "data",
+                           "damon_format6.ckpt")
+    CONFIG = dict(total_accesses=24_000, chunk_size=3_000, ddr_pages=128,
+                  cxl_pages=1024, checkpoints=3, pages_per_gb=1024, seed=11)
+
+    def build(self):
+        return Simulation(uniform_workload(footprint_pages=512, seed=11),
+                          SimConfig(**self.CONFIG), policy="damon")
+
+    def test_resumes_to_the_uninterrupted_summary(self):
+        resumed = Simulation.load_state(self.FIXTURE)
+        assert resumed.resumed_epoch == 3
+        assert_bit_identical(self.build().run(), resumed.run())
+
+    def test_pickled_state_is_unchanged(self):
+        loaded = Simulation.load_state(self.FIXTURE).epoch_policy
+        sim = self.build()
+        st = sim._initial_state()
+        for _ in range(3):
+            sim.step_epoch(st, sim.epoch_policy)
+        fresh = sim.epoch_policy
+        for old, new in ((loaded, fresh), (loaded.page_table, fresh.page_table),
+                         (loaded.page_table.tlb, fresh.page_table.tlb)):
+            assert vars(old).keys() == vars(new).keys()
+            for name, value in vars(old).items():
+                other = getattr(new, name)
+                if isinstance(value, np.ndarray):
+                    assert value.dtype == other.dtype, name
+                    assert np.array_equal(value, other), name
+                elif isinstance(value, np.random.Generator):
+                    assert (value.bit_generator.state
+                            == other.bit_generator.state), name
+                elif isinstance(value, (int, float, str, list)):
+                    assert value == other, name

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import argparse
+import json
 import socket
 
 import pytest
@@ -330,11 +331,29 @@ class TestFleet:
         rc = main([
             "fleet", "--tenants", "2", "--tiers", "2", "--bench", "mcf",
             "--accesses", "60000", "--chunk", "15000",
-            "--slo-rules", "default",
+            "--slo-rules", "default", "--check-invariants",
         ])
         assert rc == 0
-        assert ("slo           : all 1 rules green; no data for "
-                "queue_saturation, epoch_duration_p99, invariant_violations"
+        # The tenants' watchdogs judge the epoch and invariant rules,
+        # the fleet's the bandwidth rule; instant mode has no queue.
+        assert ("slo           : all 3 rules green; no data for "
+                "queue_saturation" in capsys.readouterr().out.splitlines())
+
+    def test_slo_breaches_name_their_scope(self, tmp_path, capsys):
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps({"rules": [
+            {"name": "slow_epoch", "series": "epoch_s", "op": ">",
+             "threshold": 0},
+            {"name": "typo", "series": "epoch_sx", "op": ">", "threshold": 0},
+        ]}))
+        rc = main([
+            "fleet", "--tenants", "2", "--tiers", "2", "--bench", "mcf",
+            "--accesses", "60000", "--chunk", "15000",
+            "--slo-rules", str(rules),
+        ])
+        assert rc == 0
+        assert ("slo           : 8 breaches (slow_epoch=8 [tenant 0: 4, "
+                "tenant 1: 4]); no data for typo"
                 in capsys.readouterr().out.splitlines())
 
     @staticmethod

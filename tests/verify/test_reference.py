@@ -50,8 +50,9 @@ def test_damon_simulation_binds_region_twins():
     config = SimConfig(total_accesses=60_000, chunk_size=15_000, ddr_pages=512,
                        cxl_pages=4096, pages_per_gb=1024)
     sim = as_reference(Simulation(build("mcf", seed=0), config, policy="damon"))
-    assert {"record_hot", "_promote_hot", "_merge_regions",
+    assert {"record_hot", "_detect", "_promote_hot", "_merge_regions",
             "_split_regions"} <= set(vars(sim.epoch_policy))
+    assert "access" in vars(sim.epoch_policy.page_table.tlb)
 
 
 def test_bindings_survive_a_pickle_round_trip():

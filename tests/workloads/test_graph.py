@@ -7,6 +7,7 @@ from repro.workloads.base import WorkloadSpec
 from repro.workloads.graph import (
     EDGES_PER_PAGE,
     VERTICES_PER_PAGE,
+    CsrGraph,
     GraphLayout,
     make_gap_workload,
     preferential_attachment,
@@ -35,7 +36,39 @@ class TestCsrGraph:
         assert all((u, v) in fwd for (v, u) in fwd)
 
 
+def choice_attachment(num_nodes, m, seed):
+    """``preferential_attachment`` as it drew with ``rng.choice``."""
+    rng = np.random.default_rng(seed)
+    repeated = list(range(m))
+    src, dst = [], []
+    for v in range(m, num_nodes):
+        picks = rng.choice(len(repeated), size=m, replace=True)
+        chosen = {repeated[i] for i in picks.tolist()}
+        for t in sorted(chosen):
+            src.append(v)
+            dst.append(t)
+            repeated.append(t)
+        repeated.extend([v] * len(chosen))
+    s = np.concatenate([np.array(src), np.array(dst)])
+    t = np.concatenate([np.array(dst), np.array(src)])
+    order = np.argsort(s, kind="stable")
+    s, t = s[order], t[order]
+    offsets = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.add.at(offsets, s + 1, 1)
+    return CsrGraph(offsets=np.cumsum(offsets), targets=t.astype(np.int64))
+
+
 class TestPreferentialAttachment:
+    @pytest.mark.parametrize("num_nodes,m,seed", [
+        (2, 1, 0), (9, 8, 3), (200, 1, 7), (500, 3, 1), (2000, 8, 42),
+    ])
+    def test_matches_the_choice_draws(self, num_nodes, m, seed):
+        got = preferential_attachment(num_nodes, m=m, seed=seed)
+        want = choice_attachment(num_nodes, m, seed)
+        for a, b in ((got.offsets, want.offsets), (got.targets, want.targets)):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
     def test_heavy_tailed_degrees(self):
         g = preferential_attachment(3000, m=4, seed=3)
         deg = g.degrees()
