@@ -14,7 +14,6 @@ import os
 
 from repro.analysis import render_series, render_table
 from repro.sim import SimConfig
-from repro.sim.sweep import normalized
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -64,13 +63,6 @@ def emit_table(name, title, headers, rows, precision=3, col_width=None):
 
 def emit_series(name, title, pairs, precision=3):
     emit(name, render_series(title, pairs, precision))
-
-
-def normalized_score(base, result) -> float:
-    """Figure 9's metric: performance normalised to no-migration
-    (inverse p99 for latency-sensitive workloads, §7.2).  Delegates
-    to the sweep module's checked implementation."""
-    return normalized(base, result)
 
 
 def once(benchmark, fn):

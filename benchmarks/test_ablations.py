@@ -16,10 +16,10 @@ import pytest
 
 from repro.analysis import tracker_ratio
 from repro.core.trackers import CmSketchTopK
-from repro.sim import M5Options, Simulation
+from repro.sim import M5Options, Simulation, normalized
 from repro.workloads import build
 
-from common import emit_series, end_to_end_config, normalized_score, once
+from common import emit_series, end_to_end_config, once
 
 
 # ----------------------------------------------------------------------
@@ -36,7 +36,7 @@ def run_nominator_ablation():
             result = Simulation(
                 build(bench, seed=1), end_to_end_config(), policy=policy
             ).run()
-            scores[policy] = normalized_score(base, result)
+            scores[policy] = normalized(base, result)
         out[bench] = scores
     return out
 
@@ -78,7 +78,7 @@ def run_fscale_ablation():
             build("roms", seed=1), end_to_end_config(), policy="m5-hpt",
             m5_options=M5Options(fscale_n=n),
         ).run()
-        scores[n] = normalized_score(base, result)
+        scores[n] = normalized(base, result)
     return scores
 
 

@@ -19,10 +19,10 @@ Paper claims reproduced here:
 import numpy as np
 import pytest
 
-from repro.sim import Simulation
+from repro.sim import Simulation, normalized
 from repro.workloads import MEMORY_INTENSIVE, build
 
-from common import emit_table, end_to_end_config, normalized_score, once
+from common import emit_table, end_to_end_config, once
 
 POLICIES = ("anb", "damon", "m5-hpt", "m5-hwt", "m5-hpt+hwt")
 
@@ -38,7 +38,7 @@ def run_experiment():
             result = Simulation(
                 build(bench, seed=1), end_to_end_config(), policy=policy
             ).run()
-            row[policy] = normalized_score(base, result)
+            row[policy] = normalized(base, result)
         rows.append(row)
     return rows
 

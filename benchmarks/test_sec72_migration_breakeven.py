@@ -15,18 +15,16 @@ Regenerated here:
 import pytest
 
 from repro.analysis import AccessCdf, breakeven_migration_accesses
-from repro.sim import M5Options, Simulation
+from repro.sim import M5Options, Simulation, normalized
 from repro.workloads import MEMORY_INTENSIVE, build
 
-from common import emit_table, end_to_end_config, normalized_score, once, ratio_config
+from common import emit_table, end_to_end_config, once, ratio_config
 
 
 def run_gap_analysis():
     cfg = ratio_config(total_accesses=2_000_000, checkpoints=1)
     factor = cfg.trace_subsample / cfg.footprint_scale
-    breakeven = breakeven_migration_accesses(
-        cfg.migration_cost_us, cfg.cxl_latency_ns, cfg.ddr_latency_ns
-    )
+    breakeven = breakeven_migration_accesses(cxl_latency_ns=cfg.cxl_latency_ns)
     rows = []
     for bench in MEMORY_INTENSIVE:
         sim = Simulation(build(bench, seed=1), cfg, policy="none")
@@ -52,8 +50,8 @@ def run_tc_ablation():
         m5_options=M5Options(),
     ).run()
     return {
-        "aggressive": normalized_score(base, aggressive),
-        "conservative": normalized_score(base, conservative),
+        "aggressive": normalized(base, aggressive),
+        "conservative": normalized(base, conservative),
         "aggressive_migrations": aggressive.promoted + aggressive.demoted,
         "conservative_migrations": conservative.promoted + conservative.demoted,
     }

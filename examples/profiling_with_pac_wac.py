@@ -19,8 +19,8 @@ import sys
 import numpy as np
 
 from repro import workloads
-from repro.analysis import AccessCdf, from_wac, ratio
-from repro.sim import SimConfig, Simulation
+from repro.analysis import AccessCdf, from_wac
+from repro.sim import SimConfig, Simulation, access_count_ratio, ratio_k_cap
 
 
 def main() -> None:
@@ -54,8 +54,8 @@ def main() -> None:
     print(f"verdict: {verdict}")
 
     # 3. how good were ANB's picks? (the §4.1 methodology)
-    k_cap = sim.workload.spec.footprint_pages // 16
-    anb_ratio = ratio(sim.pac, result.hot_pfns, k_cap=k_cap)
+    k_cap = ratio_k_cap(sim.workload.spec.footprint_pages)
+    anb_ratio = access_count_ratio(sim.pac, result.hot_pfns, k_cap)
     print(f"\n== {bench}: ANB hot-page quality (access-count ratio) ==")
     print(f"pages identified by ANB: {len(set(result.hot_pfns))}")
     print(f"access-count ratio vs PAC top-K: {anb_ratio:.3f}")

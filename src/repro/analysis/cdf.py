@@ -14,6 +14,8 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
+from repro.memory.migration import MIGRATION_COST_US
+from repro.memory.tiers import CXL_LATENCY_NS, DDR_LATENCY_NS
 
 @dataclass(frozen=True)
 class AccessCdf:
@@ -76,17 +78,16 @@ class AccessCdf:
 
 
 def breakeven_migration_accesses(
-    migration_cost_us: float = 54.0,
-    cxl_latency_ns: float = 270.0,
-    ddr_latency_ns: float = 100.0,
+    migration_cost_us: float = MIGRATION_COST_US,
+    cxl_latency_ns: float = CXL_LATENCY_NS,
+    ddr_latency_ns: float = DDR_LATENCY_NS,
 ) -> float:
-    """§7.2 arithmetic: accesses to amortise one migration (≈318)."""
-    return migration_cost_us * 1000.0 / (cxl_latency_ns - ddr_latency_ns)
+    """§7.2 arithmetic: accesses to amortise one migration (≈318).
 
-
-def migration_worthwhile(cdf: AccessCdf, percentile: float = 50.0,
-                         breakeven: float = 318.0) -> bool:
-    """Would migrating the page at ``percentile`` (by hotness, among
-    not-yet-migrated pages) repay its cost?  TC-style flat tails fail
-    this test — the paper's argument for conservative migration."""
-    return cdf.bottom_gap(percentile, 10.0) > breakeven
+    A slow tier no slower than the fast one never repays a migration:
+    the break-even is then infinite.
+    """
+    delta = cxl_latency_ns - ddr_latency_ns
+    if delta <= 0:
+        return float("inf")
+    return migration_cost_us * 1000.0 / delta

@@ -1,79 +1,23 @@
-"""Access-count-ratio analysis (the paper's §4.1 metric).
+"""Tracker-sweep ratio (the §7.1 variant of the §4.1 metric).
 
-The metric scores a page-migration solution's hot-page list against
-PAC's ground truth: take the K pages the solution identified, sum
-their true access counts (``k_access_count``), divide by the summed
-counts of the true top-K pages (``top_k_access_count``).  A ratio of
-1.0 means the solution found exactly the hottest pages; the paper
-measures 0.21 (ANB) and 0.29 (DAMON) on average — warm pages.
+The §4.1 access-count ratio scores a hot-page list against PAC's
+ground truth: the summed true counts of the K identified pages over
+the summed counts of the true top-K.  A whole run's ratio is
+:func:`repro.sim.access_count_ratio`; this module scores a bare
+tracker's top-K keys against exact per-key counts, for the sweeps
+that run trackers without a simulation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
-
-import numpy as np
-
-from repro.cxl.pac import PageAccessCounter
-
-
-@dataclass(frozen=True)
-class RatioReport:
-    """Access-count-ratio measurement across execution points."""
-
-    benchmark: str
-    policy: str
-    ratios: Tuple[float, ...]
-
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.ratios)) if self.ratios else 0.0
-
-    @property
-    def min(self) -> float:
-        return float(np.min(self.ratios)) if self.ratios else 0.0
-
-    @property
-    def max(self) -> float:
-        return float(np.max(self.ratios)) if self.ratios else 0.0
-
-
-def k_access_count(pac: PageAccessCounter, identified_pfns: Sequence[int]) -> int:
-    """§4.1 S4: accumulate PAC counts over the identified PFNs."""
-    pfns = np.asarray(list(identified_pfns), dtype=np.int64)
-    if pfns.size == 0:
-        return 0
-    return int(pac.counts_of_pages(pfns).sum())
-
-
-def ratio(
-    pac: PageAccessCounter,
-    identified_pfns: Sequence[int],
-    k_cap: Optional[int] = None,
-) -> float:
-    """§4.1 S5: k_access_count / top_k_access_count, K = |identified|.
-
-    Duplicate identifications are collapsed (first occurrence kept)
-    before applying the K cap.
-    """
-    pfns = list(dict.fromkeys(int(p) for p in identified_pfns))
-    if k_cap is not None:
-        pfns = pfns[: int(k_cap)]
-    if not pfns:
-        return 0.0
-    top = pac.top_k_access_count(len(pfns))
-    if top <= 0:
-        return 0.0
-    return k_access_count(pac, pfns) / top
+from typing import Dict, Iterable
 
 
 def tracker_ratio(
     true_counts: Dict[int, int], tracked_keys: Iterable[int], k: int
 ) -> float:
-    """Ratio variant for the §7.1 tracker sweeps: score a tracker's
-    top-K keys against exact per-key counts (PAC/WAC ground truth
-    given as a dict)."""
+    """Score a tracker's top-K keys against exact per-key counts (PAC/
+    WAC ground truth given as a dict)."""
     tracked = list(tracked_keys)[: int(k)]
     if not tracked:
         return 0.0
@@ -83,19 +27,3 @@ def tracker_ratio(
         return 0.0
     num = sum(true_counts.get(int(key), 0) for key in tracked)
     return num / denom
-
-
-def summarize(
-    benchmark: str, policy: str, checkpoint_ratios: Sequence[float]
-) -> RatioReport:
-    return RatioReport(
-        benchmark=benchmark, policy=policy, ratios=tuple(checkpoint_ratios)
-    )
-
-
-def best_cpu_driven(reports: Sequence[RatioReport]) -> RatioReport:
-    """Pick the better of ANB/DAMON per benchmark (Figure 8's 'CPU-
-    driven Best' bar)."""
-    if not reports:
-        raise ValueError("no reports given")
-    return max(reports, key=lambda r: r.mean)

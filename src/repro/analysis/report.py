@@ -13,11 +13,10 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.analysis.cdf import AccessCdf, breakeven_migration_accesses
-from repro.analysis.ratio import ratio
 from repro.analysis.sparsity import SparsityProfile, from_wac
 from repro.core.manager.nominator import HPT_DRIVEN, HPT_ONLY, HWT_DRIVEN
 from repro.sim.config import SimConfig
-from repro.sim.engine import Simulation
+from repro.sim.engine import Simulation, access_count_ratio, ratio_k_cap
 from repro.workloads import registry
 from repro.workloads.wordmap import SPARSITY_THRESHOLDS
 
@@ -68,8 +67,8 @@ def profile_benchmark(
             enable_wac=(pac is None),
         )
         result = sim.run()
-        ratios[policy] = ratio(
-            sim.pac, result.hot_pfns, k_cap=spec.footprint_pages // 16
+        ratios[policy] = access_count_ratio(
+            sim.pac, result.hot_pfns, ratio_k_cap(spec.footprint_pages)
         )
         if pac is None:
             pac, wac = sim.pac, sim.wac

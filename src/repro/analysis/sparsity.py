@@ -9,12 +9,9 @@ words in a 4KB page.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
-
-import numpy as np
+from typing import Dict
 
 from repro.cxl.wac import WordAccessCounter
-from repro.memory.address import WORD_SHIFT, WORDS_PER_PAGE
 from repro.workloads.wordmap import SPARSITY_THRESHOLDS
 
 
@@ -59,28 +56,3 @@ def from_wac(
     return SparsityProfile(
         benchmark=benchmark, probabilities=probs, pages_observed=int(touched.size)
     )
-
-
-def from_trace(benchmark: str, addresses: np.ndarray) -> SparsityProfile:
-    """Measure sparsity directly from a logical/physical trace."""
-    pa = np.asarray(addresses, dtype=np.uint64)
-    lines = np.unique(pa >> np.uint64(WORD_SHIFT))
-    pages, counts = np.unique(lines >> np.uint64(6), return_counts=True)
-    counts = np.minimum(counts, WORDS_PER_PAGE)
-    probs = {
-        n: (float((counts <= n).mean()) if counts.size else 0.0)
-        for n in SPARSITY_THRESHOLDS
-    }
-    return SparsityProfile(
-        benchmark=benchmark, probabilities=probs, pages_observed=int(pages.size)
-    )
-
-
-def dense_page_fraction(profile: SparsityProfile) -> float:
-    """P(page has at least 75% of its words accessed)."""
-    return 1.0 - profile.probabilities.get(48, 0.0)
-
-
-def figure4_row(profile: SparsityProfile) -> Tuple[float, ...]:
-    """The five stacked values of one Figure 4 bar."""
-    return tuple(profile.probabilities[n] for n in SPARSITY_THRESHOLDS)

@@ -53,7 +53,3 @@ def render_series(title: str, pairs, precision: int = 3) -> str:
         lines.append(f"  {label:<24} {format_cell(value, 10, precision).strip()}")
     lines.append("")
     return "\n".join(lines)
-
-
-def print_series(title, pairs, precision: int = 3) -> None:
-    print(render_series(title, pairs, precision))

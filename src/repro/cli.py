@@ -56,7 +56,6 @@ from repro.sim import (
     collect_matrix,
     matrix_means,
     normalized,
-    run_matrix,
 )
 from repro.workloads import TraceFormatError, registry
 
@@ -507,12 +506,9 @@ def cmd_compare(args) -> int:
             registry.build(args.bench, seed=args.seed), _config_from(args),
             policy=policy,
         ).run()
-        if base.p99_latency_us and result.p99_latency_us:
-            norm = base.p99_latency_us / result.p99_latency_us
-        else:
-            norm = base.execution_time_s / result.execution_time_s
-        rows.append([policy, result.execution_time_s, norm,
-                     result.promoted, result.demoted])
+        rows.append([policy, result.execution_time_s,
+                     normalized(base, result), result.promoted,
+                     result.demoted])
     print_table(
         f"{args.bench}: performance normalised to no migration",
         ["policy", "exec_s", "norm", "promoted", "demoted"],
@@ -539,53 +535,49 @@ def cmd_sweep(args) -> int:
     # processes (a closure over ``args`` would not be).
     factory = functools.partial(_config_from, args)
     serve = bool(getattr(args, "serve", False))
-    if getattr(args, "metrics", None) or serve:
-        on_result = None
-        live = contextlib.nullcontext()
-        if serve:
-            # One live endpoint over the whole matrix: each cell's
-            # snapshot lands in the aggregate registry (labelled by
-            # bench/policy) the moment the worker returns it.
-            aggregate = MetricsRegistry(enabled=True)
+    metrics_path = getattr(args, "metrics", None)
+    on_result = None
+    live = contextlib.nullcontext()
+    if serve:
+        # One live endpoint over the whole matrix: each cell's
+        # snapshot lands in the aggregate registry (labelled by
+        # bench/policy) the moment the worker returns it.
+        aggregate = MetricsRegistry(enabled=True)
 
-            def on_result(bench: str, policy: str, result) -> None:
-                if result.metrics:
-                    aggregate.merge(
-                        result.metrics,
-                        extra_labels={"bench": bench, "policy": policy},
-                    )
+        def on_result(bench: str, policy: str, result) -> None:
+            if result.metrics:
+                aggregate.merge(
+                    result.metrics,
+                    extra_labels={"bench": bench, "policy": policy},
+                )
 
-            live = _serving(aggregate, args.serve_port, args.serve_linger,
-                            "cells appear as they finish")
-        with live:
-            results = collect_matrix(
-                benches, policies, factory, seed=args.seed, jobs=args.jobs,
-                with_metrics=True, on_result=on_result,
-            )
-        matrix = {
+        live = _serving(aggregate, args.serve_port, args.serve_linger,
+                        "cells appear as they finish")
+    with live:
+        results = collect_matrix(
+            benches, policies, factory, seed=args.seed, jobs=args.jobs,
+            with_metrics=bool(metrics_path) or serve, on_result=on_result,
+        )
+    matrix = {
+        bench: {
+            p: normalized(results[bench]["none"], results[bench][p])
+            for p in policies
+        }
+        for bench in benches
+    }
+    if metrics_path:
+        cell_metrics = {
             bench: {
-                p: normalized(results[bench]["none"], results[bench][p])
-                for p in policies
+                policy: result.metrics
+                for policy, result in results[bench].items()
             }
             for bench in benches
         }
-        if getattr(args, "metrics", None):
-            cell_metrics = {
-                bench: {
-                    policy: result.metrics
-                    for policy, result in results[bench].items()
-                }
-                for bench in benches
-            }
-            with open(args.metrics, "w") as fh:
-                json.dump(cell_metrics, fh, indent=2)
-            n_cells = sum(len(row) for row in cell_metrics.values())
-            print(f"per-cell metrics written to {args.metrics} "
-                  f"({n_cells} cells)")
-    else:
-        matrix = run_matrix(
-            benches, policies, factory, seed=args.seed, jobs=args.jobs
-        )
+        with open(metrics_path, "w") as fh:
+            json.dump(cell_metrics, fh, indent=2)
+        n_cells = sum(len(row) for row in cell_metrics.values())
+        print(f"per-cell metrics written to {metrics_path} "
+              f"({n_cells} cells)")
     rows = [[bench] + [matrix[bench][p] for p in policies] for bench in benches]
     means = matrix_means(matrix)
     rows.append(["mean"] + [means[p] for p in policies])

@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.cxl.batch import AccessBatch
 from repro.memory.address import AddressRegion
+from repro.memory.tiers import CXL_LATENCY_NS
 
 if TYPE_CHECKING:
     from repro.obs.metrics import MetricsRegistry
@@ -53,7 +54,7 @@ class CxlController:
     def __init__(
         self,
         region: AddressRegion,
-        access_latency_ns: float = 270.0,
+        access_latency_ns: float = CXL_LATENCY_NS,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.region = region

@@ -44,7 +44,7 @@ from repro.sim.sweep import cell_seed
 from repro.workloads import registry
 
 from repro.fleet.chain import ChainStats, DemotionChain
-from repro.fleet.topology import tenant_node_specs
+from repro.fleet.topology import POOLED_BANDWIDTH_GBPS, tenant_node_specs
 
 
 @dataclass
@@ -220,7 +220,7 @@ class FleetSimulation:
             config.ddr_bandwidth_gbps, config.cxl_bandwidth_gbps
         ]
         if fleet.tiers == 3:
-            self.tier_capacity_gbps.append(fleet.pooled_bandwidth_gbps)
+            self.tier_capacity_gbps.append(POOLED_BANDWIDTH_GBPS)
         self.tier_names = [n.name for n in self.sims[0].memory.nodes]
         # Mean-share accumulators, filled by the per-epoch arbiter.
         self._share_sums = [

@@ -22,7 +22,9 @@ from repro.memory.address import PAGE_SIZE, TENANT_PA_STRIDE, tenant_window
 from repro.memory.tiers import (
     CXL_BASE,
     CXL_POOLED_BASE,
+    CXL_POOLED_LATENCY_NS,
     DDR_BASE,
+    DDR_LATENCY_NS,
     NodeKind,
     NodeSpec,
 )
@@ -31,6 +33,9 @@ from repro.sim.config import FleetConfig, SimConfig
 #: Tenants that fit between consecutive tier base addresses (16TB of
 #: windows per tier at the 1TB stride).
 MAX_TENANTS = (CXL_POOLED_BASE - CXL_BASE) // TENANT_PA_STRIDE
+#: Pooled channel ceiling in GB/s: 0 leaves the pooled tier
+#: unlimited, like the default DDR and CXL ceilings.
+POOLED_BANDWIDTH_GBPS = 0.0
 
 
 def weighted_partition(total: int, weights: Sequence[float]) -> List[int]:
@@ -99,7 +104,7 @@ def tenant_node_specs(
         NodeSpec(
             NodeKind.DDR,
             ddr_pages,
-            latency_ns=config.ddr_latency_ns,
+            latency_ns=DDR_LATENCY_NS,
             base_pa=tenant_window(
                 DDR_BASE, tenant, ddr_pages * PAGE_SIZE
             ).start,
@@ -124,11 +129,11 @@ def tenant_node_specs(
             NodeSpec(
                 NodeKind.CXL_POOLED,
                 pooled_pages,
-                latency_ns=fleet.pooled_latency_ns,
+                latency_ns=CXL_POOLED_LATENCY_NS,
                 base_pa=tenant_window(
                     CXL_POOLED_BASE, tenant, pooled_pages * PAGE_SIZE
                 ).start,
-                bandwidth_gbps=fleet.pooled_bandwidth_gbps,
+                bandwidth_gbps=POOLED_BANDWIDTH_GBPS,
             )
         )
     return specs

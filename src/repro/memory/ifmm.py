@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.memory.address import WORD_SHIFT
+from repro.memory.tiers import CXL_LATENCY_NS, DDR_LATENCY_NS
 
 
 @dataclass
@@ -110,8 +111,8 @@ class FlatMemoryMode:
     def service_time_ns(
         self,
         hits_mask: np.ndarray,
-        ddr_latency_ns: float = 100.0,
-        cxl_latency_ns: float = 270.0,
+        ddr_latency_ns: float = DDR_LATENCY_NS,
+        cxl_latency_ns: float = CXL_LATENCY_NS,
     ) -> float:
         """Aggregate service time for one access batch."""
         hits = int(np.asarray(hits_mask, dtype=bool).sum())

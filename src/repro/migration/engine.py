@@ -102,10 +102,8 @@ class AsyncMigrationConfig:
             queue_capacity=cfg.migration_queue_capacity,
             abort_rate=cfg.migration_abort_rate,
             max_retries=cfg.migration_max_retries,
-            backoff_epochs=cfg.migration_backoff_epochs,
             copy_gbps=cfg.migration_copy_gbps,
             enomem_fallback=cfg.migration_enomem_policy == "demote-first",
-            remap_us=cfg.migration_remap_us,
             page_scale=max(1.0, cfg.footprint_scale),
             seed=cfg.seed,
         )

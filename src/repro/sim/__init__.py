@@ -13,6 +13,7 @@ from repro.sim.engine import (
     RunResult,
     Simulation,
     access_count_ratio,
+    ratio_k_cap,
     run_policy,
 )
 from repro.sim.perf import EpochPerf, PerformanceModel
@@ -21,7 +22,6 @@ from repro.sim.sweep import (
     collect_matrix,
     matrix_means,
     normalized,
-    run_matrix,
     run_one,
 )
 from repro.sim.telemetry import (
@@ -44,6 +44,7 @@ __all__ = [
     "RunResult",
     "Simulation",
     "access_count_ratio",
+    "ratio_k_cap",
     "run_policy",
     "EpochPerf",
     "PerformanceModel",
@@ -51,7 +52,6 @@ __all__ = [
     "collect_matrix",
     "matrix_means",
     "normalized",
-    "run_matrix",
     "run_one",
     "JsonlSink",
     "RingBufferSink",

@@ -5,11 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-from repro.memory.tiers import (
-    CXL_LATENCY_NS,
-    CXL_POOLED_LATENCY_NS,
-    DDR_LATENCY_NS,
-)
+from repro.memory.tiers import CXL_LATENCY_NS
 from repro.workloads.registry import (
     PAGES_PER_GB,
     cxl_capacity_pages,
@@ -21,18 +17,23 @@ from repro.workloads.registry import (
 class SimConfig:
     """Knobs of one simulated run.
 
+    The paper's fixed testbed numbers are module constants beside
+    their one reader, not fields: the DDR latency
+    (:data:`repro.memory.tiers.DDR_LATENCY_NS`), the 54 µs page
+    migration (:data:`repro.memory.migration.MIGRATION_COST_US`), the
+    core's frequency, IPC and migration overlap (:mod:`repro.sim.perf`)
+    and the async engine's dirty window (:mod:`repro.sim.engine`).
+
     Attributes:
         total_accesses: DRAM accesses to simulate (the trace length).
         chunk_size: accesses per epoch (the engine's time step).
         ddr_pages / cxl_pages: tier capacities; defaults reproduce the
             paper's 3GB-DDR-cap / 8GB-CXL setup at the registry's
             scale factor.
-        ddr_latency_ns / cxl_latency_ns: load-to-use latencies (the
-            §7.2 pair: 100ns vs 270ns).
+        cxl_latency_ns: CXL load-to-use latency (§7.2: 270ns against
+            DDR's 100ns); the latency-sensitivity study sweeps it.
         mlp: memory-level parallelism — outstanding-miss overlap
             dividing the per-access stall.
-        ipc: core instructions per cycle for the compute component.
-        cpu_ghz: core frequency (paper: 2.1 GHz Xeon 6430).
         migrate: False runs identification-only (the §4.1 S1 mode
             where policies record hot pages but never migrate).
         migration_batch: max pages migrated per epoch.
@@ -52,11 +53,8 @@ class SimConfig:
     time_dilation: float = 0.0  # 0 = footprint_scale * trace_subsample
     ddr_pages: int = field(default_factory=ddr_capacity_pages)
     cxl_pages: int = field(default_factory=cxl_capacity_pages)
-    ddr_latency_ns: float = DDR_LATENCY_NS
     cxl_latency_ns: float = CXL_LATENCY_NS
     mlp: float = 4.0
-    ipc: float = 1.5
-    cpu_ghz: float = 2.1
     #: Per-node bandwidth ceilings in GB/s (0 = unlimited, the default
     #: latency-only model).  Table 2's DDR side is 4x DDR5-4800
     #: (~153GB/s); a CXL x16 PCIe5 link is ~64GB/s.
@@ -64,7 +62,6 @@ class SimConfig:
     cxl_bandwidth_gbps: float = 0.0
     migrate: bool = True
     migration_batch: int = 512
-    migration_cost_us: float = 54.0
     #: ``"instant"`` applies decisions atomically at the paper's flat
     #: 54 µs/page cost; ``"async"`` routes them through the
     #: transactional subsystem in ``repro.migration`` (bounded queue,
@@ -81,9 +78,6 @@ class SimConfig:
     migration_abort_rate: float = 0.0
     #: Async mode: aborted requests retry this many times, then drop.
     migration_max_retries: int = 3
-    #: Async mode: base retry backoff; retry n waits
-    #: ``backoff * 2**(n-1)`` epochs.
-    migration_backoff_epochs: int = 1
     #: Async mode: migration copy-engine bandwidth in GB/s (0 = only
     #: the in-flight budget throttles the queue).
     migration_copy_gbps: float = 0.0
@@ -91,22 +85,9 @@ class SimConfig:
     #: ``"demote-first"`` evicts an MGLRU victim to make room (TPP's
     #: discipline), ``"abort"`` fails the transaction with ENOMEM.
     migration_enomem_policy: str = "demote-first"
-    #: Async mode: kernel CPU cost per committed page (the unmap/
-    #: remap/TLB share of the 54 µs; the copy itself is charged as
-    #: memory traffic).
-    migration_remap_us: float = 12.0
     #: Async mode: fraction of accesses that are stores (drives the
     #: dirty-page model behind the Nomad-style recheck).
     write_fraction: float = 0.3
-    #: Async mode: fraction of an epoch's writes that land inside a
-    #: transaction's copy window (the recheck races only against
-    #: writes concurrent with the copy, not the whole epoch).
-    dirty_window_frac: float = 0.01
-    #: Fraction of migration work landing on the application's
-    #: critical path.  Migration runs in kernel threads that overlap
-    #: the benchmark's other instances; only TLB shootdowns, locks,
-    #: and the straggler instance's own faults serialise with it.
-    migration_overlap: float = 0.3
     #: Run the :mod:`repro.verify` invariant catalogue after every
     #: epoch (counter conservation, tier conservation, tracker/queue
     #: bounds, non-negative perf times).  Off by default: the unchecked
@@ -141,8 +122,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.total_accesses <= 0 or self.chunk_size <= 0:
             raise ValueError("trace sizes must be positive")
-        if self.mlp <= 0 or self.ipc <= 0 or self.cpu_ghz <= 0:
-            raise ValueError("performance parameters must be positive")
+        if self.mlp <= 0:
+            raise ValueError("mlp must be positive")
         if self.checkpoints < 1:
             raise ValueError("need at least one checkpoint")
         if self.time_dilation < 0 or self.footprint_scale < 0:
@@ -164,8 +145,6 @@ class SimConfig:
             raise ValueError("migration_abort_rate must be in [0, 1]")
         if not 0.0 <= self.write_fraction <= 1.0:
             raise ValueError("write_fraction must be in [0, 1]")
-        if not 0.0 <= self.dirty_window_frac <= 1.0:
-            raise ValueError("dirty_window_frac must be in [0, 1]")
         if self.record_epochs < 1:
             raise ValueError("record_epochs must be positive")
         if self.checkpoint_every < 0:
@@ -222,9 +201,8 @@ class FleetConfig:
             False degrades to proportional sharing (every tenant slows
             by the same factor when the channel saturates).
         pooled_capacity_gb: size of the shared pooled tier (3-tier
-            fleets only).
-        pooled_latency_ns: load-to-use latency of the pooled tier.
-        pooled_bandwidth_gbps: pooled channel ceiling (0 = unlimited).
+            fleets only); its latency and (unlimited) channel ceiling
+            are constants in :mod:`repro.fleet.topology`.
         chain_headroom_frac: fraction of each tenant's CXL share the
             demotion chain keeps free by demoting cold pages to the
             pooled tier (the DRAM→CXL→pooled chain's middle link).
@@ -240,8 +218,6 @@ class FleetConfig:
     weights: str = ""
     qos: bool = True
     pooled_capacity_gb: float = 16.0
-    pooled_latency_ns: float = CXL_POOLED_LATENCY_NS
-    pooled_bandwidth_gbps: float = 0.0
     chain_headroom_frac: float = 0.02
     chain_pull_budget: int = 64
 
@@ -254,8 +230,6 @@ class FleetConfig:
             raise ValueError("bench must name at least one benchmark")
         if self.pooled_capacity_gb <= 0 and self.tiers == 3:
             raise ValueError("pooled_capacity_gb must be positive")
-        if self.pooled_latency_ns <= 0:
-            raise ValueError("pooled_latency_ns must be positive")
         if not 0.0 <= self.chain_headroom_frac < 1.0:
             raise ValueError("chain_headroom_frac must be in [0, 1)")
         if self.chain_pull_budget < 0:

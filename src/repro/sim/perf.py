@@ -29,8 +29,19 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.memory.tiers import DDR_LATENCY_NS
 from repro.sim.config import SimConfig
 from repro.workloads.base import WorkloadSpec
+
+#: Core frequency of the paper's testbed (Table 2: 2.1 GHz Xeon 6430).
+CPU_GHZ = 2.1
+#: Core instructions per cycle for the compute component.
+IPC = 1.5
+#: Fraction of migration work landing on the application's critical
+#: path.  Migration runs in kernel threads that overlap the
+#: benchmark's other instances; only TLB shootdowns, locks, and the
+#: straggler instance's own faults serialise with it.
+MIGRATION_OVERLAP = 0.3
 
 #: Tail-amplification factor: sustained interference utilisation maps
 #: into p99 inflation with roughly this gain (a request arriving
@@ -172,14 +183,14 @@ class PerformanceModel:
         first (the fleet passes the hierarchy's resolved specs)."""
         self.config = config
         self.spec = spec
-        cycles_per_instr = 1.0 / config.ipc
+        cycles_per_instr = 1.0 / IPC
         instrs_per_access = 1000.0 / max(spec.mpki, 1e-6)
         self.compute_per_access_s = (
-            instrs_per_access * cycles_per_instr / (config.cpu_ghz * 1e9)
+            instrs_per_access * cycles_per_instr / (CPU_GHZ * 1e9)
         )
         if node_params is None:
             node_params = (
-                (config.ddr_latency_ns, config.ddr_bandwidth_gbps),
+                (DDR_LATENCY_NS, config.ddr_bandwidth_gbps),
                 (config.cxl_latency_ns, config.cxl_bandwidth_gbps),
             )
         #: Per-node (stall_s, bandwidth_gbps), fastest tier first.
@@ -273,7 +284,7 @@ class PerformanceModel:
             overhead_us: the policy's identification CPU cost.
             migration_us: kernel CPU time of migration (the flat
                 54 µs/page in instant mode; the remap share in async
-                mode), charged via ``migration_overlap``.
+                mode), charged via :data:`MIGRATION_OVERLAP`.
             migration_bytes: asynchronous migration copy traffic in
                 model bytes.  Each copied page reads from one tier and
                 writes the other, so the bytes contend on both
@@ -312,7 +323,7 @@ class PerformanceModel:
             migration_s=migration_us
             * 1e-6
             * self.page_scale
-            * self.config.migration_overlap,
+            * MIGRATION_OVERLAP,
         )
         self.epochs.append(perf)
         self._execution_s += perf.total_s

@@ -171,35 +171,6 @@ def collect_matrix(
     return results
 
 
-def run_matrix(
-    benches: Iterable[str],
-    policies: Iterable[str],
-    config_factory: Callable[[], SimConfig],
-    seed: int = 1,
-    m5_options: Optional[M5Options] = None,
-    jobs: int = 1,
-) -> Dict[str, Dict[str, float]]:
-    """Run every (bench, policy) pair; returns normalised scores.
-
-    Each benchmark also runs the ``none`` baseline exactly once;
-    scores are normalised to it (the ``"none"`` cell, if requested,
-    reuses the baseline run and scores 1.0 by construction).
-    Results: ``matrix[bench][policy] = score``.
-    """
-    policies = list(policies)
-    results = collect_matrix(
-        benches, policies, config_factory, seed=seed,
-        m5_options=m5_options, jobs=jobs,
-    )
-    matrix: Dict[str, Dict[str, float]] = {}
-    for bench, row_results in results.items():
-        base = row_results["none"]
-        matrix[bench] = {
-            policy: normalized(base, row_results[policy]) for policy in policies
-        }
-    return matrix
-
-
 def matrix_means(matrix: Dict[str, Dict[str, float]]) -> Dict[str, float]:
     """Per-policy means over the benchmark axis."""
     policies = sorted({p for row in matrix.values() for p in row})

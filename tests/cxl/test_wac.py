@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.memory.address import PAGE_SIZE, WORD_SIZE, AddressRegion
-from repro.analysis.sparsity import from_trace, from_wac
+from repro.analysis.sparsity import from_wac
 from repro.cxl.wac import WordAccessCounter
+from tests.sparsity_helpers import from_trace
 
 BASE = 0x2000_0000
 

@@ -18,7 +18,6 @@ def test_defaults_are_valid():
     {"tiers": 1},
     {"bench": "  "},
     {"pooled_capacity_gb": 0.0, "tiers": 3},
-    {"pooled_latency_ns": 0.0},
     {"chain_headroom_frac": 1.0},
     {"chain_headroom_frac": -0.1},
     {"chain_pull_budget": -1},

@@ -12,6 +12,7 @@ from repro.sim.engine import (
     M5Options,
     Simulation,
     access_count_ratio,
+    ratio_k_cap,
     run_policy,
 )
 from repro.workloads import build, uniform_workload
@@ -62,6 +63,19 @@ class TestAccessCountRatio:
     def test_empty(self):
         pac = self.region_pac()
         assert access_count_ratio(pac, []) == 0.0
+
+    def test_checkpoint_scores_the_k_capped_list(self):
+        """The run's last checkpoint (the final epoch) scores the
+        policy's hot list capped at the footprint's K."""
+        cfg = small_config(migrate=False, checkpoints=2)
+        sim = Simulation(build("mcf", seed=0, pages_per_gb=256), cfg,
+                         policy="damon")
+        result = sim.run()
+        k = ratio_k_cap(sim.workload.spec.footprint_pages)
+        assert len(set(sim.hot_pfns)) > k
+        capped = access_count_ratio(sim.pac, sim.hot_pfns, k)
+        assert result.ratio_checkpoints[-1] == capped
+        assert capped != access_count_ratio(sim.pac, sim.hot_pfns)
 
 
 class TestSimulationBasics:

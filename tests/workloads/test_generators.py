@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.analysis import from_trace
 from repro.workloads import (
     MEMORY_INTENSIVE,
     SPARSITY_SET,
@@ -17,6 +16,7 @@ from repro.workloads import (
 from repro.workloads.base import SyntheticParams, WorkloadSpec
 from repro.workloads.wordmap import WordDensityProfile
 from repro.workloads.zipf import uniform_popularity
+from tests.sparsity_helpers import from_trace
 
 
 class TestRegistry:

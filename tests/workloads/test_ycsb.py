@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.analysis import from_trace
 from repro.memory.address import PAGE_SIZE
 from repro.verify.reference import sample_pages
 from repro.workloads.ycsb import (
@@ -11,6 +10,7 @@ from repro.workloads.ycsb import (
     YcsbMix,
     YcsbWorkload,
 )
+from tests.sparsity_helpers import from_trace
 
 
 class TestSlabAllocator:
