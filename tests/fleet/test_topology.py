@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.memory.address import PAGE_SIZE, TENANT_PA_STRIDE
-from repro.memory.tiers import CXL_BASE, CXL_POOLED_BASE, DDR_BASE
+from repro.memory.tiers import (
+    CXL_BASE,
+    CXL_POOLED_BASE,
+    CXL_POOLED_LATENCY_NS,
+    DDR_BASE,
+    DDR_LATENCY_NS,
+)
 from repro.fleet import MAX_TENANTS, tenant_node_specs, weighted_partition
 from repro.sim.config import FleetConfig, SimConfig
 
@@ -102,6 +108,19 @@ def test_tenant_zero_gets_historic_bases():
     assert specs[0].resolved_base_pa == DDR_BASE
     assert specs[1].resolved_base_pa == CXL_BASE
     assert specs[2].resolved_base_pa == CXL_POOLED_BASE
+
+
+def test_tier_latencies_and_ceilings():
+    """DDR and the pooled tier run at their fixed latencies; the CXL
+    tier follows the run's sweepable latency and ceilings."""
+    config = SimConfig(cxl_latency_ns=400.0, ddr_bandwidth_gbps=150.0,
+                       cxl_bandwidth_gbps=60.0)
+    ddr, cxl, pooled = tenant_node_specs(
+        config, FleetConfig(tenants=2, tiers=3), 1, 4096)
+    assert (ddr.latency_ns, ddr.bandwidth_gbps) == (DDR_LATENCY_NS, 150.0)
+    assert (cxl.latency_ns, cxl.bandwidth_gbps) == (400.0, 60.0)
+    assert (pooled.latency_ns, pooled.bandwidth_gbps) == (
+        CXL_POOLED_LATENCY_NS, 0.0)
 
 
 def test_tenant_windows_stride_apart():
