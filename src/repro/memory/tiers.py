@@ -202,9 +202,11 @@ class TieredMemory:
             this at ~half the footprint, e.g. 3GB DDR for ~6GB apps).
         cxl_pages: capacity of the slow tier in pages.
         num_logical_pages: the application's footprint in pages.
+        cxl_latency_ns: load-to-use latency of the slow tier; the fast
+            tier runs at :data:`DDR_LATENCY_NS`.
         nodes: optional ordered :class:`NodeSpec` list replacing the
-            two-node default (``ddr_pages``/``cxl_pages``/latencies
-            are ignored when given).
+            two-node default (``ddr_pages``/``cxl_pages``/
+            ``cxl_latency_ns`` are ignored when given).
     """
 
     def __init__(
@@ -212,7 +214,6 @@ class TieredMemory:
         ddr_pages: int = 0,
         cxl_pages: int = 0,
         num_logical_pages: int = 0,
-        ddr_latency_ns: float = DDR_LATENCY_NS,
         cxl_latency_ns: float = CXL_LATENCY_NS,
         nodes: Optional[Sequence[NodeSpec]] = None,
         tenant: int = 0,
@@ -225,7 +226,7 @@ class TieredMemory:
         self.tenant = int(tenant)
         if nodes is None:
             nodes = (
-                NodeSpec(NodeKind.DDR, ddr_pages, ddr_latency_ns),
+                NodeSpec(NodeKind.DDR, ddr_pages, DDR_LATENCY_NS),
                 NodeSpec(NodeKind.CXL, cxl_pages, cxl_latency_ns),
             )
         if len(nodes) < 2:
