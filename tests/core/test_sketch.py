@@ -15,6 +15,14 @@ class TestConstruction:
         assert cms.width == 128
         assert cms.num_counters == 4 * 128
 
+    def test_state_is_six_fields(self):
+        """Checkpoints pickle the sketch: an update keeps no scratch
+        buffer on the instance."""
+        cms = CountMinSketch(width=64, depth=4)
+        cms.update_batch(np.arange(100, dtype=np.uint64))
+        assert sorted(vars(cms)) == [
+            "_mults", "_shift", "depth", "items_seen", "table", "width"]
+
     def test_rejects_bad_geometry(self):
         with pytest.raises(ValueError):
             CountMinSketch(width=0)
@@ -61,21 +69,32 @@ class TestBatchUpdate:
             cms.update_batch(np.array([1, 2], dtype=np.uint64),
                              np.array([1], dtype=np.uint64))
 
+    @pytest.mark.parametrize("weights", [[-1, 3], [2.0, -0.5]])
+    def test_negative_weights_rejected(self, weights):
+        """A signed -1 would wrap to 2**64 - 1 as uint64 and poison the
+        table; it is refused before any counter moves."""
+        cms = CountMinSketch(width=256, depth=4)
+        with pytest.raises(ValueError, match="weights"):
+            cms.update_batch(np.array([1, 2], dtype=np.uint64), np.array(weights))
+        assert cms.table.sum() == 0
+        assert cms.items_seen == 0
+
     def test_empty_batch_noop(self):
         cms = CountMinSketch(width=256, depth=4)
         cms.update_batch(np.array([], dtype=np.uint64))
         assert cms.items_seen == 0
 
+    @pytest.mark.parametrize("depth", [1, 2, 4, 16])
     @settings(max_examples=60, deadline=None)
     @given(st.lists(
         st.lists(st.tuples(st.integers(0, 40), st.integers(1, 4)), max_size=60),
         min_size=1, max_size=3))
-    def test_returns_post_update_row_minimum(self, chunks):
+    def test_returns_post_update_row_minimum(self, depth, chunks):
         """Repeated keys and weights, narrow rows: each returned estimate
         is the minimum of the key's hashed counters once the whole chunk
         is in, and the table matches one update_one per unit of weight."""
-        cms = CountMinSketch(width=16, depth=4)
-        twin = CountMinSketch(width=16, depth=4)
+        cms = CountMinSketch(width=16, depth=depth)
+        twin = CountMinSketch(width=16, depth=depth)
         for chunk in chunks:
             keys = np.array([key for key, _ in chunk], dtype=np.uint64)
             weights = np.array([w for _, w in chunk], dtype=np.uint64)
