@@ -1,13 +1,13 @@
 """Pre-digested access batches for the controller snoop fan-out.
 
 Every snoop attached to the CXL controller needs the same structure per
-epoch chunk: the unique page or word keys, their multiplicities and
-their first positions.  An :class:`AccessBatch` wraps one
-region-filtered chunk of physical addresses and builds that digest with
-one sort of the word keys; any coarser granularity (the page digest) is
-reduced from the sorted word runs without sorting again.  The PAC, WAC
-and each attached tracker share the memoized digests instead of
-running their own pass over the data.
+epoch chunk: the unique page or word keys and their multiplicities.  An
+:class:`AccessBatch` wraps one region-filtered chunk of physical
+addresses and builds that digest with one sort of the word keys; any
+coarser granularity (the page digest) is reduced from the sorted word
+runs without sorting again.  The PAC, WAC and each attached tracker
+share the memoized digests.  First positions, which only the
+order-sensitive trackers replay, are built on their first request.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.memory.address import WORD_SHIFT
 
-_Digest = Tuple[np.ndarray, np.ndarray, np.ndarray]
+_Digest = Tuple[np.ndarray, np.ndarray]
 
 
 def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
@@ -32,9 +32,9 @@ def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
 class AccessBatch:
     """One chunk of physical byte addresses, digest-on-demand.
 
-    The digest at ``shift`` is ``(unique keys ascending, first index,
-    multiplicities)`` of ``PA >> shift``: the same arrays and dtypes as
-    its reference twin, :func:`repro.verify.reference.batch_digest`.
+    The digest at ``shift`` is ``(unique keys ascending, multiplicities)``
+    of ``PA >> shift`` and :meth:`_first` each key's first index: the
+    arrays and dtypes of :func:`repro.verify.reference.batch_digest`.
     Only ``shift >= WORD_SHIFT`` is supported: the word digest is the
     one sorted pass, and coarser ones reduce it.
 
@@ -51,52 +51,65 @@ class AccessBatch:
         self.addresses = np.atleast_1d(np.asarray(addresses, dtype=np.uint64))
         self.region = region
         self._digests: Dict[int, _Digest] = {}
-        self._ordered: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        self._firsts: Dict[int, np.ndarray] = {}
+        self._ordered: Dict[int, _Digest] = {}
 
     @property
     def size(self) -> int:
         return int(self.addresses.size)
 
+    def _word_runs(self, words: np.ndarray) -> np.ndarray:
+        """Run starts of sorted word keys; memoizes the word digest from them."""
+        starts = _run_starts(words)
+        if WORD_SHIFT not in self._digests:
+            self._digests[WORD_SHIFT] = (words[starts], np.diff(starts, append=words.size))
+        return starts
+
     def _digest(self, shift: int) -> _Digest:
-        digest = self._digests.get(shift)
-        if digest is not None:
-            return digest
+        if shift in self._digests:
+            return self._digests[shift]
         if shift < WORD_SHIFT:
-            raise ValueError(
-                f"digest shift {shift} is finer than a word ({WORD_SHIFT})")
+            raise ValueError(f"digest shift {shift} is finer than a word ({WORD_SHIFT})")
         if shift == WORD_SHIFT:
-            keys = self.addresses >> np.uint64(WORD_SHIFT)
-            order = np.argsort(keys)
-            keys = keys[order]
-            starts = _run_starts(keys)
-            counts = np.diff(starts, append=keys.size)
-            # A run's minimum index is exact whatever order the sort leaves equal keys in.
-            first = np.minimum.reduceat(order, starts)
+            self._word_runs(np.sort(self.addresses >> np.uint64(WORD_SHIFT)))
         else:
             # Sorted word keys stay sorted when shifted, so each coarser
             # key is a run of whole word runs: reduce, do not re-sort.
-            words, word_first, word_counts = self._digest(WORD_SHIFT)
+            words, word_counts = self._digest(WORD_SHIFT)
             keys = words >> np.uint64(shift - WORD_SHIFT)
             starts = _run_starts(keys)
-            counts = np.add.reduceat(word_counts, starts)
-            first = np.minimum.reduceat(word_first, starts)
-        digest = (keys[starts], first, counts)
-        self._digests[shift] = digest
-        return digest
+            self._digests[shift] = (keys[starts], np.add.reduceat(word_counts, starts))
+        return self._digests[shift]
 
-    def unique_keys(self, shift: int) -> Tuple[np.ndarray, np.ndarray]:
+    def _first(self, shift: int) -> np.ndarray:
+        """Index of each :meth:`_digest` key's first appearance."""
+        if shift in self._firsts:
+            return self._firsts[shift]
+        if shift < WORD_SHIFT:
+            raise ValueError(f"digest shift {shift} is finer than a word ({WORD_SHIFT})")
+        if shift == WORD_SHIFT:
+            words = self.addresses >> np.uint64(WORD_SHIFT)
+            order = np.argsort(words)
+            # A run's minimum index is exact whatever order the sort leaves equal keys in.
+            first = np.minimum.reduceat(order, self._word_runs(words[order]))
+        else:
+            word_first = self._first(WORD_SHIFT)
+            keys = self._digest(WORD_SHIFT)[0] >> np.uint64(shift - WORD_SHIFT)
+            first = np.minimum.reduceat(word_first, _run_starts(keys))
+        self._firsts[shift] = first
+        return first
+
+    def unique_keys(self, shift: int) -> _Digest:
         """(unique keys ascending, multiplicities) at ``PA >> shift``."""
-        uniques, _, counts = self._digest(shift)
-        return uniques, counts
+        return self._digest(shift)
 
-    def unique_keys_ordered(self, shift: int) -> Tuple[np.ndarray, np.ndarray]:
+    def unique_keys_ordered(self, shift: int) -> _Digest:
         """Like :meth:`unique_keys`, but in first-appearance order —
         what order-sensitive summaries (weighted Space-Saving) replay."""
-        ordered = self._ordered.get(shift)
-        if ordered is None:
-            uniques, first_pos, counts = self._digest(shift)
+        if shift not in self._ordered:
+            first = self._first(shift)  # before the digest: one argsort builds both
+            uniques, counts = self._digest(shift)
             # First positions are distinct, so any sort gives one order.
-            order = np.argsort(first_pos)
-            ordered = (uniques[order], counts[order])
-            self._ordered[shift] = ordered
-        return ordered
+            order = np.argsort(first)
+            self._ordered[shift] = (uniques[order], counts[order])
+        return self._ordered[shift]

@@ -462,18 +462,21 @@ def kernels_oracle(seed: int = 0, accesses: int = 60_000) -> OracleReport:
     )
     chunks = [addresses[s:s + 8192] for s in range(0, accesses, 8192)]
 
-    # AccessBatch digest: one word sort plus run reductions vs one
-    # np.unique per shift, values and dtypes.  Odd chunks ask for the
-    # page digest first, so both memo orders run.
+    # AccessBatch digest (keys, first index, counts, ordered view): one
+    # word sort plus run reductions vs one np.unique per shift, values
+    # and dtypes.  Odd chunks ask for the page digest first, and chunks
+    # 2 and 3 (mod 4) for the ordered view first, so every memo order runs.
     digest_mismatches = 0
     for i, chunk in enumerate(chunks):
         batch = AccessBatch(chunk, region=region)
         for shift in ((PAGE_SHIFT, WORD_SHIFT) if i % 2 else (WORD_SHIFT, PAGE_SHIFT)):
-            pairs = [*zip(batch_digest(chunk, shift), batch._digest(shift)),
-                     *zip(batch_digest_ordered(chunk, shift),
-                          batch.unique_keys_ordered(shift))]
+            ordered = batch.unique_keys_ordered(shift) if i % 4 >= 2 else ()
+            keys, counts = batch.unique_keys(shift)
+            got = (keys, batch._first(shift), counts,
+                   *(ordered or batch.unique_keys_ordered(shift)))
+            want = (*batch_digest(chunk, shift), *batch_digest_ordered(chunk, shift))
             digest_mismatches += sum(
-                a.dtype != b.dtype or not np.array_equal(a, b) for a, b in pairs)
+                a.dtype != b.dtype or not np.array_equal(a, b) for a, b in zip(got, want))
     report.add("batch_digest_mismatches", 0, digest_mismatches)
 
     # Trackers: every algorithm, page and word granularity, and a

@@ -11,6 +11,9 @@ from repro.core.trackers import (
     make_hwt,
 )
 from repro.cxl.batch import AccessBatch
+from repro.cxl.pac import PageAccessCounter
+from repro.cxl.wac import WordAccessCounter
+from repro.memory.address import PAGE_SIZE, AddressRegion
 from repro.verify import as_exact_sequence
 
 #: Every algorithm ``make_hpt`` / ``make_hwt`` accept.
@@ -116,6 +119,30 @@ class TestTrackerContract:
             digested.observe_batch(AccessBatch(pa))
         assert raw.peek() == digested.peek()
         assert raw.accesses_observed == digested.accesses_observed
+
+
+class TestSharedBatch:
+    @pytest.mark.parametrize("algorithm", ("space-saving", "misra-gries"))
+    @pytest.mark.parametrize("factory", (make_hpt, make_hwt))
+    def test_first_positions_wait_for_an_ordered_tracker(self, factory, algorithm):
+        """PAC, WAC and the CM-Sketch HPT and HWT read only the sorted
+        digest, so the batch builds no first positions for them; an
+        order-sensitive tracker asking afterwards still replays the
+        same order as on a fresh batch."""
+        pa = skewed_addresses(np.random.default_rng(3), count=4_000)
+        region = AddressRegion(0, 200 * PAGE_SIZE)
+        batch = AccessBatch(pa, region=region)
+        for snoop in (PageAccessCounter(region), WordAccessCounter(region),
+                      make_hpt(k=4), make_hwt(k=4)):
+            snoop.observe_batch(batch)
+        assert batch._firsts == {} and batch._ordered == {}
+        # A CAM smaller than the key set, so the replay order matters.
+        late, fresh, raw = (factory(k=4, algorithm=algorithm, num_counters=16)
+                            for _ in range(3))
+        late.observe_batch(batch)
+        fresh.observe_batch(AccessBatch(pa, region=region))
+        raw.observe(pa)
+        assert late.peek() == fresh.peek() == raw.peek()
 
 
 class TestCmSketchTracker:

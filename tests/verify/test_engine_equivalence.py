@@ -209,20 +209,22 @@ def digest_batches(draw):
 
 class TestBatchDigest:
     """The one-sort AccessBatch digest ≡ one np.unique per shift, in
-    values and dtypes, whichever granularity is asked for first."""
+    values and dtypes, whichever granularity is asked for first and
+    whether the ordered view comes before the digest or after it."""
 
     @SETTINGS
-    @given(digest_batches(), st.booleans())
-    @example(np.empty(0, dtype=np.uint64), True)
-    @example(np.empty(0, dtype=np.uint64), False)
-    @example(np.array([U64_MAX], dtype=np.uint64), True)
-    @example(np.array([U64_MAX], dtype=np.uint64), False)
-    def test_matches_np_unique(self, addresses, page_first):
+    @given(digest_batches(), st.booleans(), st.booleans())
+    @example(np.empty(0, dtype=np.uint64), True, False)
+    @example(np.empty(0, dtype=np.uint64), False, True)
+    @example(np.array([U64_MAX], dtype=np.uint64), True, True)
+    @example(np.array([U64_MAX], dtype=np.uint64), False, False)
+    def test_matches_np_unique(self, addresses, page_first, ordered_first):
         batch = AccessBatch(addresses)
         shifts = (PAGE_SHIFT, WORD_SHIFT) if page_first else (WORD_SHIFT, PAGE_SHIFT)
         for shift in shifts:
-            got = (*batch.unique_keys(shift), batch._digest(shift)[1],
-                   *batch.unique_keys_ordered(shift))
+            ordered = batch.unique_keys_ordered(shift) if ordered_first else ()
+            got = (*batch.unique_keys(shift), batch._first(shift),
+                   *(ordered or batch.unique_keys_ordered(shift)))
             keys, first, counts = batch_digest(addresses, shift)
             want = (keys, counts, first, *batch_digest_ordered(addresses, shift))
             for a, b in zip(got, want):

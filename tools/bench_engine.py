@@ -13,7 +13,9 @@ Also asserts the two legs are bit-identical (same RunResult fields,
 same hot-page sets, same checkpoint ratios — vectorizing may only
 change *how fast* an epoch is computed, never *what* it computes) and
 records per-stage accesses/sec from one traced run per leg (excluded
-from the timing legs) to ``BENCH_engine.json`` at the repo root.
+from the timing legs) to ``BENCH_engine.json`` at the repo root.  A
+``--smoke`` run writes ``bench-engine-smoke.json`` in the temp directory
+instead, so it never overwrites the full-size record.
 
 Usage::
 
@@ -26,6 +28,7 @@ import argparse
 import os
 import statistics
 import sys
+import tempfile
 import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -102,12 +105,17 @@ def main() -> int:
                         help="required end-to-end batched speedup")
     parser.add_argument("--smoke", action="store_true",
                         help="CI-sized run: fewer accesses and repeats")
-    parser.add_argument("--output", default=os.path.join(
-        os.path.dirname(__file__), "..", "BENCH_engine.json"))
+    parser.add_argument("--output", help="record path (default: BENCH_engine.json at "
+                        "the repo root; bench-engine-smoke.json in the temp directory "
+                        "with --smoke)")
     args = parser.parse_args()
     if args.smoke:
         args.accesses = min(args.accesses, 200_000)
         args.repeats = min(args.repeats, 3)
+    if args.output is None:
+        args.output = (os.path.join(tempfile.gettempdir(), "bench-engine-smoke.json")
+                       if args.smoke else
+                       os.path.join(os.path.dirname(__file__), "..", "BENCH_engine.json"))
 
     # warm-up: first run pays numpy/import costs, charged to no leg
     one_run(args, "batched")
