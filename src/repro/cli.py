@@ -75,8 +75,6 @@ def _config_from(args) -> SimConfig:
         migration_copy_gbps=getattr(args, "mig_copy_gbps", 0.0),
         migration_enomem_policy=getattr(args, "mig_enomem", "demote-first"),
         check_invariants=getattr(args, "check_invariants", False),
-        record_series=getattr(args, "record_series", None) or "",
-        record_epochs=getattr(args, "record_epochs", 4096),
         slo_rules=getattr(args, "slo_rules", None) or "",
         checkpoint_every=getattr(args, "checkpoint_every", 0),
         checkpoint_path=getattr(args, "checkpoint", None) or "",
@@ -190,33 +188,21 @@ def _print_slo_summary(watchdogs: Dict[str, Optional[SloWatchdog]]) -> None:
     print(f"slo           : {'; '.join(parts)}")
 
 
-def _export_recorder(path: str, recorder) -> None:
-    """Write the per-epoch series (CSV for ``*.csv``, else JSONL)."""
-    if path.endswith(".csv"):
-        rows = recorder.to_csv(path)
-    else:
-        rows = recorder.to_jsonl(path)
-    print(f"per-epoch series written to {path} "
-          f"({rows} rows x {len(recorder.columns())} columns)")
-
-
 def _refused_on_resume(args, sim: Simulation) -> List[str]:
     """The ``run`` flags given with ``--resume`` that the resumed run
     cannot honour.
 
     The checkpoint carries the whole run: workload, config, policy,
     telemetry bus (a path-backed JsonlSink reopens in append mode),
-    metrics registry, recorder and watchdog.  So only the outputs of
-    instruments it carries are honoured: ``--metrics`` and ``--serve``
-    need its registry, ``--record-out`` its recorder.  Every other
-    flag that differs from its default is refused.
+    metrics registry and watchdog.  So only the outputs of instruments
+    it carries are honoured: ``--metrics`` and ``--serve`` need its
+    registry.  Every other flag that differs from its default is
+    refused.
     """
     defaults = vars(build_parser().parse_args(["run"]))
     honoured = {"resume", "serve_port", "serve_linger"}
     if sim.obs.metrics_on:
         honoured |= {"metrics", "serve"}
-    if sim.recorder is not None:
-        honoured.add("record_out")
     return ["--" + dest.replace("_", "-")
             for dest, value in vars(args).items()
             if dest not in honoured and value != defaults[dest]]
@@ -257,10 +243,6 @@ def cmd_run(args) -> int:
             print("error: --bench is required (unless resuming with "
                   "--resume)")
             return 2
-        if args.record_out and not (args.record_series or args.slo_rules):
-            print("cannot honour --record-out: nothing is recorded without "
-                  "--record-series (or --slo-rules)")
-            return 2
         if args.trace and args.checkpoint_every:
             print("cannot combine --trace with --checkpoint-every: a traced "
                   "run's spans hold wall-clock state that does not resume")
@@ -279,10 +261,9 @@ def cmd_run(args) -> int:
                 print(f"cannot write timeline file: {exc}")
                 return 2
             telemetry = TelemetryBus([JsonlSink(args.timeline)])
-        live = bool(args.serve or args.record_series or args.slo_rules)
         obs = None
-        if args.metrics or args.trace or live:
-            obs = Observability(metrics=bool(args.metrics) or live,
+        if args.metrics or args.trace or args.serve:
+            obs = Observability(metrics=bool(args.metrics or args.serve),
                                 tracing=bool(args.trace))
         sim = Simulation(
             workload, _config_from(args), policy=args.policy,
@@ -310,16 +291,6 @@ def cmd_run(args) -> int:
     if args.metrics:
         _write_metrics_snapshot(args.metrics, obs)
         print(f"metrics snapshot written to {args.metrics}")
-    if sim.recorder is not None:
-        rec = sim.recorder
-        print(f"recorded      : {rec.rows} epochs x "
-              f"{len(rec.columns())} series "
-              f"({rec.memory_bytes / 1024.0:.0f} KiB ring"
-              + (f", {rec.dropped} oldest rows overwritten"
-                 if rec.dropped else "")
-              + ")")
-        if args.record_out:
-            _export_recorder(args.record_out, rec)
     _print_slo_summary({"run": sim.watchdog})
     if args.trace:
         n_events = write_chrome_trace(args.trace, obs.tracer.spans)
@@ -623,8 +594,7 @@ def cmd_fleet(args) -> int:
         return 2
     config = _config_from(args)
     config.seed = args.seed
-    live = bool(args.serve or args.record_series or args.slo_rules)
-    with_metrics = bool(args.out or args.metrics) or live
+    with_metrics = bool(args.out or args.metrics or args.serve)
     fsim = FleetSimulation(
         fleet,
         config,
@@ -901,27 +871,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="keep serving the final snapshot this long "
                             "after the work finishes")
 
-    def add_record_args(p):
-        p.add_argument("--record-series", default=None, metavar="SPEC",
-                       help="per-epoch time-series recorder: 'default', "
-                            "'all', or comma-separated metric families")
-        p.add_argument("--record-epochs", type=int, default=4096,
-                       metavar="N",
-                       help="recorder ring capacity in epochs (oldest "
-                            "rows are overwritten beyond it)")
+    def add_slo_args(p):
         p.add_argument("--slo-rules", default=None, metavar="SPEC",
-                       help="SLO watchdog: 'default' or a JSON rule file; "
-                            "breaches raise alert.* telemetry and the "
-                            "slo_breaches_total counter")
+                       help="SLO watchdog over the per-epoch record: "
+                            "'default' or a JSON rule file; breaches "
+                            "raise alert.* telemetry (and the "
+                            "slo_breaches_total counter with metrics on)")
 
     run = sub.add_parser("run", help="run one benchmark under one policy")
     add_run_args(run, bench_required=False)
     add_migration_args(run)
     add_serve_args(run)
-    add_record_args(run)
-    run.add_argument("--record-out", default=None, metavar="FILE",
-                     help="export the recorded per-epoch series (CSV if "
-                          "FILE ends .csv, else JSONL)")
+    add_slo_args(run)
     run.add_argument("--no-migrate", action="store_true",
                      help="identification-only mode (§4.1 S1)")
     run.add_argument("--check-invariants", action="store_true",
@@ -946,9 +907,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--resume", default=None, metavar="CKPT",
                      help="resume a checkpointed run to completion; the "
                           "result is bit-identical to the uninterrupted "
-                          "run.  Other flags are refused, except --metrics, "
-                          "--serve and --record-out when the checkpoint "
-                          "carries their instrument")
+                          "run.  Other flags are refused, except --metrics "
+                          "and --serve when the checkpoint carries a "
+                          "metrics registry")
 
     serve = sub.add_parser(
         "serve",
@@ -1065,7 +1026,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "chrome://tracing JSON (one process row per "
                             "tenant)")
     add_serve_args(fleet, what="the fleet")
-    add_record_args(fleet)
+    add_slo_args(fleet)
 
     metrics = sub.add_parser(
         "metrics", help="pretty-print one metrics snapshot, or diff two"

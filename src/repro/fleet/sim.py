@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs import NULL_OBS, Observability, live_stack
+from repro.obs import NULL_OBS, Observability, build_watchdog, series_key
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import SpanRecord
 from repro.sim.config import FleetConfig, SimConfig
@@ -124,15 +124,6 @@ def epoch_demands_gbps(sim: Simulation, epoch_s: float) -> List[float]:
         return [0.0] * len(sim.memory.nodes)
     scale = 64.0 * sim.perf.dilation / (epoch_s * 1e9)
     return [node.accesses_this_epoch * scale for node in sim.memory.nodes]
-
-
-#: The fleet recorder's ``"default"`` series: the cross-tenant signals
-#: that only exist at fleet scope.
-FLEET_RECORD_SERIES = (
-    "fleet_tenant_slowdown",
-    "fleet_tenant_bandwidth_share",
-    "slo_breaches_total",
-)
 
 
 class FleetSimulation:
@@ -228,26 +219,29 @@ class FleetSimulation:
         ]
         self._share_epochs = 0
         reg = self.obs.registry
-        self._mx_slowdown = reg.gauge(
-            "fleet_tenant_slowdown",
-            "Per-tenant slowdown vs isolated run",
-            labels=("tenant",),
-        )
-        self._mx_share = reg.gauge(
-            "fleet_tenant_bandwidth_share",
-            "Mean granted channel share per tenant and tier",
-            labels=("tenant", "tier"),
-        )
+        self._gauges = {
+            "fleet_tenant_slowdown": reg.gauge(
+                "fleet_tenant_slowdown",
+                "Per-tenant slowdown vs isolated run",
+                labels=("tenant",),
+            ),
+            "fleet_tenant_bandwidth_share": reg.gauge(
+                "fleet_tenant_bandwidth_share",
+                "Mean granted channel share per tenant and tier",
+                labels=("tenant", "tier"),
+            ),
+        }
         self._mx_traffic = reg.counter(
             "fleet_tenant_migrated_pages_total",
             "Per-tenant migration traffic by direction",
             labels=("tenant", "direction"),
         )
-        # Fleet-level recorder + watchdog over the fleet gauges; the
-        # tenant engines own their own (wired by SimConfig).
-        self.recorder, self.watchdog = live_stack(
-            reg, config, FLEET_RECORD_SERIES
-        )
+        #: The fleet-scope watchdog judges one row per epoch: each
+        #: tenant's slowdown and mean share, keyed as the gauges'
+        #: series and set at each arbitration (empty before the first).
+        #: The tenant engines judge their own ``epoch`` records.
+        self.watchdog = build_watchdog(config, reg)
+        self._row: Dict[str, float] = {}
         self.result: Optional[FleetResult] = None
 
     def _arbitrate(self, demands: List[List[float]]) -> List[List[float]]:
@@ -271,6 +265,9 @@ class FleetSimulation:
                 self._share_sums[t][tier] += (
                     granted / total if total > 0.0 else 1.0 / tenants
                 )
+        if self.watchdog is not None:
+            self._row = {series_key(name, labels): value
+                         for name, labels, value in self._tenant_values()}
         if self.obs.metrics_on:
             self._refresh_tenant_gauges()
         return factors
@@ -285,17 +282,23 @@ class FleetSimulation:
             for k, name in enumerate(self.tier_names)
         }
 
+    def _tenant_values(self):
+        """``(gauge name, labels, value)`` for each tenant's slowdown
+        and mean share of each tier."""
+        for t, sim in enumerate(self.sims):
+            tenant = str(t)
+            yield ("fleet_tenant_slowdown", {"tenant": tenant},
+                   sim.perf.slowdown_vs_isolated())
+            for tier, share in self._mean_shares(t).items():
+                yield ("fleet_tenant_bandwidth_share",
+                       {"tenant": tenant, "tier": tier}, share)
+
     def _refresh_tenant_gauges(self) -> None:
         """Set the per-tenant slowdown and share gauges: live mid-run
         for ``--serve``, and once more when the run is assembled, so a
         served run's final snapshot is identical to an unserved one's."""
-        for t, sim in enumerate(self.sims):
-            label = str(t)
-            self._mx_slowdown.labels(tenant=label).set(
-                sim.perf.slowdown_vs_isolated()
-            )
-            for name, share in self._mean_shares(t).items():
-                self._mx_share.labels(tenant=label, tier=name).set(share)
+        for name, labels, value in self._tenant_values():
+            self._gauges[name].labels(**labels).set(value)
 
     def run(self) -> FleetResult:
         """Advance every tenant to trace exhaustion, then finalize."""
@@ -326,11 +329,10 @@ class FleetSimulation:
                     else []
                 )
             demands = new_demands
-            if self.recorder is not None:
-                t_now = max(st.now_s for st in states)
-                self.recorder.sample(epoch, t_now)
-                if self.watchdog is not None:
-                    self.watchdog.evaluate(epoch, t_now)
+            if self.watchdog is not None:
+                self.watchdog.observe(
+                    epoch, max(st.now_s for st in states), self._row
+                )
         results = [sim.finalize(st) for sim, st in zip(sims, states)]
         return self._assemble(results, epoch)
 

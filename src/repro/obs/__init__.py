@@ -21,13 +21,12 @@ bit-identical to the seed pipeline.  Enable per concern::
     table = obs.flame_table()        # where the wall-clock went
 
 Exports (``repro run --metrics/--trace``) live in
-:mod:`repro.obs.exporters`.  The *live* service — the streaming
-``/metrics`` HTTP endpoint (:class:`~repro.obs.live.ObsServer`), the
-per-epoch ring recorder
-(:class:`~repro.obs.timeseries.TimeSeriesRecorder`), and the SLO
-watchdog (:class:`~repro.obs.slo.SloWatchdog`) — rides on top of the
-same registry and is wired by ``--serve`` / ``--record-series`` /
-``--slo-rules`` (:func:`~repro.obs.slo.live_stack` builds both).
+:mod:`repro.obs.exporters`.  The streaming ``/metrics`` HTTP endpoint
+(:class:`~repro.obs.live.ObsServer`, ``--serve``) serves the same
+registry live.  The per-epoch table is the ``epoch`` telemetry record
+(``--timeline`` exports it); the SLO watchdog
+(:class:`~repro.obs.slo.SloWatchdog`, ``--slo-rules``) judges each
+record as it is published, whether or not metrics are on.
 """
 
 from __future__ import annotations
@@ -56,12 +55,7 @@ from repro.obs.metrics import (
     NULL_METRIC,
     log2_buckets,
 )
-from repro.obs.slo import SloRule, SloWatchdog, default_rules, live_stack, load_rules
-from repro.obs.timeseries import (
-    DEFAULT_RECORD_SERIES,
-    TimeSeriesRecorder,
-    parse_series_spec,
-)
+from repro.obs.slo import SloRule, SloWatchdog, build_watchdog, default_rules, load_rules
 from repro.obs.tracing import NULL_SPAN, Span, SpanRecord, Tracer
 
 
@@ -129,12 +123,9 @@ __all__ = [
     "merged_chrome_trace",
     "write_chrome_trace",
     "ObsServer",
-    "TimeSeriesRecorder",
-    "DEFAULT_RECORD_SERIES",
-    "parse_series_spec",
     "SloRule",
     "SloWatchdog",
     "default_rules",
     "load_rules",
-    "live_stack",
+    "build_watchdog",
 ]

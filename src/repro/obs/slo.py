@@ -1,19 +1,24 @@
-"""Declarative SLO rules evaluated over the per-epoch recorder.
+"""Declarative SLO rules judged on the per-epoch record.
 
-A :class:`SloWatchdog` turns the :class:`~repro.obs.timeseries.
-TimeSeriesRecorder` into an alerting surface: each epoch it evaluates
-a list of :class:`SloRule` objects — *reduce a recorder column over a
-window, compare against a threshold, sustain for N consecutive
-epochs* — and on breach increments the ``slo_breaches_total{rule=}``
-counter and publishes an ``alert.<rule>`` event onto the run's
-telemetry bus (so alerts land in the same timeline as the signals
-that caused them).
+A :class:`SloWatchdog` turns the run's per-epoch table into an
+alerting surface.  The engine hands it each ``epoch`` record's fields
+as the record is published (:meth:`SloWatchdog.observe`); a fleet
+hands it one row of per-tenant slowdown and bandwidth share per epoch.
+Each epoch it evaluates a list of :class:`SloRule` objects — *reduce a
+field over a window, compare against a threshold, sustain for N
+consecutive epochs* — and on breach increments the
+``slo_breaches_total{rule=}`` counter and publishes an
+``alert.<rule>`` event onto the run's telemetry bus (so alerts land in
+the same timeline as the records that caused them).  Its only history
+is a deque of the last ``max(rule.window)`` rows.
 
 Rule fields:
 
-* ``series`` — a recorder column key, with ``fnmatch`` wildcards for
-  labelled families (``fleet_tenant_bandwidth_share*`` matches every
-  tenant×tier series); when several columns match, the *worst* value
+* ``series`` — a field of the ``epoch`` record (``epoch_s``,
+  ``n_ddr``, ``migration_pending`` in async mode, ...) or a fleet-row
+  key (``fleet_tenant_bandwidth_share{tenant="0",tier="ddr"}``), with
+  ``fnmatch`` wildcards (``fleet_tenant_bandwidth_share*`` matches
+  every tenant×tier key); when several keys match, the *worst* value
   with respect to ``op`` is judged (any starved tenant fires the
   starvation rule).
 * ``reduce`` — ``last`` / ``mean`` / ``max`` / ``min`` / ``rate`` /
@@ -36,14 +41,14 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections import deque
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeseries import DEFAULT_RECORD_SERIES, TimeSeriesRecorder, parse_series_spec
 
 if TYPE_CHECKING:
     # Import cycle: repro.sim imports the engine, which imports
@@ -61,14 +66,14 @@ _OPS = (">", ">=", "<", "<=")
 
 @dataclass
 class SloRule:
-    """One declarative SLO condition over a recorder column."""
+    """One declarative SLO condition over a per-epoch field."""
 
     name: str
     series: str
     reduce: str = "last"
     op: str = ">"
     threshold: float = 0.0
-    #: Rows of recorder history the reducer sees.
+    #: Rows of per-epoch history the reducer sees.
     window: int = 32
     #: Consecutive breaching evaluations before the rule fires.
     for_epochs: int = 1
@@ -111,10 +116,14 @@ def default_rules(config: "SimConfig") -> List[SloRule]:
       ``--mig-copy-gbps``, pins it there);
     * ``epoch_duration_p99`` — the p99/p50 ratio of epoch durations
       exceeds 10× (self-normalising: no absolute time threshold);
-    * ``invariant_violations`` — any recorded invariant violation;
     * ``bandwidth_starvation`` — any tenant's granted share of any
       tier's channel stays under 5% for 3 epochs (fleet runs only;
-      single runs never register the series, so the rule stays idle).
+      a single run's record has no such field, so the rule stays
+      idle).
+
+    No rule watches invariant violations: the engine's checker raises
+    on the first one, in the ``verify`` stage, so no later epoch is
+    ever judged; the ``invariant.violation`` event is on the timeline.
     """
     return [
         SloRule(
@@ -132,13 +141,6 @@ def default_rules(config: "SimConfig") -> List[SloRule]:
             op=">",
             threshold=10.0,
             window=64,
-        ),
-        SloRule(
-            name="invariant_violations",
-            series="invariant_violations_total*",
-            reduce="last",
-            op=">",
-            threshold=0.0,
         ),
         SloRule(
             name="bandwidth_starvation",
@@ -194,36 +196,40 @@ def load_rules(
 
 
 class SloWatchdog:
-    """Evaluate SLO rules each epoch; count and publish breaches.
+    """Judge SLO rules on each per-epoch row; count and publish breaches.
 
     Args:
         rules: the rule list (see :func:`load_rules`).
-        recorder: the recorder whose columns the rules read.
+        registry: where ``slo_breaches_total`` is counted (a disabled
+            registry hands out a null counter).
         bus: telemetry bus for ``alert.<rule>`` events (optional).
     """
 
     def __init__(
         self,
         rules: List[SloRule],
-        recorder: TimeSeriesRecorder,
+        registry: MetricsRegistry,
         bus: Optional["TelemetryBus"] = None,
     ) -> None:
         self.rules = list(rules)
-        self.recorder = recorder
         self.bus = bus
-        self._m_breaches = recorder.registry.counter(
+        breaches = registry.counter(
             "slo_breaches_total",
             "SLO rule breaches (after the rule's sustain window)",
             labels=("rule",),
         )
         self._mx_breaches = {
-            rule.name: self._m_breaches.labels(rule=rule.name)
-            for rule in self.rules
+            rule.name: breaches.labels(rule=rule.name) for rule in self.rules
         }
+        #: ``(t_s, fields)`` of the last ``max(window)`` epochs: the
+        #: watchdog's only history.
+        self._rows: Deque[Tuple[float, Mapping[str, float]]] = deque(
+            maxlen=max((rule.window for rule in self.rules), default=1)
+        )
         self._streaks: Dict[str, int] = {rule.name: 0 for rule in self.rules}
         #: Rules that have produced a value at least once.  A rule never
-        #: in here had no data (no column matched its series), which
-        #: is not the same as green.
+        #: in here had no data (no field matched its series), which is
+        #: not the same as green.
         self._judged: Set[str] = set()
         #: Total breaching evaluations across all rules (post-sustain).
         self.breaches_total = 0
@@ -232,59 +238,65 @@ class SloWatchdog:
 
     # ------------------------------------------------------------------
 
-    def _matching_columns(self, pattern: str) -> List[str]:
-        if any(ch in pattern for ch in "*?["):
-            return [
-                key
-                for key in self.recorder.columns()
-                if fnmatchcase(key, pattern)
-            ]
-        return [pattern] if pattern in self.recorder.columns() else []
-
-    def _reduce_column(self, rule: SloRule, key: str) -> float:
-        rec = self.recorder
-        if rule.reduce == "last":
-            return rec.last(key)
+    def _reduce(self, rule: SloRule, key: str) -> float:
+        """``rule.reduce`` over the finite values of ``key`` in the
+        rule's window (NaN when it has none)."""
+        rows = list(self._rows)[-rule.window:]
+        values = np.array([fields.get(key, math.nan) for _, fields in rows],
+                          dtype=np.float64)
+        finite = np.isfinite(values)
+        values = values[finite]
         if rule.reduce == "rate":
-            return rec.rate(key, window=rule.window)
-        if rule.reduce == "p99_over_p50":
-            p50 = rec.quantile(key, 0.50, window=rule.window)
-            p99 = rec.quantile(key, 0.99, window=rule.window)
-            if not math.isfinite(p50) or p50 <= 0.0:
-                return float("nan")
-            return p99 / p50
-        if rule.reduce in ("p50", "p95", "p99"):
-            q = {"p50": 0.50, "p95": 0.95, "p99": 0.99}[rule.reduce]
-            return rec.quantile(key, q, window=rule.window)
-        values = rec.column(key, window=rule.window)
-        finite = values[np.isfinite(values)]
-        if finite.size == 0:
-            return float("nan")
+            # Mean per-simulated-second increase; 0.0 below two points
+            # or when no simulated time elapsed between them.
+            clock = np.array([t_s for t_s, _ in rows])[finite]
+            elapsed_s = float(clock[-1] - clock[0]) if values.size > 1 else 0.0
+            if elapsed_s <= 0.0:
+                return 0.0
+            return float(values[-1] - values[0]) / elapsed_s
+        if values.size == 0:
+            return math.nan
+        if rule.reduce == "last":
+            return float(values[-1])
         if rule.reduce == "mean":
-            return float(finite.mean())
+            return float(values.mean())
         if rule.reduce == "max":
-            return float(finite.max())
-        return float(finite.min())
+            return float(values.max())
+        if rule.reduce == "min":
+            return float(values.min())
+        if rule.reduce == "p99_over_p50":
+            p50, p99 = np.quantile(values, (0.50, 0.99))
+            return float(p99 / p50) if p50 > 0.0 else math.nan
+        q = {"p50": 0.50, "p95": 0.95, "p99": 0.99}[rule.reduce]
+        return float(np.quantile(values, q))
 
-    def evaluate_rule(self, rule: SloRule) -> Optional[float]:
-        """The rule's judged value this epoch (None = series absent).
+    def _judge(self, rule: SloRule, keys: Dict[str, float]) -> Optional[float]:
+        """The rule's value this epoch (None = no key matches).
 
-        Across several matching columns the *worst* reduced value
-        w.r.t. the rule's direction is judged: the max for ``>``/
-        ``>=`` rules, the min for ``<``/``<=``.
+        Across several matching keys the *worst* reduced value w.r.t.
+        the rule's direction is judged: the max for ``>``/``>=``
+        rules, the min for ``<``/``<=``.
         """
-        keys = self._matching_columns(rule.series)
-        values = [self._reduce_column(rule, key) for key in keys]
+        if any(ch in rule.series for ch in "*?["):
+            keys = [k for k in keys if fnmatchcase(k, rule.series)]
+        else:
+            keys = [rule.series] if rule.series in keys else []
+        values = [self._reduce(rule, key) for key in keys]
         values = [v for v in values if math.isfinite(v)]
         if not values:
             return None
         return max(values) if rule.op in (">", ">=") else min(values)
 
-    def evaluate(self, epoch: int, t_s: float) -> int:
-        """Evaluate every rule once; returns breaches fired this call."""
+    def observe(self, epoch: int, t_s: float, fields: Mapping[str, float]) -> int:
+        """Append one epoch's row and evaluate every rule once;
+        returns the breaches fired.  The row is kept, not copied."""
+        self._rows.append((float(t_s), fields))
+        keys: Dict[str, float] = {}  # every key in the history, in order
+        for _, row in self._rows:
+            keys.update(row)
         fired = 0
         for rule in self.rules:
-            value = self.evaluate_rule(rule)
+            value = self._judge(rule, keys)
             if value is not None:
                 self._judged.add(rule.name)
             if value is None or not rule.breaches(value):
@@ -331,29 +343,12 @@ class SloWatchdog:
         return totals
 
 
-def live_stack(
-    registry: MetricsRegistry,
+def build_watchdog(
     config: "SimConfig",
-    default_series: Tuple[str, ...] = DEFAULT_RECORD_SERIES,
+    registry: MetricsRegistry,
     bus: Optional["TelemetryBus"] = None,
-) -> Tuple[Optional[TimeSeriesRecorder], Optional[SloWatchdog]]:
-    """The per-epoch recorder and SLO watchdog that ``config`` asks for.
-
-    ``record_series = "default"`` records ``default_series``.  Rules
-    read recorder columns, so ``slo_rules`` without ``record_series``
-    records the default set too.  Both need a live registry: with
-    metrics off, or neither knob set, this returns ``(None, None)``.
-    """
-    spec = config.record_series or ("default" if config.slo_rules else "")
-    if not spec or not registry.enabled:
-        return None, None
-    series = default_series if spec == "default" else parse_series_spec(spec)
-    recorder = TimeSeriesRecorder(
-        registry, series=series, capacity=config.record_epochs
-    )
-    watchdog = None
-    if config.slo_rules:
-        watchdog = SloWatchdog(
-            load_rules(config.slo_rules, config), recorder, bus=bus
-        )
-    return recorder, watchdog
+) -> Optional[SloWatchdog]:
+    """The SLO watchdog ``config.slo_rules`` asks for, or None."""
+    if not config.slo_rules:
+        return None
+    return SloWatchdog(load_rules(config.slo_rules, config), registry, bus=bus)

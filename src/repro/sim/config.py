@@ -94,18 +94,10 @@ class SimConfig:
     #: pipeline stays bit-identical to the frozen goldens; on, a
     #: violation aborts the run with an ``InvariantViolation``.
     check_invariants: bool = False
-    #: Metric families the per-epoch ring recorder samples: empty
-    #: disables the recorder stage entirely (the seed pipeline),
-    #: ``"default"`` selects the curated low-cost set, ``"all"`` every
-    #: family, or a comma-separated list of family names.
-    record_series: str = ""
-    #: Ring capacity of the recorder, in epochs (rows); memory is
-    #: bounded at ``record_epochs * 8`` bytes per recorded column.
-    record_epochs: int = 4096
-    #: SLO watchdog rules: empty disables the watchdog, ``"default"``
-    #: loads the built-in catalogue (queue saturation, epoch-duration
-    #: p99, invariant violations, bandwidth starvation), else a path
-    #: to a JSON rule file (see :mod:`repro.obs.slo`).
+    #: SLO watchdog rules over the ``epoch`` record: empty disables
+    #: the watchdog, ``"default"`` loads the built-in catalogue (queue
+    #: saturation, epoch-duration p99, bandwidth starvation), else a
+    #: path to a JSON rule file (see :mod:`repro.obs.slo`).
     slo_rules: str = ""
     #: Persist the full simulation state every this many epochs
     #: (0 disables checkpointing entirely — the seed pipeline).
@@ -145,8 +137,6 @@ class SimConfig:
             raise ValueError("migration_abort_rate must be in [0, 1]")
         if not 0.0 <= self.write_fraction <= 1.0:
             raise ValueError("write_fraction must be in [0, 1]")
-        if self.record_epochs < 1:
-            raise ValueError("record_epochs must be positive")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be non-negative")
         if self.checkpoint_every > 0 and not self.checkpoint_path:

@@ -30,11 +30,13 @@ new policy only needs to implement ``EpochPolicy`` to plug in.
 
 The perf stage publishes one ``epoch`` event per epoch (tier traffic
 and occupancy, promotions and demotions, policy overhead and
-nominations, migration time) to a
+nominations, migration time, and the async queue depth) to a
 :class:`~repro.sim.telemetry.TelemetryBus` and feeds the per-epoch
 counters from the same values, so the timeline and the metrics cannot
 disagree; a ring-buffer sink of :data:`TIMELINE_CAPACITY` events is
-attached by default and surfaces as ``RunResult.timeline``.
+attached by default and surfaces as ``RunResult.timeline``.  The SLO
+watchdog (``config.slo_rules``) judges the same record as it is
+published.
 
 Passing an :class:`~repro.obs.Observability` bundle turns on the
 observability layer: the engine, manager, async migration engine, and
@@ -114,7 +116,7 @@ from repro.memory.migration import MigrationEngine
 from repro.memory.mglru import MultiGenLru
 from repro.memory.tiers import NodeKind, NodeSpec, TieredMemory
 from repro.migration import AsyncMigrationConfig, AsyncMigrationEngine, TickReport
-from repro.obs import NULL_OBS, Observability, live_stack
+from repro.obs import NULL_OBS, Observability, build_watchdog
 from repro.obs.tracing import TimedStage
 from repro.sim.config import SimConfig
 from repro.sim.perf import EpochPerf, PerformanceModel
@@ -137,8 +139,10 @@ Stage = Callable[[EpochPolicy, "_EpochState"], None]
 #: than resuming from state it would misinterpret.  Format 5 added the
 #: length + CRC32 trailer and stopped pickling re-derivable data (the
 #: ingest buffer's addresses, the last epoch's arrays).  Format 6 added
-#: the SLO watchdog's set of rules that ever produced a value.
-CHECKPOINT_FORMAT_VERSION = 6
+#: the SLO watchdog's set of rules that ever produced a value.  Format
+#: 7 dropped the series recorder and its ``record`` stage: the watchdog
+#: keeps its own window of ``epoch`` records.
+CHECKPOINT_FORMAT_VERSION = 7
 
 #: The trailer after the pickle: its byte length and its ``zlib.crc32``.
 _TRAILER = struct.Struct("<QI")
@@ -552,15 +556,12 @@ class Simulation:
 
             self.checker = InvariantChecker(self)
             table.append(("verify", self._stage_verify))
-        #: The live-observability stack (see :mod:`repro.obs.live`): a
-        #: per-epoch ring recorder and an optional SLO watchdog, riding
-        #: the pipeline as one ``record`` stage.  Both need the metrics
-        #: registry; with metrics off they stay None.
-        self.recorder, self.watchdog = live_stack(
-            self.obs.registry, self.config, bus=self.telemetry
+        #: The SLO watchdog (see :mod:`repro.obs.slo`): judges each
+        #: ``epoch`` record as ``perf`` publishes it.  None unless
+        #: ``slo_rules`` is set.
+        self.watchdog = build_watchdog(
+            self.config, self.obs.registry, bus=self.telemetry
         )
-        if self.recorder is not None:
-            table.append(("record", self._stage_record))
         #: Periodic state persistence (checkpoint/resume): every
         #: ``checkpoint_every`` epochs the full simulation state is
         #: pickled atomically to ``checkpoint_path``.  Appended last so
@@ -892,7 +893,8 @@ class Simulation:
 
         The event is the epoch's one record: the per-epoch counters
         (``sim_accesses_total``, ``sim_migrated_pages_total``) are fed
-        here from the same values, and nowhere else.
+        here from the same values, and nowhere else, and the SLO
+        watchdog judges it right after the publish.
         """
         st.migration_us = self.engine.stats.time_us - st.migration_us_prev
         st.migration_us_prev = self.engine.stats.time_us
@@ -935,6 +937,10 @@ class Simulation:
             nominated=st.decision.nominated,
             migration_us=st.migration_us,
         )
+        if self.async_engine is not None:
+            # The queue depth after this epoch's tick (what the
+            # ``migration_pending`` gauge holds).
+            fields["migration_pending"] = self.async_engine.pending
         if deep:
             # Extra tiers ride along under name-derived keys; the
             # two-node event shape stays frozen.
@@ -942,23 +948,12 @@ class Simulation:
                 fields[f"n_{node.name}"] = node.accesses_this_epoch
                 fields[f"nr_pages_{node.name}"] = self.memory.nr_pages_at(i)
         self.telemetry.publish("epoch", st.epoch, st.now_s, **fields)
+        if self.watchdog is not None:
+            self.watchdog.observe(st.epoch, st.now_s, fields)
 
     def _stage_verify(self, policy: EpochPolicy, st: _EpochState) -> None:
         """Run the invariant catalogue against the finished epoch."""
         self.checker.check_epoch(st)
-
-    def _stage_record(self, policy: EpochPolicy, st: _EpochState) -> None:
-        """Sample the selected metric families into the ring recorder
-        and let the SLO watchdog judge the fresh row."""
-        self.recorder.sample(
-            st.epoch,
-            st.now_s,
-            extra={
-                "epoch_s": st.perf.total_s if st.perf is not None else 0.0
-            },
-        )
-        if self.watchdog is not None:
-            self.watchdog.evaluate(st.epoch, st.now_s)
 
     def _stage_checkpoint(self, policy: EpochPolicy, st: _EpochState) -> None:
         """Snapshot the access-count ratio at measurement points."""
@@ -1136,8 +1131,6 @@ class Simulation:
             self.result.extra["invariant_violations"] = float(
                 len(self.checker.violations)
             )
-        if self.recorder is not None:
-            self.result.extra["recorded_epochs"] = float(self.recorder.rows)
         if self.watchdog is not None:
             self.result.extra["slo_breaches"] = float(
                 self.watchdog.breaches_total

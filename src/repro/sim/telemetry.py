@@ -18,12 +18,16 @@ with no sinks attached is a cheap no-op, so instrumented code never
 needs to guard its publish calls.
 
 Event kinds published by the pipeline: ``epoch`` (the epoch's one
-record: traffic split, tier occupancy, promotions/demotions, policy
-overhead and nominations, migration time, epoch duration), ``ratio``
-(access-count checkpoints), ``promoter.drop`` (bounded proc-file
-overflow), and — in async migration mode — ``migration.enqueue`` /
-``migration.commit`` / ``migration.abort`` / ``migration.retry``
-(the transactional queue's per-epoch outcomes; aggregate them with
+record and the run's one per-epoch table: traffic split, tier
+occupancy, promotions/demotions, policy overhead and nominations,
+migration time, epoch duration, and in async mode the queue depth
+``migration_pending``), ``ratio`` (access-count checkpoints),
+``promoter.drop`` (bounded proc-file overflow), ``invariant.violation``
+(with ``check_invariants``), ``alert.<rule>`` (SLO breaches, judged on
+the ``epoch`` record; see :mod:`repro.obs.slo`), and — in async
+migration mode — ``migration.enqueue`` / ``migration.commit`` /
+``migration.abort`` / ``migration.retry`` (the transactional queue's
+per-epoch outcomes; aggregate them with
 :func:`repro.analysis.timeline.migration_outcomes`).
 """
 

@@ -81,9 +81,12 @@ class InvariantChecker:
             checker reads trackers, tiers, and queues through it.
         mode: ``"raise"`` aborts the run on the first violation with an
             :class:`InvariantViolation`; ``"record"`` collects every
-            violation in :attr:`violations` and lets the run finish
-            (the differential runner's mode, so one bad epoch does not
-            hide later ones).
+            violation in :attr:`violations` and lets the run finish,
+            so one bad epoch does not hide later ones.  The engine
+            always builds its checker in ``"raise"`` mode
+            (``SimConfig.check_invariants``, which the differential
+            runner sets too); ``"record"`` is for callers that drive a
+            checker themselves.
     """
 
     def __init__(self, sim: Simulation, mode: str = "raise") -> None:
@@ -121,7 +124,7 @@ class InvariantChecker:
         self.checks_run += 1
         self._m_checks.labels(invariant=invariant).inc()
         # Create the violations series at the first check, so a clean
-        # run records 0 and its SLO rule is judged green, not "no data".
+        # run's snapshot reads 0 rather than lacking the series.
         self._m_violations.labels(invariant=invariant)
         if not ok:
             self._fail(invariant, epoch, detail)

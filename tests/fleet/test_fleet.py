@@ -4,7 +4,7 @@ isolation, and the noisy-neighbor model."""
 import numpy as np
 
 from repro.fleet import FleetConfig, FleetSimulation
-from repro.obs import Observability
+from repro.obs import Observability, flatten_snapshot
 from repro.sim.config import SimConfig
 from repro.sim.engine import Simulation
 from repro.sim.sweep import cell_seed
@@ -146,8 +146,6 @@ def test_fleet_metrics_snapshot_has_tenant_labels():
 
 
 def test_merged_snapshot_carries_per_tenant_labels():
-    from repro.obs import flatten_snapshot
-
     fleet = FleetConfig(tenants=2, tiers=2, bench="mcf,roms")
     fsim = FleetSimulation(
         fleet, small_config(),
@@ -208,23 +206,23 @@ def test_tenant_spans_one_group_per_traced_tenant():
     assert any(e["name"] == "stage.snoop" for e in trace["traceEvents"])
 
 
-def test_fleet_recorder_and_watchdog_wire_up():
+def test_fleet_watchdog_row_is_keyed_as_the_gauges():
     fleet = FleetConfig(tenants=2, tiers=2, bench="mcf")
-    config = small_config(record_series="default", slo_rules="default")
+    config = small_config(slo_rules="default")
     fsim = FleetSimulation(
         fleet, config,
         obs=Observability(metrics=True, tracing=False),
         tenant_metrics=True,
     )
     fsim.run()
-    assert fsim.recorder is not None
-    assert fsim.recorder.rows == ACCESSES // CHUNK
-    # default fleet series include the per-tenant arbitration gauges
-    assert any(
-        c.startswith("fleet_tenant_slowdown{")
-        for c in fsim.recorder.columns()
-    )
-    assert fsim.watchdog is not None
+    rows = [row for _, row in fsim.watchdog._rows]
+    assert len(rows) == ACCESSES // CHUNK
+    flat = flatten_snapshot(fsim.obs.snapshot())
+    assert set(rows[-1]) == {
+        key for key in flat
+        if key.startswith(("fleet_tenant_slowdown{",
+                           "fleet_tenant_bandwidth_share{"))
+    }
     # a tiny uncontended fleet must not breach anything
     assert fsim.watchdog.breaches_total == 0
 

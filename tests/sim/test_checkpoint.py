@@ -8,6 +8,7 @@ not the simulation.
 """
 
 import dataclasses
+import json
 import os
 import pickle
 
@@ -76,14 +77,28 @@ class TestKillAndResume:
 
     EVERY = 3
     KILL_EPOCH = 7  # past the checkpoint at epoch 6, before the end (10)
+    #: Rules that fire on every run, with values that depend on the
+    #: watchdog's window of earlier epochs, so a resumed watchdog that
+    #: lost its history or streaks would report different alerts.
+    RULES = {"rules": [
+        {"name": "epoch_tail", "series": "epoch_s",
+         "reduce": "p99_over_p50", "op": ">", "threshold": 0.0,
+         "window": 8, "for_epochs": 2},
+        {"name": "cxl_mean", "series": "n_cxl", "reduce": "mean",
+         "op": ">=", "threshold": 0.0, "window": 4},
+    ]}
 
-    @staticmethod
-    def build(policy, mode, full_obs, timeline, **kw):
+    @classmethod
+    def build(cls, policy, mode, full_obs, timeline, **kw):
+        obs_kw = {}
+        if full_obs:
+            rules = os.path.join(os.path.dirname(timeline), "rules.json")
+            with open(rules, "w") as fh:
+                json.dump(cls.RULES, fh)
+            obs_kw = dict(check_invariants=True, slo_rules=rules)
         cfg = make_config(
             total_accesses=40_000, chunk_size=4_000, migration_mode=mode,
-            **(dict(check_invariants=True, record_series="default",
-                    slo_rules="default") if full_obs else {}),
-            **kw,
+            **obs_kw, **kw,
         )
         return Simulation(
             uniform_workload(footprint_pages=2048, seed=11),
@@ -114,10 +129,13 @@ class TestKillAndResume:
 
         resumed_sim = Simulation.load_state(ckpt)
         assert resumed_sim.resumed_epoch == self.KILL_EPOCH // self.EVERY * self.EVERY
-        assert (resumed_sim.recorder is not None) is full_obs
+        assert (resumed_sim.watchdog is not None) is full_obs
         result = resumed_sim.run()
         resumed_sim.telemetry.close()
         assert_bit_identical(baseline, result)
+        if full_obs:
+            assert baseline_sim.watchdog.alerts
+            assert resumed_sim.watchdog.alerts == baseline_sim.watchdog.alerts
 
     def test_checkpointing_itself_is_invisible(self, tmp_path):
         """With no kill at all, a checkpointed run's results equal a
@@ -149,8 +167,9 @@ class TestCheckpointMechanics:
         # Format 1 pickled an async engine that tallied outcomes per
         # transaction; this build folds them per tick.  Format 2 pickled
         # DAMON's regions as a list of Region records; this build holds
-        # them in arrays.  Format 3 had no envelope ``kind``.
-        for version in (CHECKPOINT_FORMAT_VERSION + 1, 1, 2, 3):
+        # them in arrays.  Format 3 had no envelope ``kind``.  Format 6
+        # pickled the series recorder and its ``record`` stage.
+        for version in (CHECKPOINT_FORMAT_VERSION + 1, 1, 2, 3, 6):
             path = tmp_path / f"v{version}.ckpt"
             with open(path, "wb") as fh:
                 pickle.dump({"format": version, "sim": object()}, fh)
@@ -242,9 +261,8 @@ class TestCheckpointMechanics:
 
 
 class TestDamonCheckpointFromBeforeTheProbabilityTable:
-    """``tests/data/damon_format6.ckpt`` was written by the build before
-    DAMON read its bit probabilities from a per-page table and the TLB
-    deduplicated without ``np.unique`` (commit 2149dd0)::
+    """``tests/data/damon_format7.ckpt`` is a DAMON checkpoint written
+    by this recipe::
 
         sim = Simulation(uniform_workload(footprint_pages=512, seed=11),
                          SimConfig(**CONFIG), policy="damon")
@@ -253,13 +271,16 @@ class TestDamonCheckpointFromBeforeTheProbabilityTable:
             sim.step_epoch(st, sim.epoch_policy)
         sim.save_state(path, st)
 
-    Both changes kept the pickled state: such a checkpoint still loads
-    under this format and resumes to the uninterrupted run.  A format
-    bump retires the file.
+    Its format-6 predecessor came from the build before DAMON read its
+    bit probabilities from a per-page table and the TLB deduplicated
+    without ``np.unique`` (commit 2149dd0); both changes kept the
+    pickled state.  A later change to DAMON's state must still load
+    this file and resume to the uninterrupted run.  A format bump
+    retires the file; regenerate it from the recipe.
     """
 
     FIXTURE = os.path.join(os.path.dirname(__file__), os.pardir, "data",
-                           "damon_format6.ckpt")
+                           "damon_format7.ckpt")
     CONFIG = dict(total_accesses=24_000, chunk_size=3_000, ddr_pages=128,
                   cxl_pages=1024, checkpoints=3, pages_per_gb=1024, seed=11)
 

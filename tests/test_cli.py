@@ -112,26 +112,30 @@ class TestRun:
         assert f"aborted {aborted} " in abort_lines[0]
 
 
-    def test_record_out_without_a_recorder_is_refused(self, tmp_path,
-                                                      capsys):
-        out = tmp_path / "series.csv"
-        rc = main([
-            "run", "--bench", "mcf", "--accesses", "40000",
-            "--chunk", "20000", "--record-out", str(out),
-        ])
-        assert rc == 2
-        lines = capsys.readouterr().out.splitlines()
-        assert lines == ["cannot honour --record-out: nothing is recorded "
-                         "without --record-series (or --slo-rules)"]
-        assert not out.exists()
-        # --slo-rules alone records the default series, so it exports.
+    def test_slo_rules_run_without_metrics(self, monkeypatch, capsys):
+        """The watchdog judges the ``epoch`` record, so ``--slo-rules``
+        alone builds no metrics registry."""
+        from repro import cli
+
+        sims = []
+
+        class Recording(cli.Simulation):
+            def run(self):
+                sims.append(self)
+                return super().run()
+
+        monkeypatch.setattr(cli, "Simulation", Recording)
         rc = main([
             "run", "--bench", "mcf", "--accesses", "40000",
             "--chunk", "20000", "--slo-rules", "default",
-            "--record-out", str(out),
         ])
         assert rc == 0
-        assert len(out.read_text().splitlines()) == 1 + 2  # header + epochs
+        (sim,) = sims
+        assert not sim.obs.metrics_on
+        assert len(sim.watchdog._rows) == 2
+        assert ("slo           : all 1 rules green; no data for "
+                "queue_saturation, bandwidth_starvation"
+                in capsys.readouterr().out.splitlines())
 
     def test_trace_with_periodic_checkpoints_is_refused(self, tmp_path,
                                                         capsys):
@@ -160,6 +164,23 @@ class TestRun:
         out = capsys.readouterr().out
         assert "slo           : no data for typo" in out.splitlines()
         assert "green" not in out
+
+
+@pytest.mark.parametrize("argv", (
+    ["run", "--record-series", "default"],
+    ["run", "--record-epochs", "8"],
+    ["run", "--record-out", "series.jsonl"],
+    ["fleet", "--record-series", "default"],
+    ["fleet", "--record-epochs", "8"],
+), ids=" ".join)
+def test_series_recorder_flags_are_gone(argv, capsys):
+    """The ``epoch`` record is the one per-epoch table: ``--timeline``
+    exports it, and no second recorder can be asked for."""
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--bench", "mcf", *argv[1:]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in (
+        capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("problem", ("missing", "directory", "not-json",
@@ -350,12 +371,12 @@ class TestFleet:
         rc = main([
             "fleet", "--tenants", "2", "--tiers", "2", "--bench", "mcf",
             "--accesses", "60000", "--chunk", "15000",
-            "--slo-rules", "default", "--check-invariants",
+            "--slo-rules", "default",
         ])
         assert rc == 0
-        # The tenants' watchdogs judge the epoch and invariant rules,
-        # the fleet's the bandwidth rule; instant mode has no queue.
-        assert ("slo           : all 3 rules green; no data for "
+        # The tenants' watchdogs judge the epoch rule, the fleet's the
+        # bandwidth rule; instant mode has no queue.
+        assert ("slo           : all 2 rules green; no data for "
                 "queue_saturation" in capsys.readouterr().out.splitlines())
 
     def test_slo_breaches_name_their_scope(self, tmp_path, capsys):
@@ -389,20 +410,26 @@ class TestFleet:
         monkeypatch.setattr(repro.fleet, "FleetSimulation", Recording)
         return fleets
 
-    def test_record_series_applies_without_serve(self, monkeypatch):
+    def test_fleet_watchdog_judges_the_tenant_row(self, monkeypatch):
         fleets = self._recording_fleet(monkeypatch)
         rc = main([
             "fleet", "--tenants", "2", "--tiers", "2", "--bench", "mcf",
             "--accesses", "60000", "--chunk", "15000",
-            "--record-series", "default",
+            "--slo-rules", "default",
         ])
         assert rc == 0
         (fsim,) = fleets
-        assert fsim.recorder is not None
-        assert fsim.recorder.rows == fsim.result.epochs
-        assert any(c.startswith("fleet_tenant_slowdown")
-                   for c in fsim.recorder.columns())
-        assert fsim.watchdog is None
+        assert not fsim.obs.metrics_on
+        rows = [row for _, row in fsim.watchdog._rows]
+        assert len(rows) == fsim.result.epochs
+        assert rows[0] == {}  # before the first arbitration
+        assert sorted(rows[-1]) == sorted(
+            [f'fleet_tenant_slowdown{{tenant="{t}"}}' for t in "01"]
+            + [f'fleet_tenant_bandwidth_share{{tenant="{t}",tier="{tier}"}}'
+               for t in "01" for tier in ("ddr", "cxl")]
+        )
+        assert fsim.watchdog.rules_without_data() == [
+            "queue_saturation", "epoch_duration_p99"]
 
     def test_check_invariants_prints_fleet_totals(self, monkeypatch, capsys):
         fleets = self._recording_fleet(monkeypatch)
@@ -587,11 +614,12 @@ class TestRunCheckpointResume:
 
 @pytest.fixture(scope="module")
 def instrumented_ckpt(tmp_path_factory):
-    """A run checkpoint carrying a metrics registry and a recorder."""
-    ckpt = tmp_path_factory.mktemp("resume") / "run.ckpt"
+    """A run checkpoint carrying a metrics registry and a watchdog."""
+    tmp = tmp_path_factory.mktemp("resume")
+    ckpt = tmp / "run.ckpt"
     assert main([
         "run", "--bench", "mcf", "--accesses", "60000", "--chunk", "20000",
-        "--record-series", "default",
+        "--metrics", str(tmp / "m.json"), "--slo-rules", "default",
         "--checkpoint", str(ckpt), "--checkpoint-every", "2",
     ]) == 0
     return ckpt
@@ -616,9 +644,6 @@ class TestResumeFlags:
         if flag == "--serve-linger":
             return (["--serve", "--serve-linger", "0.01"],
                     "serving the final snapshot for 0.01s")
-        if flag == "--record-out":
-            return (["--record-out", str(tmp / "r.jsonl")],
-                    f"per-epoch series written to {tmp / 'r.jsonl'}")
         return None
 
     @pytest.mark.parametrize("action", _run_actions(),
@@ -655,11 +680,10 @@ class TestResumeFlags:
                      "--checkpoint-every", "1"]) == 0
         capsys.readouterr()
         rc = main(["run", "--resume", str(ckpt), "--serve",
-                   "--metrics", str(tmp_path / "m.json"),
-                   "--record-out", str(tmp_path / "r.jsonl")])
+                   "--metrics", str(tmp_path / "m.json")])
         assert rc == 2
         assert set(_refused(capsys.readouterr().out)) == {
-            "--serve", "--metrics", "--record-out"}
+            "--serve", "--metrics"}
 
 
 class TestServeCommand:

@@ -19,9 +19,9 @@ per-epoch invariant catalogue gets its own (looser) budget via
 ``--invariant-tolerance``, and its results must likewise stay
 bit-identical — checking may only observe.
 
-A ``recorder`` leg runs with ``record_series="default"`` (the per-epoch
-time-series ring recorder stage enabled) under the standard tolerance:
-recording, too, must stay within budget and bit-identical.
+An ``slo`` leg runs with ``slo_rules="default"`` (the SLO watchdog
+judging every ``epoch`` record) under the standard tolerance: judging,
+too, must stay within budget and bit-identical.
 
 A ``checkpoint`` leg runs with ``checkpoint_every`` on (periodic
 full-state snapshots to disk) under the standard tolerance, and its
@@ -49,7 +49,7 @@ from repro.obs import Observability  # noqa: E402
 from repro.sim import SimConfig, Simulation  # noqa: E402
 from repro.workloads import registry  # noqa: E402
 
-#: (leg name, observability factory, check_invariants, record, checkpoint)
+#: (leg name, observability factory, check_invariants, slo, checkpoint)
 LEGS = (
     ("plain", lambda: None, False, False, False),
     ("metrics", lambda: Observability(metrics=True, tracing=False), False,
@@ -57,13 +57,12 @@ LEGS = (
     ("metrics+tracing", lambda: Observability(metrics=True, tracing=True),
      False, False, False),
     ("invariants", lambda: None, True, False, False),
-    ("recorder", lambda: Observability(metrics=True, tracing=False), False,
-     True, False),
+    ("slo", lambda: None, False, True, False),
     ("checkpoint", lambda: None, False, False, True),
 )
 
 
-def one_run(args, obs, check_invariants=False, record=False,
+def one_run(args, obs, check_invariants=False, slo=False,
             checkpoint=False):
     workload = registry.build(args.bench, seed=args.seed)
     config = SimConfig(
@@ -72,7 +71,7 @@ def one_run(args, obs, check_invariants=False, record=False,
         trace_subsample=64.0,
         checkpoints=1,
         check_invariants=check_invariants,
-        record_series="default" if record else "",
+        slo_rules="default" if slo else "",
         checkpoint_every=args.checkpoint_every if checkpoint else 0,
         checkpoint_path=(os.path.join(tempfile.gettempdir(),
                                       f"overhead_gate_{os.getpid()}.ckpt")
@@ -113,8 +112,8 @@ def main() -> int:
     # warm-up: first run pays numpy/import costs, charged to no leg
     one_run(args, None)
     for _ in range(args.repeats):
-        for name, make_obs, check, record, checkpoint in LEGS:
-            elapsed, result, obs = one_run(args, make_obs(), check, record,
+        for name, make_obs, check, slo, checkpoint in LEGS:
+            elapsed, result, obs = one_run(args, make_obs(), check, slo,
                                            checkpoint)
             times[name].append(elapsed)
             results[name] = result
@@ -134,7 +133,7 @@ def main() -> int:
             failed.append(name)
 
     plain = results["plain"]
-    for name in ("metrics", "metrics+tracing", "invariants", "recorder",
+    for name in ("metrics", "metrics+tracing", "invariants", "slo",
                  "checkpoint"):
         r = results[name]
         if (r.execution_time_s != plain.execution_time_s

@@ -12,12 +12,13 @@ acceptance properties end to end:
    ``/snapshot.json`` must equal the ``--metrics`` artifact exactly,
    and ``repro metrics diff`` over the two must report no differing
    series.
-3. The per-epoch recorder exports a non-empty JSONL series file.
+3. ``--timeline`` exports the per-epoch table: one ``epoch`` record
+   per epoch.
 4. The same final-scrape == snapshot equality on a 2-tenant
    ``repro fleet --serve`` with per-tenant labelled series.
 5. The SLO watchdog demonstrably fires: a starved async copy engine
    (tiny ``--mig-copy-gbps``) must produce ``alert.queue_saturation``
-   timeline events and a nonzero ``slo_breaches_total``.
+   timeline events, each judging its own epoch's ``migration_pending``.
 
 Usage::
 
@@ -99,13 +100,13 @@ def monotone_keys(flat: dict, kinds: dict):
 
 def check_single_run(out: str, accesses: int) -> None:
     final_path = os.path.join(out, "final_run.json")
-    series_path = os.path.join(out, "series.jsonl")
+    timeline = os.path.join(out, "timeline.jsonl")
     live_path = os.path.join(out, "live_run.json")
     proc = repro(
         "run", "--bench", "mcf", "--accesses", str(accesses),
         "--serve", "--serve-linger", "8",
-        "--record-series", "default", "--slo-rules", "default",
-        "--record-out", series_path, "--metrics", final_path,
+        "--slo-rules", "default",
+        "--timeline", timeline, "--metrics", final_path,
     )
     seen: list = []
     try:
@@ -142,12 +143,16 @@ def check_single_run(out: str, accesses: int) -> None:
     diff = repro("metrics", live_path, final_path)
     out_text, _ = diff.communicate(timeout=120)
     assert diff.returncode == 0 and "no differing series" in out_text, out_text
-    # -- recorder artifact is real
-    with open(series_path) as fh:
-        rows = [json.loads(ln) for ln in fh if ln.strip()]
-    assert rows and "epoch" in rows[0], "empty per-epoch series export"
+    # -- the timeline holds one epoch record per epoch
+    with open(timeline) as fh:
+        epochs = [e["epoch"] for e in map(json.loads, fh)
+                  if e["stage"] == "epoch"]
+    assert epochs == list(range(1, len(epochs) + 1)), "epoch rows out of step"
+    assert final_flat.get("sim_epochs_total") == len(epochs), (
+        f"{len(epochs)} epoch rows for {final_flat.get('sim_epochs_total')} "
+        "epochs")
     print(f"single run OK: {checked} monotone series mid<=final, "
-          f"final scrape == snapshot, {len(rows)} recorded epochs")
+          f"final scrape == snapshot, {len(epochs)} epoch records")
 
 
 def check_fleet(out: str, accesses: int) -> None:
@@ -192,13 +197,15 @@ def check_watchdog(out: str, accesses: int) -> None:
     assert "slo           :" in out_text and "breaches" in out_text, out_text
     assert "queue_saturation" in out_text, out_text
     with open(timeline) as fh:
-        alerts = [
-            json.loads(ln) for ln in fh
-            if ln.strip() and '"alert.' in ln
-        ]
-    assert any(
-        e["stage"] == "alert.queue_saturation" for e in alerts
-    ), "no alert.queue_saturation events in the timeline"
+        events = [json.loads(ln) for ln in fh if ln.strip()]
+    alerts = [e for e in events if e["stage"].startswith("alert.")]
+    saturated = [e for e in alerts if e["stage"] == "alert.queue_saturation"]
+    assert saturated, "no alert.queue_saturation events in the timeline"
+    # One fact, one place: the alert judged its epoch's record.
+    pending = {e["epoch"]: e["migration_pending"]
+               for e in events if e["stage"] == "epoch"}
+    for e in saturated:
+        assert e["value"] == pending[e["epoch"]], (e, pending[e["epoch"]])
     print(f"watchdog OK: {len(alerts)} alert events on a starved copy engine")
 
 
