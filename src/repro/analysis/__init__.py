@@ -4,7 +4,7 @@
 
 The §4.1 access-count ratio of a whole run is
 :func:`repro.sim.access_count_ratio`; the Fig. 9 score is
-:func:`repro.sim.normalized`.  Per-epoch pivots of
+:func:`repro.sim.normalized`.  Per-epoch columns of
 ``RunResult.timeline`` live in :mod:`repro.analysis.timeline`.
 """
 

@@ -20,6 +20,10 @@ from repro.sim.engine import Simulation, access_count_ratio, ratio_k_cap
 from repro.workloads import registry
 from repro.workloads.wordmap import SPARSITY_THRESHOLDS
 
+#: ``migration_friendly`` holds when the p99 page is more than this
+#: many times hotter than the p50 page.
+MIGRATION_FRIENDLY_SKEW = 4.0
+
 
 @dataclass
 class BenchmarkProfile:
@@ -44,7 +48,7 @@ class BenchmarkProfile:
     def migration_friendly(self) -> bool:
         """Does precise migration have something to win here?  Skewed
         page heat (the p99 page much hotter than p50) rewards it."""
-        return self.cdf.hotness_ratio(99) > 4.0
+        return self.cdf.hotness_ratio(99) > MIGRATION_FRIENDLY_SKEW
 
 
 def profile_benchmark(
@@ -125,7 +129,8 @@ def render_markdown(profile: BenchmarkProfile) -> str:
         "(Guidelines 3/4)",
         f"- precise migration worthwhile: "
         f"**{'yes' if profile.migration_friendly else 'marginal'}** "
-        "(page-heat skew vs the §7.2 break-even)",
+        f"(rule: p99/p50 page heat > {MIGRATION_FRIENDLY_SKEW:g}; "
+        f"here {skew['p99_over_p50']:.2f})",
         "",
     ]
     return "\n".join(lines)

@@ -182,7 +182,6 @@ def chrome_trace(
     """
     events: List[Dict[str, object]] = []
     for span in sorted(spans, key=lambda s: s.start_wall_s):
-        args: Dict[str, object] = {"epoch": span.epoch, **span.attrs}
         events.append({
             "name": span.name,
             "cat": "pipeline",
@@ -191,7 +190,7 @@ def chrome_trace(
             "dur": span.dur_wall_s * 1e6,
             "pid": pid,
             "tid": 1,
-            "args": args,
+            "args": {"epoch": span.epoch},
         })
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 

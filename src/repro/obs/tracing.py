@@ -23,7 +23,7 @@ is opened and no clock is read.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List
 
 
@@ -39,7 +39,6 @@ class SpanRecord:
     epoch: int
     #: Wall-clock seconds spent in child spans (self = dur - child).
     child_wall_s: float = 0.0
-    attrs: Dict[str, float] = field(default_factory=dict)
 
     @property
     def self_wall_s(self) -> float:
@@ -57,9 +56,6 @@ class _NullSpan:
     def __exit__(self, *exc) -> None:
         pass
 
-    def set(self, **attrs) -> None:
-        pass
-
 
 NULL_SPAN = _NullSpan()
 
@@ -68,23 +64,18 @@ class Span:
     """A live timed region; use via ``with tracer.span(name):``."""
 
     __slots__ = (
-        "tracer", "name", "attrs", "depth", "epoch",
+        "tracer", "name", "depth", "epoch",
         "_t0", "_child_wall_s", "dur_wall_s",
     )
 
-    def __init__(self, tracer: Tracer, name: str, attrs: Dict[str, float]):
+    def __init__(self, tracer: Tracer, name: str):
         self.tracer = tracer
         self.name = name
-        self.attrs = attrs
         self.depth = 0
         self.epoch = 0
         self._t0 = 0.0
         self._child_wall_s = 0.0
         self.dur_wall_s = 0.0
-
-    def set(self, **attrs) -> None:
-        """Attach payload fields (exported into the Chrome trace)."""
-        self.attrs.update(attrs)
 
     def __enter__(self) -> Span:
         tr = self.tracer
@@ -108,7 +99,6 @@ class Span:
             depth=self.depth,
             epoch=self.epoch,
             child_wall_s=self._child_wall_s,
-            attrs=self.attrs,
         ))
 
 
@@ -157,11 +147,11 @@ class Tracer:
         self.current_epoch = 0
         self._stack: List[Span] = []
 
-    def span(self, name: str, **attrs):
+    def span(self, name: str):
         """Open a nestable timed region as a context manager."""
         if not self.enabled:
             return NULL_SPAN
-        return Span(self, name, attrs)
+        return Span(self, name)
 
     def clear(self) -> None:
         self.spans.clear()

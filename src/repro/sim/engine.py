@@ -66,9 +66,10 @@ per epoch executes requests as Nomad-style transactions — shadow copy,
 dirty recheck against the epoch's snooped writes, then commit or
 abort with retry/backoff — under a per-epoch in-flight budget and an
 optional copy-bandwidth throttle.  Copy traffic is charged into the
-performance model as contention against demand traffic
-(``migration.enqueue/commit/abort/retry`` telemetry events trace the
-queue's behaviour).  Instant mode stays the default.
+performance model as contention against demand traffic, and each
+epoch's queue outcomes (enqueues, drops, aborts by cause, retries,
+queue depth) ride that epoch's ``epoch`` record as its ``mig_*``
+fields.  Instant mode stays the default.
 """
 
 from __future__ import annotations
@@ -752,7 +753,7 @@ class Simulation:
         st.lpages = (st.chunk >> np.uint64(PAGE_SHIFT)).astype(np.int64)
         if self.async_engine is not None:
             # Later stages (Promoter, the tick) tag queue entries with
-            # the current epoch; deltas feed the enqueue telemetry.
+            # the current epoch; deltas feed the ``epoch`` record.
             self.async_engine.current_epoch = st.epoch
             st.tick = None
             st.enqueued_before = self.async_engine.stats.enqueued
@@ -820,54 +821,10 @@ class Simulation:
         # The transactional tick is a child span under stage.migrate,
         # so migration transactions show up nested in the flame table
         # and the Chrome trace.
-        with self.obs.tracer.span("migrate.tick") as span:
+        with self.obs.tracer.span("migrate.tick"):
             st.tick = eng.tick(
                 st.epoch, self._epoch_dirty_pages(st),
                 epoch_s=st.epoch_s_estimate,
-            )
-            span.set(
-                attempted=st.tick.attempted,
-                committed=st.tick.committed,
-                aborted=st.tick.aborted,
-            )
-        report = st.tick
-        enqueued = eng.stats.enqueued - st.enqueued_before
-        dropped_full = eng.stats.dropped_queue_full - st.qdropped_before
-        if enqueued or dropped_full:
-            self.telemetry.publish(
-                "migration.enqueue",
-                st.epoch,
-                st.now_s,
-                enqueued=enqueued,
-                dropped_full=dropped_full,
-                pending=eng.pending,
-            )
-        if report.committed:
-            self.telemetry.publish(
-                "migration.commit",
-                st.epoch,
-                st.now_s,
-                committed=report.committed,
-                promoted=report.promoted,
-                demoted=report.demoted,
-            )
-        if report.aborted:
-            self.telemetry.publish(
-                "migration.abort",
-                st.epoch,
-                st.now_s,
-                aborted=report.aborted,
-                dirty=report.aborted_dirty,
-                injected=report.aborted_injected,
-                enomem=report.aborted_enomem,
-            )
-        if report.retried or report.dropped_retries:
-            self.telemetry.publish(
-                "migration.retry",
-                st.epoch,
-                st.now_s,
-                retried=report.retried,
-                dropped=report.dropped_retries,
             )
 
     def _stage_migrate(self, policy: EpochPolicy, st: _EpochState) -> None:
@@ -938,9 +895,24 @@ class Simulation:
             migration_us=st.migration_us,
         )
         if self.async_engine is not None:
-            # The queue depth after this epoch's tick (what the
-            # ``migration_pending`` gauge holds).
-            fields["migration_pending"] = self.async_engine.pending
+            # The queue's epoch outcomes, each named as its run total
+            # in ``RunResult.extra``.  Commits (``promoted + demoted``)
+            # and aborts (the three causes' sum) are not carried.
+            stats = self.async_engine.stats
+            tick = st.tick if st.tick is not None else TickReport()
+            fields.update(
+                mig_enqueued=stats.enqueued - st.enqueued_before,
+                mig_dropped_queue_full=(
+                    stats.dropped_queue_full - st.qdropped_before
+                ),
+                mig_aborted_dirty=tick.aborted_dirty,
+                mig_aborted_injected=tick.aborted_injected,
+                mig_aborted_enomem=tick.aborted_enomem,
+                mig_retries=tick.retried,
+                mig_dropped_retries=tick.dropped_retries,
+                # The queue depth after the tick (the gauge's value).
+                migration_pending=self.async_engine.pending,
+            )
         if deep:
             # Extra tiers ride along under name-derived keys; the
             # two-node event shape stays frozen.

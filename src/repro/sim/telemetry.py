@@ -1,8 +1,8 @@
 """Per-epoch telemetry bus for the simulation pipeline.
 
 Pipeline stages publish structured events while a run is in flight —
-the per-epoch record, access-count-ratio checkpoints, async queue
-outcomes — and any number of *sinks* consume them.  Two sinks ship
+the per-epoch record, access-count-ratio checkpoints, alerts — and any
+number of *sinks* consume them.  Two sinks ship
 with the bus:
 
 * :class:`RingBufferSink` — bounded in-memory history; the engine
@@ -20,15 +20,13 @@ needs to guard its publish calls.
 Event kinds published by the pipeline: ``epoch`` (the epoch's one
 record and the run's one per-epoch table: traffic split, tier
 occupancy, promotions/demotions, policy overhead and nominations,
-migration time, epoch duration, and in async mode the queue depth
-``migration_pending``), ``ratio`` (access-count checkpoints),
-``promoter.drop`` (bounded proc-file overflow), ``invariant.violation``
-(with ``check_invariants``), ``alert.<rule>`` (SLO breaches, judged on
-the ``epoch`` record; see :mod:`repro.obs.slo`), and — in async
-migration mode — ``migration.enqueue`` / ``migration.commit`` /
-``migration.abort`` / ``migration.retry`` (the transactional queue's
-per-epoch outcomes; aggregate them with
-:func:`repro.analysis.timeline.migration_outcomes`).
+migration time, epoch duration, and in async mode the transactional
+queue's ``mig_*`` outcomes and depth ``migration_pending``; select
+them with :func:`repro.analysis.timeline.migration_outcomes`),
+``ratio`` (access-count checkpoints), ``promoter.drop`` (bounded
+proc-file overflow), ``invariant.violation`` (with
+``check_invariants``) and ``alert.<rule>`` (SLO breaches, judged on the
+``epoch`` record; see :mod:`repro.obs.slo`).
 """
 
 from __future__ import annotations

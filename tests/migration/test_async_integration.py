@@ -26,6 +26,19 @@ def async_config(**kw):
     return SimConfig(**defaults)
 
 
+#: The transactional queue's fields on every async ``epoch`` record.
+ASYNC_RECORD_FIELDS = (
+    "mig_enqueued",
+    "mig_dropped_queue_full",
+    "mig_aborted_dirty",
+    "mig_aborted_injected",
+    "mig_aborted_enomem",
+    "mig_retries",
+    "mig_dropped_retries",
+    "migration_pending",
+)
+
+
 def num_epochs(cfg):
     return (cfg.total_accesses + cfg.chunk_size - 1) // cfg.chunk_size
 
@@ -122,14 +135,40 @@ class TestAbortInjection:
 
 class TestTelemetryIntegration:
     def test_migration_events_published(self):
+        """The queue's outcomes ride the ``epoch`` record; no separate
+        ``migration.*`` event kind exists."""
         bus = TelemetryBus([RingBufferSink()])
         cfg = async_config(migration_abort_rate=0.3)
         r = run_policy(build("mcf", seed=0), "anb", cfg, telemetry=bus)
-        stages = {e["stage"] for e in r.timeline}
-        assert "migration.enqueue" in stages
-        assert "migration.commit" in stages
-        assert "migration.abort" in stages
-        assert "migration.retry" in stages
+        assert not any(e["stage"].startswith("migration.") for e in r.timeline)
+        records = [e for e in r.timeline if e["stage"] == "epoch"]
+        assert len(records) == num_epochs(cfg)
+        assert all(set(ASYNC_RECORD_FIELDS) <= set(e) for e in records)
+        frame = migration_outcomes(r.timeline)
+        assert r.extra["mig_aborted_injected"] > 0
+        assert sum(frame["mig_aborted_injected"]) == (
+            r.extra["mig_aborted_injected"]
+        )
+
+    def test_no_tick_reads_zero(self):
+        """Identification-only runs never tick: every outcome is 0."""
+        cfg = async_config(migrate=False)
+        r = run_policy(build("mcf", seed=0), "m5-hpt", cfg)
+        records = [e for e in r.timeline if e["stage"] == "epoch"]
+        assert len(records) == num_epochs(cfg)
+        assert all(e[f] == 0 for e in records for f in ASYNC_RECORD_FIELDS)
+
+    def test_long_run_keeps_one_record_per_epoch(self):
+        """1,500 async epochs fit the 4,096-row ring: one row each."""
+        bus = TelemetryBus([RingBufferSink()])
+        cfg = async_config(total_accesses=384_000, chunk_size=256,
+                           migration_abort_rate=0.3, checkpoints=1)
+        r = run_policy(build("mcf", seed=0), "anb", cfg, telemetry=bus)
+        assert r.timeline_dropped == 0
+        records = [e for e in r.timeline if e["stage"] == "epoch"]
+        assert [e["epoch"] for e in records] == list(
+            range(1, num_epochs(cfg) + 1)
+        )
 
     def test_instant_mode_publishes_no_migration_events(self):
         bus = TelemetryBus([RingBufferSink()])

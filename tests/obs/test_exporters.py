@@ -140,7 +140,7 @@ class TestChromeTrace:
     def traced(self):
         tracer = Tracer()
         tracer.current_epoch = 3
-        with tracer.span("run"), tracer.span("stage.perf", note=7):
+        with tracer.span("run"), tracer.span("stage.perf"):
             pass
         return tracer
 
@@ -155,7 +155,7 @@ class TestChromeTrace:
         assert perf["cat"] == "pipeline"
         assert perf["pid"] == 1 and perf["tid"] == 1
         assert perf["dur"] >= 0.0
-        assert perf["args"] == {"epoch": 3, "note": 7}
+        assert perf["args"] == {"epoch": 3}
 
     def test_write_is_loadable_json(self, tmp_path):
         path = tmp_path / "trace.json"

@@ -334,6 +334,25 @@ class TestEngineIntegration:
         assert all("migration_pending" in e for e in records)
         assert sim.watchdog.rules_without_data() == ["bandwidth_starvation"]
 
+    def test_rule_on_an_outcome_field_fires_per_epoch(self, tmp_path):
+        """The queue's aborts ride the record, so a rule can judge them."""
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps({"rules": [
+            {"name": "injected_aborts", "series": "mig_aborted_injected",
+             "reduce": "max", "window": 1, "op": ">", "threshold": 0.0},
+        ]}))
+        sim, _, events = run_sim(slo_rules=str(path), migration_mode="async",
+                                 migration_abort_rate=0.5)
+        assert sim.watchdog.rules_without_data() == []
+        injected = {
+            e["epoch"]: e["mig_aborted_injected"]
+            for e in events if e["stage"] == "epoch"
+        }
+        alerts = [e for e in events if e["stage"] == "alert.injected_aborts"]
+        assert alerts
+        assert all(e["value"] == injected[e["epoch"]] > 0 for e in alerts)
+        assert len(alerts) == sum(v > 0 for v in injected.values())
+
     def test_instant_records_carry_no_queue_depth(self):
         _, _, events = run_sim()
         assert not any("migration_pending" in e for e in events)

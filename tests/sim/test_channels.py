@@ -34,6 +34,17 @@ def single_run(**kw):
         build("mcf", seed=0), small_config(**kw), policy="anb",
         obs=Observability(metrics=True, tracing=False),
     )
+    if sim.async_engine is not None:
+        # Keep each tick's report, to check the record per epoch.
+        sim.recorded_ticks = []
+        tick = sim.async_engine.tick
+
+        def recording_tick(*args, **kwargs):
+            report = tick(*args, **kwargs)
+            sim.recorded_ticks.append(report)
+            return report
+
+        sim.async_engine.tick = recording_tick
     return sim.run(), sim
 
 
@@ -150,50 +161,59 @@ def test_epoch_nominations_equal_manager_counter(fleet_run):
     assert series(result, "manager_nominations_total")[""] == nominated
 
 
-#: ``migration.*`` event field -> ``RunResult.extra`` key.
-MIGRATION_FIELDS = {
-    ("migration.enqueue", "enqueued"): "mig_enqueued",
-    ("migration.enqueue", "dropped_full"): "mig_dropped_queue_full",
-    ("migration.commit", "committed"): "mig_committed",
-    ("migration.commit", "promoted"): "mig_promoted",
-    ("migration.commit", "demoted"): "mig_demoted",
-    ("migration.abort", "aborted"): "mig_aborted",
-    ("migration.abort", "dirty"): "mig_aborted_dirty",
-    ("migration.abort", "injected"): "mig_aborted_injected",
-    ("migration.abort", "enomem"): "mig_aborted_enomem",
-    ("migration.retry", "retried"): "mig_retries",
-    ("migration.retry", "dropped"): "mig_dropped_retries",
-}
+#: Async ``epoch`` record fields; each is named as its run total in
+#: ``RunResult.extra``.
+MIGRATION_FIELDS = (
+    "mig_enqueued",
+    "mig_dropped_queue_full",
+    "mig_aborted_dirty",
+    "mig_aborted_injected",
+    "mig_aborted_enomem",
+    "mig_retries",
+    "mig_dropped_retries",
+)
 
 
-def event_sum(result, stage, key):
-    return sum(e[key] for e in stage_events(result, stage))
+def test_migration_record_fields_equal_extra(async_run):
+    for key in MIGRATION_FIELDS:
+        assert epoch_sum(async_run, key) == async_run.extra[key], key
+    assert epoch_sum(async_run, "promoted") == async_run.extra["mig_promoted"]
+    assert epoch_sum(async_run, "demoted") == async_run.extra["mig_demoted"]
+    assert sum(
+        epoch_sum(async_run, f"mig_aborted_{cause}")
+        for cause in ("dirty", "injected", "enomem")
+    ) == async_run.extra["mig_aborted"] > 0
 
 
-def test_migration_events_equal_extra(async_run):
-    for (stage, key), extra_key in MIGRATION_FIELDS.items():
-        assert event_sum(async_run, stage, key) == (
-            async_run.extra[extra_key]
-        ), (stage, key)
-    assert async_run.extra["mig_aborted"] > 0
+def test_epoch_commits_are_promoted_plus_demoted(runs):
+    """The record carries no ``committed``: every epoch's tick commits
+    exactly its promotions plus demotions."""
+    result, sim = runs["async"]
+    ticks = {report.epoch: report for report in sim.recorded_ticks}
+    records = stage_events(result, "epoch")
+    assert sum(t.committed for t in ticks.values()) > 0
+    for e in records:
+        tick = ticks[e["epoch"]]
+        assert tick.committed == e["promoted"] + e["demoted"], e["epoch"]
+        assert tick.committed == tick.promoted + tick.demoted
+    assert sum(t.committed for t in ticks.values()) == (
+        result.extra["mig_committed"]
+    )
 
 
-def test_migration_events_equal_outcome_counter(async_run):
+def test_migration_record_fields_equal_outcome_counter(async_run):
     outcomes = series(async_run, "migration_outcomes_total")
     for outcome, key in (
-        ("abort_dirty", "dirty"),
-        ("abort_injected", "injected"),
-        ("abort_enomem", "enomem"),
+        ("abort_dirty", "mig_aborted_dirty"),
+        ("abort_injected", "mig_aborted_injected"),
+        ("abort_enomem", "mig_aborted_enomem"),
     ):
-        assert outcomes.get(outcome, 0.0) == (
-            event_sum(async_run, "migration.abort", key)
-        ), outcome
-    # A commit event also counts demote-first victims, which commit
+        assert outcomes.get(outcome, 0.0) == epoch_sum(async_run, key), outcome
+    # An epoch's commits also count demote-first victims, which commit
     # alongside a promotion's transaction rather than as an outcome.
-    victims = event_sum(async_run, "migration.commit", "committed") - (
-        outcomes["committed"]
-    )
-    assert 0 <= victims <= event_sum(async_run, "migration.commit", "demoted")
+    demoted = epoch_sum(async_run, "demoted")
+    victims = epoch_sum(async_run, "promoted") + demoted - outcomes["committed"]
+    assert 0 <= victims <= demoted
     assert series(async_run, "migration_enqueued_total")[""] == (
         async_run.extra["mig_enqueued"]
     )

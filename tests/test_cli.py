@@ -95,7 +95,7 @@ class TestRun:
         monkeypatch.setattr(cli, "Simulation", Recording)
         rc = main([
             "run", "--bench", "mcf", "--policy", "anb",
-            "--accesses", "1200000", "--chunk", "1024",
+            "--accesses", "1200000", "--chunk", "256",
             "--migration-mode", "async", "--mig-abort-rate", "0.3",
         ])
         assert rc == 0

@@ -18,7 +18,9 @@ acceptance properties end to end:
    ``repro fleet --serve`` with per-tenant labelled series.
 5. The SLO watchdog demonstrably fires: a starved async copy engine
    (tiny ``--mig-copy-gbps``) must produce ``alert.queue_saturation``
-   timeline events, each judging its own epoch's ``migration_pending``.
+   timeline events, each judging its own epoch's ``migration_pending``;
+   every ``epoch`` record carries the queue's seven ``mig_*`` outcome
+   fields, and no ``migration.*`` event kind is published.
 
 Usage::
 
@@ -184,6 +186,14 @@ def check_fleet(out: str, accesses: int) -> None:
     print(f"fleet OK: final scrape == snapshot, per-tenant labels {sorted(tenants)}")
 
 
+#: The transactional queue's outcome fields on each async epoch record.
+ASYNC_OUTCOME_FIELDS = (
+    "mig_enqueued", "mig_dropped_queue_full", "mig_aborted_dirty",
+    "mig_aborted_injected", "mig_aborted_enomem", "mig_retries",
+    "mig_dropped_retries",
+)
+
+
 def check_watchdog(out: str, accesses: int) -> None:
     timeline = os.path.join(out, "watchdog_timeline.jsonl")
     proc = repro(
@@ -206,6 +216,13 @@ def check_watchdog(out: str, accesses: int) -> None:
                for e in events if e["stage"] == "epoch"}
     for e in saturated:
         assert e["value"] == pending[e["epoch"]], (e, pending[e["epoch"]])
+    # The queue's outcomes ride the epoch record, not events of their own.
+    kinds = {e["stage"] for e in events if e["stage"].startswith("migration.")}
+    assert not kinds, f"separate migration event kinds: {sorted(kinds)}"
+    for e in events:
+        if e["stage"] == "epoch":
+            missing = set(ASYNC_OUTCOME_FIELDS) - set(e)
+            assert not missing, (e["epoch"], sorted(missing))
     print(f"watchdog OK: {len(alerts)} alert events on a starved copy engine")
 
 
