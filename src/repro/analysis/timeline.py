@@ -3,8 +3,9 @@
 The engine's telemetry bus records one ``"epoch"`` event per epoch
 (tier occupancy, traffic split, promotions/demotions, overhead,
 nominations and migration time, and in async mode the transactional
-queue's ``mig_*`` outcomes and ``migration_pending`` depth) plus
-``"ratio"`` checkpoint events; these land in ``RunResult.timeline``.
+queue's ``mig_*`` outcomes and ``migration_pending`` depth, and at the
+measurement points of an identification-only run the access-count
+``ratio``); these land in ``RunResult.timeline``.
 This module selects per-epoch columns from that event list — without
 re-running the simulation.
 

@@ -254,10 +254,6 @@ class MigrationPolicy(abc.ABC):
     def epoch_overhead_us(self) -> float:
         return self.costs.epoch_us
 
-    @property
-    def total_overhead_us(self) -> float:
-        return self.costs.total_us
-
 
 class NoMigration(MigrationPolicy):
     """The paper's baseline: leave every page on CXL DRAM."""

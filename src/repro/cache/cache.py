@@ -105,54 +105,3 @@ class SetAssociativeCache:
         self.hits = 0
         self.misses = 0
 
-
-class ProbabilisticLlcFilter:
-    """Fast statistical stand-in for the exact LLC model.
-
-    For large synthetic traces the exact model is needlessly slow; the
-    filter admits each access to DRAM with a reuse-distance-based miss
-    probability: lines belonging to a hot working set that fits in the
-    cache mostly hit, everything else misses.  Calibrate with
-    ``resident_lines`` = effective LLC lines.
-
-    This preserves the property the experiments rely on — the DRAM
-    stream is a thinned version of the access stream with hot lines
-    thinned the most — without per-access state.
-    """
-
-    def __init__(self, resident_lines: int, seed: int = 99):
-        if resident_lines <= 0:
-            raise ValueError("resident_lines must be positive")
-        self.resident_lines = int(resident_lines)
-        self._rng = np.random.default_rng(seed)
-        self.hits = 0
-        self.misses = 0
-
-    def filter(self, addresses: np.ndarray) -> np.ndarray:
-        pa = np.asarray(addresses, dtype=np.uint64)
-        if pa.size == 0:
-            return pa
-        lines = pa >> np.uint64(WORD_SHIFT)
-        uniques, inverse, counts = np.unique(
-            lines, return_inverse=True, return_counts=True
-        )
-        # Residency probability: the hottest `resident_lines` unique
-        # lines are likely cached; colder lines miss.
-        order = np.argsort(-counts, kind="stable")
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        p_resident = np.clip(1.0 - rank / self.resident_lines, 0.0, 0.95)
-        p_miss_line = 1.0 - p_resident
-        # First touch of a line in the window always misses: ensure
-        # at least one miss per unique line by flooring p_miss.
-        p_miss_line = np.maximum(p_miss_line, 1.0 / np.maximum(counts, 1))
-        p_miss = p_miss_line[inverse]
-        missed = self._rng.random(pa.size) < p_miss
-        self.hits += int((~missed).sum())
-        self.misses += int(missed.sum())
-        return pa[missed]
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

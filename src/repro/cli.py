@@ -16,7 +16,6 @@ Commands:
   with QoS bandwidth arbitration and DRAM→CXL→pooled demotion chains,
   stepped in lockstep in one process;
 * ``metrics`` — pretty-print one metrics snapshot, or diff two;
-* ``profile`` — PAC/WAC offline profile (page heat + word sparsity);
 * ``verify`` — the differential oracle pairs (per-access vs chunked
   sketch, PAC cache vs direct mode, instant vs async-unlimited
   migration, reference model vs production pipeline, ...) with
@@ -33,7 +32,7 @@ import json
 import time
 from typing import Dict, List, Optional
 
-from repro.analysis import AccessCdf, from_wac, print_table
+from repro.analysis import print_table
 from repro.core import hwcost
 from repro.obs import (
     MetricsRegistry,
@@ -314,12 +313,11 @@ def cmd_run(args) -> int:
     if result.access_count_ratio is not None:
         print(f"access-count ratio: {result.access_count_ratio:.3f}")
     # Read the run's own config: on --resume the run-shape flags are
-    # parser defaults, not the checkpointed run's settings.
+    # parser defaults, not the checkpointed run's settings.  A
+    # violation raises out of the run, so a finished run has none.
     if sim.config.check_invariants:
         checks = result.extra.get("invariant_checks", 0.0)
-        violations = result.extra.get("invariant_violations", 0.0)
-        print(f"invariants    : {checks:.0f} checks, "
-              f"{violations:.0f} violations")
+        print(f"invariants    : {checks:.0f} checks, 0 violations")
     if sim.config.migration_mode == "async":
         ex = result.extra
         print(f"async queue   : enqueued {ex.get('mig_enqueued', 0):.0f}, "
@@ -637,12 +635,7 @@ def cmd_fleet(args) -> int:
             t.result.extra.get("invariant_checks", 0.0)
             for t in result.results
         )
-        violations = sum(
-            t.result.extra.get("invariant_violations", 0.0)
-            for t in result.results
-        )
-        print(f"invariants    : {checks:.0f} checks, "
-              f"{violations:.0f} violations")
+        print(f"invariants    : {checks:.0f} checks, 0 violations")
     _print_slo_summary({
         "fleet": fsim.watchdog,
         **{f"tenant {t}": sim.watchdog for t, sim in enumerate(fsim.sims)},
@@ -699,27 +692,6 @@ def cmd_metrics(args) -> int:
         precision=3,
         col_width=44,
     )
-    return 0
-
-
-def cmd_profile(args) -> int:
-    workload = registry.build(args.bench, seed=args.seed)
-    config = _config_from(args)
-    config.migrate = False
-    sim = Simulation(workload, config, policy="none", enable_wac=True)
-    sim.run()
-    cdf = AccessCdf.from_counts(args.bench, sim.pac.counts())
-    skew = cdf.skew_summary()
-    profile = from_wac(args.bench, sim.wac, min_accesses=128)
-    print(f"pages touched  : {cdf.counts.size}")
-    print(f"p90/p95/p99 over p50: {skew['p90_over_p50']:.2f} / "
-          f"{skew['p95_over_p50']:.2f} / {skew['p99_over_p50']:.2f}")
-    print(f"gini           : {cdf.gini():.3f}")
-    for n in (4, 8, 16, 32, 48):
-        print(f"P(<= {n:2d} words) : {profile.at(n):.2f}")
-    kind = "sparse" if profile.mostly_sparse else (
-        "dense" if profile.mostly_dense else "mixed")
-    print(f"page character : {kind}")
     return 0
 
 
@@ -1037,9 +1009,6 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.add_argument("--all", action="store_true",
                          help="diff: also list unchanged series")
 
-    profile = sub.add_parser("profile", help="PAC/WAC offline profile")
-    add_run_args(profile, with_policy=False)
-
     report = sub.add_parser("report", help="full Markdown profile report")
     add_run_args(report, with_policy=False)
     report.add_argument("--output", default=None,
@@ -1088,7 +1057,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "sweep": cmd_sweep,
         "fleet": cmd_fleet,
         "metrics": cmd_metrics,
-        "profile": cmd_profile,
         "report": cmd_report,
         "verify": cmd_verify,
         "hwcost": cmd_hwcost,

@@ -150,10 +150,6 @@ class Nominator:
     def hpa(self) -> Dict[int, HpaEntry]:
         return self._hpa
 
-    @property
-    def hwa(self) -> Dict[int, int]:
-        return self._hwa
-
     def density_of(self, pfn: int) -> int:
         entry = self._hpa.get(int(pfn))
         return entry.hot_words if entry else 0

@@ -100,6 +100,9 @@ class FleetResult:
     results: List[TenantResult]
     #: Fleet-level metrics-registry snapshot (when obs metrics are on).
     metrics: Dict[str, object] = field(default_factory=dict)
+    #: The fleet-scope watchdog's fired breaches, in order (``[]``
+    #: without ``slo_rules``).  Tenant alerts ride the tenant timelines.
+    alerts: List[Dict[str, object]] = field(default_factory=list)
 
     def tenant_metrics(self) -> List[Dict[str, object]]:
         """Per-tenant metric rows (the CI snapshot artifact body)."""
@@ -114,6 +117,7 @@ class FleetResult:
             "qos": self.qos,
             "epochs": self.epochs,
             "tenant_metrics": self.tenant_metrics(),
+            "alerts": self.alerts,
         }
 
 
@@ -374,6 +378,9 @@ class FleetSimulation:
             epochs=epochs,
             results=tenant_results,
             metrics=self.merged_snapshot() if self.obs.metrics_on else {},
+            alerts=(
+                list(self.watchdog.alerts) if self.watchdog is not None else []
+            ),
         )
         return self.result
 

@@ -285,9 +285,6 @@ class TieredMemory:
         except KeyError:
             raise KeyError(f"no {kind.value} node in this hierarchy") from None
 
-    def node_at(self, index: int) -> MemoryNode:
-        return self.nodes[index]
-
     def allocate_all(self, kind: NodeKind = NodeKind.CXL) -> None:
         """Allocate every logical page on one node.
 

@@ -15,7 +15,8 @@ is a deque of the last ``max(rule.window)`` rows.
 Rule fields:
 
 * ``series`` — a field of the ``epoch`` record (``epoch_s``,
-  ``n_ddr``, ``migration_pending`` in async mode, ...) or a fleet-row
+  ``n_ddr``, ``migration_pending`` in async mode, ``ratio`` at the
+  measurement points of an identification-only run, ...) or a fleet-row
   key (``fleet_tenant_bandwidth_share{tenant="0",tier="ddr"}``), with
   ``fnmatch`` wildcards (``fleet_tenant_bandwidth_share*`` matches
   every tenant×tier key); when several keys match, the *worst* value
@@ -122,8 +123,8 @@ def default_rules(config: "SimConfig") -> List[SloRule]:
       idle).
 
     No rule watches invariant violations: the engine's checker raises
-    on the first one, in the ``verify`` stage, so no later epoch is
-    ever judged; the ``invariant.violation`` event is on the timeline.
+    ``InvariantViolation`` on the first one, in the ``verify`` stage,
+    so no later epoch is ever judged.
     """
     return [
         SloRule(

@@ -2,7 +2,7 @@
 
 A :class:`Tracer` times named regions of the run in wall-clock
 (``time.perf_counter``).  Spans nest: the engine opens one ``run``
-root span, each pipeline stage (``stage.trace`` … ``stage.checkpoint``)
+root span, each pipeline stage (``stage.trace`` … ``stage.perf``)
 is a child, and the async migration tick appears as a grandchild
 under ``stage.migrate``, so the per-run *flame table* attributes
 every wall-clock second to the stage that burned it.  The span list

@@ -3,7 +3,7 @@
 One :class:`Simulation` reproduces the paper's run methodology as a
 fixed pipeline of stages executed once per epoch::
 
-    trace → translate → snoop → policy → migrate → perf → checkpoint
+    trace → translate → snoop → policy → migrate → perf
 
 1. **trace** — the workload emits the epoch's address chunk;
 2. **translate** — addresses pass through the page map; the tiers
@@ -20,9 +20,9 @@ fixed pipeline of stages executed once per epoch::
    (once DDR is full every promotion demotes an MGLRU victim), then
    the policy's proactive watermark demotions;
 6. **perf** — the performance model converts tier hit counts, policy
-   CPU overhead, and migration work into simulated time;
-7. **checkpoint** — in identification-only mode, the access-count
-   ratio is snapshotted at the configured measurement points.
+   CPU overhead, and migration work into simulated time and publishes
+   the epoch's record; in identification-only mode the record carries
+   the access-count ratio at the configured measurement points.
 
 CPU-driven baselines and the M5 manager flow through the *same*
 policy stage — there is no per-family branching in the loop — so a
@@ -30,13 +30,13 @@ new policy only needs to implement ``EpochPolicy`` to plug in.
 
 The perf stage publishes one ``epoch`` event per epoch (tier traffic
 and occupancy, promotions and demotions, policy overhead and
-nominations, migration time, and the async queue depth) to a
-:class:`~repro.sim.telemetry.TelemetryBus` and feeds the per-epoch
-counters from the same values, so the timeline and the metrics cannot
-disagree; a ring-buffer sink of :data:`TIMELINE_CAPACITY` events is
-attached by default and surfaces as ``RunResult.timeline``.  The SLO
-watchdog (``config.slo_rules``) judges the same record as it is
-published.
+nominations, migration time, the async queue depth, and the ratio
+checkpoint) to a :class:`~repro.sim.telemetry.TelemetryBus` and feeds
+the per-epoch counters from the same values, so the timeline and the
+metrics cannot disagree; a ring-buffer sink of
+:data:`TIMELINE_CAPACITY` events is attached by default and surfaces
+as ``RunResult.timeline``.  The SLO watchdog (``config.slo_rules``)
+judges the same record as it is published.
 
 Passing an :class:`~repro.obs.Observability` bundle turns on the
 observability layer: the engine, manager, async migration engine, and
@@ -142,8 +142,10 @@ Stage = Callable[[EpochPolicy, "_EpochState"], None]
 #: ingest buffer's addresses, the last epoch's arrays).  Format 6 added
 #: the SLO watchdog's set of rules that ever produced a value.  Format
 #: 7 dropped the series recorder and its ``record`` stage: the watchdog
-#: keeps its own window of ``epoch`` records.
-CHECKPOINT_FORMAT_VERSION = 7
+#: keeps its own window of ``epoch`` records.  Format 8 dropped the
+#: ``checkpoint`` stage (the ``epoch`` record carries the ratio) and the
+#: Promoter-drop watermark.
+CHECKPOINT_FORMAT_VERSION = 8
 
 #: The trailer after the pickle: its byte length and its ``zlib.crc32``.
 _TRAILER = struct.Struct("<QI")
@@ -334,8 +336,8 @@ class RunResult:
     overhead_events: Dict[str, float] = field(default_factory=dict)
     extra: Dict[str, float] = field(default_factory=dict)
     #: Epoch-resolution telemetry events (from the run's ring-buffer
-    #: sink): one ``epoch`` event per epoch, plus ratio checkpoints
-    #: and, in async mode, the ``migration.*`` queue outcomes.
+    #: sink): one ``epoch`` record per epoch, plus any SLO
+    #: ``alert.*`` events.
     timeline: List[Dict[str, float]] = field(default_factory=list)
     #: Events the ring-buffer sink evicted because it was full; a
     #: non-zero value means ``timeline`` is the *tail* of the run.
@@ -496,7 +498,6 @@ class Simulation:
         #: instant mode (the default), where decisions apply atomically.
         self.async_engine: Optional[AsyncMigrationEngine] = None
         self._write_rng = None
-        self._promoter_dropped_prev = 0
         #: Epoch state restored by :meth:`load_state`; ``run`` resumes
         #: from it instead of starting fresh.
         self._resume_state: Optional[_EpochState] = None
@@ -546,7 +547,6 @@ class Simulation:
             ("policy", self._stage_policy),
             ("migrate", self._stage_migrate),
             ("perf", self._stage_perf),
-            ("checkpoint", self._stage_checkpoint),
         ]
         # The optional stages below are appended only when enabled, so
         # the default pipeline stays exactly the frozen-golden sequence.
@@ -785,17 +785,6 @@ class Simulation:
         st.promoted_before = self.engine.stats.promoted
         st.demoted_before = self.engine.stats.demoted
         st.decision = policy.on_epoch(st.view)
-        if self._manager is not None:
-            dropped = self._manager.promoter.proc_file.dropped
-            if dropped > self._promoter_dropped_prev:
-                self.telemetry.publish(
-                    "promoter.drop",
-                    st.epoch,
-                    st.now_s,
-                    dropped=dropped - self._promoter_dropped_prev,
-                    total_dropped=dropped,
-                )
-                self._promoter_dropped_prev = dropped
 
     def _epoch_dirty_pages(self, st: _EpochState) -> np.ndarray:
         """Pages written inside this epoch's migration copy windows.
@@ -851,7 +840,9 @@ class Simulation:
         The event is the epoch's one record: the per-epoch counters
         (``sim_accesses_total``, ``sim_migrated_pages_total``) are fed
         here from the same values, and nowhere else, and the SLO
-        watchdog judges it right after the publish.
+        watchdog judges it right after the publish.  At the measurement
+        points of an identification-only run it carries the §4.1
+        access-count ratio as ``ratio`` (also kept in ``st.ratios``).
         """
         st.migration_us = self.engine.stats.time_us - st.migration_us_prev
         st.migration_us_prev = self.engine.stats.time_us
@@ -919,6 +910,13 @@ class Simulation:
             for i, node in enumerate(self.memory.nodes[2:], start=2):
                 fields[f"n_{node.name}"] = node.accesses_this_epoch
                 fields[f"nr_pages_{node.name}"] = self.memory.nr_pages_at(i)
+        if st.epoch in self._checkpoint_epochs and not self.config.migrate:
+            ratio = access_count_ratio(
+                self.pac, policy.hot_pfns,
+                ratio_k_cap(self.workload.spec.footprint_pages),
+            )
+            st.ratios.append(ratio)
+            fields["ratio"] = ratio
         self.telemetry.publish("epoch", st.epoch, st.now_s, **fields)
         if self.watchdog is not None:
             self.watchdog.observe(st.epoch, st.now_s, fields)
@@ -926,17 +924,6 @@ class Simulation:
     def _stage_verify(self, policy: EpochPolicy, st: _EpochState) -> None:
         """Run the invariant catalogue against the finished epoch."""
         self.checker.check_epoch(st)
-
-    def _stage_checkpoint(self, policy: EpochPolicy, st: _EpochState) -> None:
-        """Snapshot the access-count ratio at measurement points."""
-        if st.epoch not in self._checkpoint_epochs or self.config.migrate:
-            return
-        ratio = access_count_ratio(
-            self.pac, policy.hot_pfns,
-            ratio_k_cap(self.workload.spec.footprint_pages),
-        )
-        st.ratios.append(ratio)
-        self.telemetry.publish("ratio", st.epoch, st.now_s, ratio=ratio)
 
     def _stage_persist(self, policy: EpochPolicy, st: _EpochState) -> None:
         """Checkpoint the full simulation state every K epochs."""
@@ -1100,9 +1087,6 @@ class Simulation:
             self.result.extra["mig_pending"] = float(self.async_engine.pending)
         if self.checker is not None:
             self.result.extra["invariant_checks"] = float(self.checker.checks_run)
-            self.result.extra["invariant_violations"] = float(
-                len(self.checker.violations)
-            )
         if self.watchdog is not None:
             self.result.extra["slo_breaches"] = float(
                 self.watchdog.breaches_total

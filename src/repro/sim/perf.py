@@ -367,11 +367,6 @@ class PerformanceModel:
             return 1.0
         return self._execution_s / self._isolated_s
 
-    def overhead_utilisation(self) -> float:
-        """Fraction of core time consumed by hot-page identification."""
-        total = self.execution_time_s
-        return self.overhead_time_s / total if total > 0 else 0.0
-
     def p99_latency_us(self) -> float:
         """p99 request latency for latency-sensitive workloads.
 

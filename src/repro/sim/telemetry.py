@@ -1,9 +1,8 @@
 """Per-epoch telemetry bus for the simulation pipeline.
 
 Pipeline stages publish structured events while a run is in flight —
-the per-epoch record, access-count-ratio checkpoints, alerts — and any
-number of *sinks* consume them.  Two sinks ship
-with the bus:
+the per-epoch record and SLO alerts — and any number of *sinks*
+consume them.  Two sinks ship with the bus:
 
 * :class:`RingBufferSink` — bounded in-memory history; the engine
   attaches one by default and copies it into ``RunResult.timeline``
@@ -20,13 +19,12 @@ needs to guard its publish calls.
 Event kinds published by the pipeline: ``epoch`` (the epoch's one
 record and the run's one per-epoch table: traffic split, tier
 occupancy, promotions/demotions, policy overhead and nominations,
-migration time, epoch duration, and in async mode the transactional
-queue's ``mig_*`` outcomes and depth ``migration_pending``; select
-them with :func:`repro.analysis.timeline.migration_outcomes`),
-``ratio`` (access-count checkpoints), ``promoter.drop`` (bounded
-proc-file overflow), ``invariant.violation`` (with
-``check_invariants``) and ``alert.<rule>`` (SLO breaches, judged on the
-``epoch`` record; see :mod:`repro.obs.slo`).
+migration time, epoch duration, in async mode the transactional
+queue's ``mig_*`` outcomes and depth ``migration_pending`` — select
+them with :func:`repro.analysis.timeline.migration_outcomes` — and, at
+the measurement points of an identification-only run, the
+access-count ``ratio``) and ``alert.<rule>`` (SLO breaches, judged on
+the ``epoch`` record; see :mod:`repro.obs.slo`).
 """
 
 from __future__ import annotations

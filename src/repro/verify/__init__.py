@@ -39,17 +39,12 @@ from repro.verify.differential import (
     run_all,
     sketch_oracle,
 )
-from repro.verify.invariants import (
-    InvariantChecker,
-    InvariantViolation,
-    Violation,
-)
+from repro.verify.invariants import InvariantChecker, InvariantViolation
 from repro.verify.reference import as_exact_sequence, as_reference
 
 __all__ = [
     "InvariantChecker",
     "InvariantViolation",
-    "Violation",
     "DiffRow",
     "OracleReport",
     "MIGRATION_TOLERANCES",

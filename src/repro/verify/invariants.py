@@ -35,16 +35,14 @@ Invariant catalogue (see ``docs/verification.md``):
 * ``mglru_bounds`` — tracked generations stay inside the
   ``num_generations`` window and the heat signal is non-negative.
 
-Each check increments ``invariant_checks_total{invariant=...}``;
-violations increment ``invariant_violations_total{invariant=...}`` and
-publish an ``invariant.violation`` telemetry event before the checker
-raises (or records, in ``mode="record"``).
+Each check increments ``invariant_checks_total{invariant=...}``; the
+first failed check raises :class:`InvariantViolation`, which ends the
+run.  The raise is a violation's only channel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -61,73 +59,34 @@ class InvariantViolation(AssertionError):
     """An invariant the pipeline must uphold was broken."""
 
 
-@dataclass
-class Violation:
-    """One recorded invariant failure."""
-
-    invariant: str
-    epoch: int
-    detail: str
-
-    def __str__(self) -> str:
-        return f"[epoch {self.epoch}] {self.invariant}: {self.detail}"
-
-
 class InvariantChecker:
     """Cross-checks the simulation's state once per epoch.
 
     Args:
         sim: the :class:`~repro.sim.engine.Simulation` under check; the
             checker reads trackers, tiers, and queues through it.
-        mode: ``"raise"`` aborts the run on the first violation with an
-            :class:`InvariantViolation`; ``"record"`` collects every
-            violation in :attr:`violations` and lets the run finish,
-            so one bad epoch does not hide later ones.  The engine
-            always builds its checker in ``"raise"`` mode
-            (``SimConfig.check_invariants``, which the differential
-            runner sets too); ``"record"`` is for callers that drive a
-            checker themselves.
+
+    The first broken invariant raises :class:`InvariantViolation`.
     """
 
-    def __init__(self, sim: Simulation, mode: str = "raise") -> None:
-        if mode not in ("raise", "record"):
-            raise ValueError("mode must be 'raise' or 'record'")
+    def __init__(self, sim: Simulation) -> None:
         self.sim = sim
-        self.mode = mode
-        self.violations: List[Violation] = []
         self.checks_run = 0
-        reg = sim.obs.registry
-        self._m_checks = reg.counter(
+        self._m_checks = sim.obs.registry.counter(
             "invariant_checks_total",
             "Invariant evaluations per kind",
-            labels=("invariant",),
-        )
-        self._m_violations = reg.counter(
-            "invariant_violations_total",
-            "Invariant violations per kind",
             labels=("invariant",),
         )
 
     # ------------------------------------------------------------------
 
-    def _fail(self, invariant: str, epoch: int, detail: str) -> None:
-        violation = Violation(invariant, int(epoch), detail)
-        self.violations.append(violation)
-        self._m_violations.labels(invariant=invariant).inc()
-        self.sim.telemetry.publish(
-            "invariant.violation", int(epoch), 0.0, invariant=invariant,
-        )
-        if self.mode == "raise":
-            raise InvariantViolation(str(violation))
-
     def _check(self, invariant: str, epoch: int, ok: bool, detail: str) -> None:
         self.checks_run += 1
         self._m_checks.labels(invariant=invariant).inc()
-        # Create the violations series at the first check, so a clean
-        # run's snapshot reads 0 rather than lacking the series.
-        self._m_violations.labels(invariant=invariant)
         if not ok:
-            self._fail(invariant, epoch, detail)
+            raise InvariantViolation(
+                f"[epoch {int(epoch)}] {invariant}: {detail}"
+            )
 
     # ------------------------------------------------------------------
     # individual invariants
@@ -307,10 +266,3 @@ class InvariantChecker:
         self.check_queue_bounds(epoch, tick=st.tick)
         self.check_perf_nonnegative(epoch, st.perf)
         self.check_mglru_bounds(epoch)
-
-    def summary(self) -> dict:
-        """Checks-run / violation totals for reports and CLI output."""
-        return {
-            "checks_run": self.checks_run,
-            "violations": len(self.violations),
-        }

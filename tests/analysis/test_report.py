@@ -103,3 +103,16 @@ class TestCliReport:
         ])
         assert rc == 0
         assert out.read_text().startswith("# Profile: mcf")
+
+    def test_redis_report_recommends_hwt_driven(self, capsys):
+        """Redis's pages are sparse, so the report's Nominator pick is
+        the HWT-driven mode (Guideline 4)."""
+        from repro.cli import main
+
+        rc = main([
+            "report", "--bench", "redis",
+            "--accesses", "200000", "--chunk", "50000",
+        ])
+        assert rc == 0
+        assert (f"- Nominator mode: **{HWT_DRIVEN}** (Guidelines 3/4)"
+                in capsys.readouterr().out.splitlines())

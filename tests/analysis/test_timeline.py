@@ -21,13 +21,14 @@ def async_record(epoch, **fields):
 
 
 def async_timeline():
-    """Two async epochs and a ratio checkpoint, as the engine publishes."""
+    """Two async epochs and an SLO alert, as the engine publishes."""
     return [
         async_record(1, promoted=4, demoted=1, mig_enqueued=10,
                      mig_dropped_queue_full=1, mig_aborted_dirty=1,
                      mig_aborted_injected=2, mig_retries=3,
                      migration_pending=8),
-        {"stage": "ratio", "epoch": 1, "t_s": 1.0, "ratio": 0.5},
+        {"stage": "alert.queue_saturation", "epoch": 1, "t_s": 1.0,
+         "value": 8.0, "threshold": 6.0, "streak": 2},
         async_record(2, promoted=6, mig_enqueued=4, mig_dropped_retries=2,
                      migration_pending=3),
     ]
@@ -62,5 +63,5 @@ class TestMigrationOutcomes:
 
     def test_only_epoch_records_are_read(self):
         frame = migration_outcomes(async_timeline())
-        assert "ratio" not in frame
+        assert "value" not in frame
         assert len(frame["epoch"]) == 2

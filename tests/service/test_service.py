@@ -250,7 +250,7 @@ class TestServiceRun:
         }
         assert epochs == {"one": 12, "two": 8}
         stage_series = families["pipeline_stage_seconds"]["series"]
-        assert len(stage_series) == 2 * 7
+        assert len(stage_series) == 2 * 6
         for s in stage_series:
             assert s["count"] == epochs[s["labels"]["stream"]], s["labels"]
 

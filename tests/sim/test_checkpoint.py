@@ -168,8 +168,10 @@ class TestCheckpointMechanics:
         # transaction; this build folds them per tick.  Format 2 pickled
         # DAMON's regions as a list of Region records; this build holds
         # them in arrays.  Format 3 had no envelope ``kind``.  Format 6
-        # pickled the series recorder and its ``record`` stage.
-        for version in (CHECKPOINT_FORMAT_VERSION + 1, 1, 2, 3, 6):
+        # pickled the series recorder and its ``record`` stage.  Format
+        # 7 pickled the ``checkpoint`` stage and the Promoter-drop
+        # watermark.
+        for version in (CHECKPOINT_FORMAT_VERSION + 1, 1, 2, 3, 6, 7):
             path = tmp_path / f"v{version}.ckpt"
             with open(path, "wb") as fh:
                 pickle.dump({"format": version, "sim": object()}, fh)
@@ -261,7 +263,7 @@ class TestCheckpointMechanics:
 
 
 class TestDamonCheckpointFromBeforeTheProbabilityTable:
-    """``tests/data/damon_format7.ckpt`` is a DAMON checkpoint written
+    """``tests/data/damon_format8.ckpt`` is a DAMON checkpoint written
     by this recipe::
 
         sim = Simulation(uniform_workload(footprint_pages=512, seed=11),
@@ -274,13 +276,14 @@ class TestDamonCheckpointFromBeforeTheProbabilityTable:
     Its format-6 predecessor came from the build before DAMON read its
     bit probabilities from a per-page table and the TLB deduplicated
     without ``np.unique`` (commit 2149dd0); both changes kept the
-    pickled state.  A later change to DAMON's state must still load
-    this file and resume to the uninterrupted run.  A format bump
-    retires the file; regenerate it from the recipe.
+    pickled state.  Formats 7 and 8 were regenerated from the recipe.
+    A later change to DAMON's state must still load this file and
+    resume to the uninterrupted run.  A format bump retires the file;
+    regenerate it from the recipe.
     """
 
     FIXTURE = os.path.join(os.path.dirname(__file__), os.pardir, "data",
-                           "damon_format7.ckpt")
+                           "damon_format8.ckpt")
     CONFIG = dict(total_accesses=24_000, chunk_size=3_000, ddr_pages=128,
                   cxl_pages=1024, checkpoints=3, pages_per_gb=1024, seed=11)
 

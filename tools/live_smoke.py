@@ -13,14 +13,14 @@ acceptance properties end to end:
    and ``repro metrics diff`` over the two must report no differing
    series.
 3. ``--timeline`` exports the per-epoch table: one ``epoch`` record
-   per epoch.
+   per epoch, and no event kind but ``epoch`` and ``alert.*``.
 4. The same final-scrape == snapshot equality on a 2-tenant
    ``repro fleet --serve`` with per-tenant labelled series.
 5. The SLO watchdog demonstrably fires: a starved async copy engine
    (tiny ``--mig-copy-gbps``) must produce ``alert.queue_saturation``
    timeline events, each judging its own epoch's ``migration_pending``;
    every ``epoch`` record carries the queue's seven ``mig_*`` outcome
-   fields, and no ``migration.*`` event kind is published.
+   fields, and no other event kind is published.
 
 Usage::
 
@@ -147,8 +147,9 @@ def check_single_run(out: str, accesses: int) -> None:
     assert diff.returncode == 0 and "no differing series" in out_text, out_text
     # -- the timeline holds one epoch record per epoch
     with open(timeline) as fh:
-        epochs = [e["epoch"] for e in map(json.loads, fh)
-                  if e["stage"] == "epoch"]
+        events = [json.loads(ln) for ln in fh if ln.strip()]
+    assert_record_kinds(events)
+    epochs = [e["epoch"] for e in events if e["stage"] == "epoch"]
     assert epochs == list(range(1, len(epochs) + 1)), "epoch rows out of step"
     assert final_flat.get("sim_epochs_total") == len(epochs), (
         f"{len(epochs)} epoch rows for {final_flat.get('sim_epochs_total')} "
@@ -186,6 +187,14 @@ def check_fleet(out: str, accesses: int) -> None:
     print(f"fleet OK: final scrape == snapshot, per-tenant labels {sorted(tenants)}")
 
 
+def assert_record_kinds(events: list) -> None:
+    """The ``epoch`` record is the pipeline's only event; SLO alerts
+    are the only other rows."""
+    kinds = {e["stage"] for e in events
+             if e["stage"] != "epoch" and not e["stage"].startswith("alert.")}
+    assert not kinds, f"event kinds beside the epoch record: {sorted(kinds)}"
+
+
 #: The transactional queue's outcome fields on each async epoch record.
 ASYNC_OUTCOME_FIELDS = (
     "mig_enqueued", "mig_dropped_queue_full", "mig_aborted_dirty",
@@ -217,8 +226,7 @@ def check_watchdog(out: str, accesses: int) -> None:
     for e in saturated:
         assert e["value"] == pending[e["epoch"]], (e, pending[e["epoch"]])
     # The queue's outcomes ride the epoch record, not events of their own.
-    kinds = {e["stage"] for e in events if e["stage"].startswith("migration.")}
-    assert not kinds, f"separate migration event kinds: {sorted(kinds)}"
+    assert_record_kinds(events)
     for e in events:
         if e["stage"] == "epoch":
             missing = set(ASYNC_OUTCOME_FIELDS) - set(e)
