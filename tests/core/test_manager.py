@@ -20,6 +20,7 @@ from repro.core.manager.promoter import PROC_FILE_CAPACITY, ProcFile
 from repro.core.trackers import make_hpt, make_hwt
 from repro.memory.migration import MigrationEngine, PinReason
 from repro.memory.tiers import NodeKind, TieredMemory
+from repro.sim import SimConfig
 
 
 def sample(nd=10, nc=10, bd=1000.0, bc=1000.0):
@@ -266,6 +267,19 @@ class TestPromoter:
         report = prom.run_kernel_worker()
         assert report.requested == 2
         assert not prom.proc_file.pending
+
+    def test_promote_of_a_full_batch_drops_nothing(self):
+        """``promote`` drains the proc file in the call that fills it,
+        so one migration batch can never overflow the default file."""
+        assert SimConfig().migration_batch <= PROC_FILE_CAPACITY
+        mem = TieredMemory(ddr_pages=8, cxl_pages=1024, num_logical_pages=512)
+        mem.allocate_all(NodeKind.CXL)
+        prom = Promoter(mem, MigrationEngine(mem))
+        batch = [mem.frame_of_page(p) for p in range(SimConfig().migration_batch)]
+        for _ in range(3):
+            assert prom.promote(batch).requested == len(batch)
+            assert not prom.proc_file.pending
+        assert prom.proc_file.dropped == 0
 
     def test_totals_accumulate(self):
         mem, prom = self.make()
