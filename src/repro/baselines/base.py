@@ -124,7 +124,6 @@ class PolicyCosts:
     processes and the benchmark to the same core, §6).
     """
 
-    total_us: float = 0.0
     epoch_us: float = 0.0
     #: Per-event cost multiplier.  Under time dilation, policies whose
     #: work scales with footprint or access volume (ANB unmaps/faults,
@@ -137,7 +136,6 @@ class PolicyCosts:
 
     def charge(self, us: float, event: str) -> None:
         us *= self.scale
-        self.total_us += us
         self.epoch_us += us
         self.events[event] = self.events.get(event, 0.0) + us
 

@@ -1010,7 +1010,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="diff: also list unchanged series")
 
     report = sub.add_parser("report", help="full Markdown profile report")
-    add_run_args(report, with_policy=False)
+    report.add_argument("--bench", required=True,
+                        help="benchmark name (see `list`)")
+    report.add_argument("--accesses", type=int, default=1_000_000)
+    report.add_argument("--seed", type=int, default=1)
     report.add_argument("--output", default=None,
                         help="write the report to a file instead of stdout")
 

@@ -53,6 +53,19 @@ class MigrationStats:
     rejected_by_reason: Dict[PinReason, int] = field(default_factory=dict)
 
 
+class VictimOrder:
+    """One async tick's demote-first victim order, walked by
+    :meth:`MigrationEngine.next_victim`: the sorted victims, built on
+    first use, and a cursor.  It lives for one tick and is never
+    checkpointed."""
+
+    __slots__ = ("pages", "cursor")
+
+    def __init__(self) -> None:
+        self.pages: Optional[np.ndarray] = None
+        self.cursor = 0
+
+
 class MigrationEngine:
     """Moves pages between tiers, demoting via MGLRU when DDR is full."""
 
@@ -213,6 +226,41 @@ class MigrationEngine:
             promoted += 1
             budget -= 1
         return promoted
+
+    def next_victim(self, order: VictimOrder, lpage: int) -> np.ndarray:
+        """:meth:`coldest_demotable` protecting ``lpage``, a CXL page
+        being promoted inside one async tick, found by walking the
+        tick's victim ``order``.
+
+        The tick's first call sorts the unpinned DDR pages older than
+        the youngest generation once, with :meth:`MultiGenLru.coldest`.
+        Each call moves the cursor past the pages that have since left
+        DDR or rejoined it, and the first page left is the victim.  The
+        walk is exact because nothing else moves inside a tick: heat and
+        generations change only in the snoop stage and at ``age()``,
+        pins only between ticks, and pages leave DDR only as victims or
+        demotions.  The one way onto DDR mid-tick is a promotion, which
+        joins the youngest generation and so sorts after every older
+        page; ``lpage`` is on CXL, hence never a candidate.  Once the
+        older pages are used up, the victim is in the youngest
+        generation and the full search finds it.
+        """
+        if order.pages is None:
+            ddr = self.memory.pages_on(NodeKind.DDR)
+            older = self.mglru._gen[ddr] < self.mglru.max_seq
+            if self._has_pins:
+                older &= self._pins[ddr] == 0
+            order.pages = self.mglru.coldest(int(older.sum()), among=ddr[older])
+        pages, node_of = order.pages, self.memory.node_map
+        i = order.cursor
+        while i < pages.size and (
+            node_of[pages[i]] != 0 or self.mglru.generation_of(int(pages[i])) == 0
+        ):
+            i += 1
+        order.cursor = i
+        if i < pages.size:
+            return pages[i:i + 1]
+        return self.coldest_demotable(protect=np.array([lpage]))
 
     def coldest_demotable(self, protect: np.ndarray) -> np.ndarray:
         """The next demotion victim: the coldest DDR-resident page that

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Set
 import numpy as np
 
 from repro.memory.address import PAGE_SIZE
-from repro.memory.migration import MigrationEngine
+from repro.memory.migration import MigrationEngine, VictimOrder
 from repro.migration.injection import FailureInjector
 from repro.migration.queue import MigrationQueue
 from repro.migration.request import (
@@ -317,6 +317,7 @@ class AsyncMigrationEngine:
             return report
 
         batch = self.queue.take(epoch, budget)
+        victims = VictimOrder()
         for i, request in enumerate(batch):
             needs = self._copies_needed(request)
             if needs > budget:
@@ -325,7 +326,7 @@ class AsyncMigrationEngine:
                 for leftover in reversed(batch[i:]):
                     self.queue.unget(leftover)
                 break
-            result = self.copier.execute(request, dirty)
+            result = self.copier.execute(request, dirty, victims)
             self._settle(request, result, report, epoch)
             budget -= result.copies
         if report.attempted:

@@ -11,8 +11,9 @@ transactional scheme).
 
 Commit-side failures are also modelled: promotion needs a DDR frame,
 and when the fast tier is full the copier either demotes an MGLRU
-victim first (TPP's demote-then-promote discipline) or aborts with
-ENOMEM, per configuration.  Pinned pages are rejected outright before
+victim first (TPP's demote-then-promote discipline), walking one
+victim order per tick (:meth:`MigrationEngine.next_victim`), or aborts
+with ENOMEM, per configuration.  Pinned pages are rejected outright before
 any copy work (Promoter's §5.2 ④ safety check).
 """
 
@@ -23,7 +24,7 @@ from typing import Optional, Set
 
 import numpy as np
 
-from repro.memory.migration import MigrationEngine
+from repro.memory.migration import MigrationEngine, VictimOrder
 from repro.memory.tiers import NodeKind
 from repro.migration.injection import FailureInjector
 from repro.migration.request import Direction, MigrationRequest, Outcome
@@ -97,7 +98,11 @@ class TransactionalCopier:
         self.engine.stats.time_us += self.remap_us
 
     def _ensure_frame(
-        self, req: MigrationRequest, dst: NodeKind, result: TransactionResult
+        self,
+        req: MigrationRequest,
+        dst: NodeKind,
+        result: TransactionResult,
+        victims: VictimOrder,
     ) -> bool:
         """Secure a destination frame; False means ENOMEM abort."""
         if self.injector.deny_frame():
@@ -110,10 +115,10 @@ class TransactionalCopier:
             return True
         if dst is not NodeKind.DDR or not self.enomem_fallback:
             return False
-        victims = self.engine.coldest_demotable(protect=np.array([req.lpage]))
-        if victims.size == 0:
+        found = self.engine.next_victim(victims, req.lpage)
+        if found.size == 0:
             return False  # no demotable victim → ENOMEM
-        victim = int(victims[0])
+        victim = int(found[0])
         try:
             self._commit_move(victim, NodeKind.CXL)
         except MemoryError:
@@ -125,7 +130,10 @@ class TransactionalCopier:
     # ------------------------------------------------------------------
 
     def execute(
-        self, request: MigrationRequest, dirty: Set[int]
+        self,
+        request: MigrationRequest,
+        dirty: Set[int],
+        victims: Optional[VictimOrder] = None,
     ) -> TransactionResult:
         """Run one request through copy → recheck → commit/abort.
 
@@ -133,6 +141,9 @@ class TransactionalCopier:
             request: the queued page movement to attempt.
             dirty: logical pages the snoop stage saw written inside
                 this epoch's copy window.
+            victims: the tick's demote-first victim order, shared by
+                every request of one tick; a request run on its own
+                gets a fresh one.
         """
         result = TransactionResult(request=request, outcome=Outcome.NOOP)
         lpage = request.lpage
@@ -149,7 +160,9 @@ class TransactionalCopier:
         if self.memory.node_of_page(lpage) is dst:
             result.outcome = Outcome.NOOP
             return result
-        if not self._ensure_frame(request, dst, result):
+        if victims is None:
+            victims = VictimOrder()
+        if not self._ensure_frame(request, dst, result, victims):
             result.outcome = Outcome.ABORT_ENOMEM
             return result
 

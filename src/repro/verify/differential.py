@@ -178,6 +178,106 @@ def _log_inserts(tlb: Any) -> List[Any]:
     return inserted
 
 
+def _log_victims(copier: Any) -> List[Optional[int]]:
+    """Make ``copier`` log each transaction's demote-first victim."""
+    victims: List[Optional[int]] = []
+    execute = copier.execute
+
+    def logged(*args: Any) -> Any:
+        result = execute(*args)
+        victims.append(result.fallback_victim)
+        return result
+
+    copier.execute = logged
+    return victims
+
+
+def _count_searches(engine: Any) -> Dict[str, int]:
+    """Make ``engine`` count its victim requests answered from the
+    youngest generation or not at all (``young``) and its full victim
+    searches (``searches``)."""
+    counts = {"young": 0, "searches": 0}
+    next_victim, search = engine.next_victim, engine.coldest_demotable
+
+    def logged_next_victim(order: Any, lpage: int) -> np.ndarray:
+        found = next_victim(order, lpage)
+        counts["young"] += int(
+            found.size == 0 or engine.mglru.generation_of(int(found[0])) == 0)
+        return found
+
+    def counted_search(protect: np.ndarray) -> np.ndarray:
+        counts["searches"] += 1
+        return search(protect)
+
+    engine.next_victim = logged_next_victim
+    engine.coldest_demotable = counted_search
+    return counts
+
+
+def _victim_ticks(reference: bool, seed: int) -> Tuple[Any, ...]:
+    """Replay twelve async ticks over a full DDR and return what they
+    did: each transaction's demote-first victim, the tick reports, the
+    frame and node maps, MGLRU gen and heat, and the count of victim
+    requests answered from the youngest generation (or not at all) next
+    to the count of full victim searches run.
+
+    The production engine walks one victim order per tick; with
+    ``reference``, its MGLRU and migration engine run their reference
+    models, which search per request.  A pinned page is the coldest on
+    DDR.  Every tick queues, after its first promotion, a demotion of
+    an old page and of a young one, then the promotion of the first
+    victim into a frame they freed, so it rejoins DDR where the walk
+    stands, then the rest of its promotions.  Tick 9 leaves only four
+    DDR pages older than the youngest generation, so its walk runs out
+    and falls back.
+    """
+    from repro.memory.migration import MigrationEngine, PinReason
+    from repro.memory.mglru import MultiGenLru
+    from repro.memory.tiers import NodeKind, TieredMemory
+    from repro.migration import AsyncMigrationConfig, AsyncMigrationEngine
+
+    num_pages, ddr_pages = 256, 48
+    memory = TieredMemory(ddr_pages=ddr_pages, cxl_pages=num_pages + 64,
+                          num_logical_pages=num_pages)
+    memory.allocate_all(NodeKind.CXL)
+    mglru = MultiGenLru(num_pages)
+    engine = MigrationEngine(memory, mglru=mglru)
+    if reference:
+        as_reference(mglru)
+        as_reference(engine)
+    rng = np.random.default_rng(seed)
+    engine.promote(np.arange(ddr_pages))
+    for _ in range(3):
+        mglru.record_accesses(rng.integers(0, ddr_pages, size=40))
+        mglru.age()
+    engine.pin(mglru.coldest(1, among=np.arange(ddr_pages)), PinReason.DMA)
+
+    async_engine = AsyncMigrationEngine(engine, AsyncMigrationConfig(
+        inflight_budget=256, abort_rate=0.05, max_retries=1, seed=seed))
+    victims = _log_victims(async_engine.copier)
+    counts = _count_searches(engine)
+    reports = []
+    for epoch in range(1, 13):
+        ddr = memory.pages_on(NodeKind.DDR)
+        young = rng.choice(ddr, size=ddr.size - 4 if epoch == 9 else 12,
+                           replace=False)
+        mglru.record_accesses(young)
+        older = ddr[~np.isin(ddr, young) & (engine._pins[ddr] == 0)]
+        order = mglru.coldest(older.size, among=older)
+        promotions = rng.choice(memory.pages_on(NodeKind.CXL), size=16,
+                                replace=False)
+        async_engine.enqueue_promotions(promotions[:1])
+        async_engine.enqueue_demotions([order[-1], young[0]])
+        async_engine.enqueue_promotions(order[:1])
+        async_engine.enqueue_promotions(promotions[1:])
+        reports.append(async_engine.tick(
+            epoch, dirty_pages=rng.choice(num_pages, size=4)))
+        mglru.age()
+    return (victims, reports, memory.frame_map.copy(),
+            memory.node_map.copy(), mglru._gen.copy(), mglru._heat.copy(),
+            counts["young"], counts["searches"])
+
+
 def _cam_state(cam: SortedCam) -> List[Any]:
     return [*cam._entries.items(), cam.offers, cam.hits, cam.insertions,
             cam.replacements, cam.rejections]
@@ -596,6 +696,22 @@ def kernels_oracle(seed: int = 0, accesses: int = 60_000) -> OracleReport:
                int((ref_state[7] != fast_state[7]).sum()))
     report.add("node_access_mismatch", 0, int(ref_state[8] != fast_state[8]))
     report.add("victim_mismatches", 0, _mismatches(ref_state[9], fast_state[9]))
+
+    # Async demote-first victims: one walked order per tick vs a full
+    # search per request (the ``next_victim`` twin), over ticks that
+    # pass a pinned page, demote mid-tick, re-promote a victim and
+    # exhaust the older generations.  The walk must search in full
+    # exactly when the victim is in the youngest generation or there
+    # is none.
+    ref_run, fast_run = _victim_ticks(True, seed), _victim_ticks(False, seed)
+    report.add("async_victim_mismatches", 0, _mismatches(ref_run[0], fast_run[0]))
+    report.add("async_tick_report_mismatches", 0,
+               _mismatches(ref_run[1], fast_run[1]))
+    for i, name in enumerate(("frame_map", "node_map", "mglru_gen", "mglru_heat"), 2):
+        report.add(f"async_{name}_mismatches", 0,
+                   int((ref_run[i] != fast_run[i]).sum()))
+    report.add("async_young_victims", ref_run[6], fast_run[6])
+    report.add("async_full_searches", ref_run[6], fast_run[7])
 
     # TLB: lots from a handful of pages to several times the capacity
     # (both eviction branches of _insert), with shootdowns and decay

@@ -46,7 +46,7 @@ from repro.cxl.batch import AccessBatch
 from repro.cxl.pac import PageAccessCounter
 from repro.cxl.wac import WordAccessCounter
 from repro.memory.address import PAGE_SHIFT, PAGE_SIZE, WORD_SHIFT
-from repro.memory.migration import MigrationEngine
+from repro.memory.migration import MigrationEngine, VictimOrder
 from repro.memory.mglru import MultiGenLru
 from repro.memory.tiers import NodeKind, TieredMemory
 from repro.memory.tlb import Tlb
@@ -247,6 +247,11 @@ def demote(engine: MigrationEngine, pages: np.ndarray) -> int:
     return demoted
 
 
+def next_victim(engine: MigrationEngine, order: VictimOrder, lpage: int) -> np.ndarray:
+    """A full victim search per request: the tick's order is unused."""
+    return engine.coldest_demotable(protect=np.array([lpage]))
+
+
 def record_hot(policy: MigrationPolicy, logical_pages: np.ndarray) -> None:
     """One membership test and append per identified page."""
     for lpage in np.atleast_1d(np.asarray(logical_pages, dtype=np.int64)).tolist():
@@ -412,7 +417,8 @@ REFERENCE_MODELS: Tuple[Tuple[Any, Dict[str, Callable[..., Any]]], ...] = (
     (SortedCam, {"offer_batch": offer_batch}),
     (SpaceSaving, {"update_batch": update_batch}),
     (MultiGenLru, {"record_accesses": record_accesses, "coldest": coldest}),
-    (MigrationEngine, {"promote": promote, "demote": demote}),
+    (MigrationEngine, {"promote": promote, "demote": demote,
+                       "next_victim": next_victim}),
     (Tlb, {"access": tlb_access}),
     (MigrationPolicy, {"record_hot": record_hot}),
     (Damon, {"_detect": damon_detect, "_promote_hot": promote_hot,

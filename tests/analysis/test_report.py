@@ -109,10 +109,21 @@ class TestCliReport:
         the HWT-driven mode (Guideline 4)."""
         from repro.cli import main
 
-        rc = main([
-            "report", "--bench", "redis",
-            "--accesses", "200000", "--chunk", "50000",
-        ])
+        rc = main(["report", "--bench", "redis", "--accesses", "200000"])
         assert rc == 0
         assert (f"- Nominator mode: **{HWT_DRIVEN}** (Guidelines 3/4)"
                 in capsys.readouterr().out.splitlines())
+
+    @pytest.mark.parametrize("flag", [
+        ["--chunk", "50000"], ["--subsample", "16"],
+        ["--migration-mode", "async"], ["--mig-budget", "4"], ["--serve"],
+    ])
+    def test_flags_it_cannot_honour_exit_2(self, flag, capsys):
+        """The report is an identification-only pass at the default
+        chunk and sampling, so run flags are refused, not ignored."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--bench", "redis", "--accesses", "1000", *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err

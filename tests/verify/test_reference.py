@@ -39,7 +39,7 @@ def test_simulation_binds_every_hot_path_component():
     sim = as_reference(small_sim())
     assert {"translate", "record_epoch_accesses"} <= set(vars(sim.memory))
     assert "record_accesses" in vars(sim.mglru)
-    assert {"promote", "demote"} <= set(vars(sim.engine))
+    assert {"promote", "demote", "next_victim"} <= set(vars(sim.engine))
     for snoop in sim.controller.snoops:  # PAC, WAC, HPT, HWT
         assert "observe_batch" in vars(snoop)
     for tracker in (sim.epoch_policy.hpt, sim.epoch_policy.hwt):
