@@ -119,7 +119,7 @@ class TestVictimWalk:
         assert searches == 2
 
     def test_one_victim_sort_per_tick(self):
-        mem, sync, eng = build(reference=False)
+        _, sync, eng = build(reference=False)
         calls = []
         coldest = sync.mglru.coldest
 
@@ -149,7 +149,6 @@ class TestVictimWalk:
     def test_any_tick_matches_per_request_search(self, rounds, pin, requests):
         """Any aging history, pin set and request order."""
         assert_same(requests, pin, rounds)
-
 
 
 @pytest.mark.parametrize("ddr_pages", [128, 512])
